@@ -63,9 +63,6 @@ from .oracle import (
     LatticeReport,
     build_covers,
     cross_check_ops,
-    glb_oracle,
-    leq_oracle,
-    lub_oracle,
     to_dot,
     verify_lattice,
 )
@@ -108,11 +105,8 @@ __all__ = [
     "cross_check_ops",
     "default_labels",
     "evaluate",
-    "glb_oracle",
     "inference_table",
-    "leq_oracle",
     "lia",
-    "lub_oracle",
     "mp_closed",
     "mp_direct",
     "mt_closed",

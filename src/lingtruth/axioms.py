@@ -220,8 +220,8 @@ def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> C
     return _collect("involution", bad, max_witnesses)
 
 
-def classify(config: AlgebraConfig) -> Classification:
-    results = check_all_axioms(config, max_witnesses=0)
+def classify(results: dict[Axiom, CheckResult]) -> Classification:
+    """Classify an algebra from its ``check_all_axioms`` results."""
     if all(results[axiom].holds for axiom in Axiom):
         return Classification.LIA
     if all(results[axiom].holds for axiom in (Axiom.I1, Axiom.I2, Axiom.I3, Axiom.I4, Axiom.I5)):

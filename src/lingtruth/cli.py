@@ -7,6 +7,7 @@ Subcommands:
     infer            materialize the MP or MT table for a whole carrier
     verify-examples  recompute the eight reference inferences
     hasse            export the carrier's cover graph (DOT or JSON)
+    discrepancies    print the case-table correction notes as JSON
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 All output goes to stdout, diagnostics to stderr.
@@ -173,7 +174,7 @@ def cmd_check(args) -> int:
     axioms = check_all_axioms(config, max_witnesses=cap)
     laws = check_lattice_laws(config, max_witnesses=cap)
     involution = check_involution(config, max_witnesses=cap)
-    classification = classify(config)
+    classification = classify(axioms)
     lattice_report = verify_lattice(config)
     oracle_report = cross_check_ops(config)
     requested = "QLIA" if args.qlia else "LIA"

@@ -6,15 +6,20 @@ The two rule schemas are evaluated as formulas:
     MT   (!Q & (P -> Q)) -> !P
 
 Given e(P) and e(Q), ``mp_direct``/``mt_direct`` compute the schema value by
-structural evaluation, while ``mp_closed``/``mt_closed`` look the value up
-in closed-form branch tables keyed on the polarity pair of (e(P), e(Q)):
+structural evaluation.  ``mp_closed`` looks the MP value up in closed-form
+branch tables keyed on the polarity pair of (e(P), e(Q)):
 
     table 3.1 / 4.1   both true          table 3.3 / 4.3   true, false
     table 3.2 / 4.2   both false         table 3.4 / 4.4   false, true
 
-(3.x for the plain kind, 4.x for the quasi kind).  The tables follow the
-case derivations rather than the published case lists, which contain a few
-symbol and scope errors; `lingtruth.discrepancies` documents each one.
+(3.x for the plain kind, 4.x for the quasi kind).  ``mt_closed`` has no
+tables of its own: axiom I3 (x -> y = y' -> x') holds in both kinds, so
+MT(P, Q) = MP(!Q, !P).  It evaluates MP on (!Q, !P) and renames the MP
+branch that fired to the MT case covering the same region, so its labels
+still name the MT case lists, keyed on the polarity pair of (e(P), e(Q)).
+The tables follow the case derivations rather than the published case
+lists, which contain a few symbol and scope errors;
+`lingtruth.discrepancies` documents each one.
 Half-grade comparisons such as n <= i + j/2 are evaluated in exact integer
 arithmetic (2n <= 2i + j).  ``inference_table`` materializes one row per
 ordered carrier pair and records whether the direct and closed-form values
@@ -28,7 +33,7 @@ import enum
 from dataclasses import dataclass
 
 from .formula import Valuation, evaluate, parse
-from .lattice import AlgebraConfig, LinguisticValue, canonical, lia, qlia
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -88,10 +93,12 @@ def mt_direct(config: AlgebraConfig, p: LinguisticValue, q: LinguisticValue) -> 
 
 
 # ----------------------------------------------------------------------
-# Closed-form tables, plain kind (3.1 - 3.4; grades i = e(P), j = e(Q))
+# MP closed forms, plain kind (3.1 - 3.4; grades i = e(P), j = e(Q)).
+# Every case function takes (n, nc, grade of P, grade of Q); the plain
+# tables ignore the non-comparable index nc.
 
 
-def _mp_31(n, i, j):
+def _mp_31(n, nc, i, j):
     if i <= j:
         return n, "i<=j"
     if 2 * i <= n + j:
@@ -99,15 +106,7 @@ def _mp_31(n, i, j):
     return i, "i>=j,2i>=n+j"
 
 
-def _mt_31(n, i, j):
-    if i <= j:
-        return n, "i<=j"
-    if i <= 2 * j:
-        return n - i + j, "j<=i<=2j"
-    return n - j, "i>2j"
-
-
-def _mp_32(n, i, j):
+def _mp_32(n, nc, i, j):
     if i >= j:
         return n, "i>=j"
     if j <= 2 * i:
@@ -115,15 +114,7 @@ def _mp_32(n, i, j):
     return n - i, "j>=2i"
 
 
-def _mt_32(n, i, j):
-    if i >= j:
-        return n, "i>=j"
-    if 2 * j <= n + i:
-        return n - j + i, "i<=j,2j<=n+i"
-    return j, "i<=j,2j>=n+i"
-
-
-def _mp_33(n, i, j):
+def _mp_33(n, nc, i, j):
     if i + j <= n:
         return n, "i+j<=n"
     if 2 * n <= 2 * i + j:
@@ -131,15 +122,7 @@ def _mp_33(n, i, j):
     return 2 * n - i - j, "i+j>=n,n>=i+j/2"
 
 
-def _mt_33(n, i, j):
-    if i + j <= n:
-        return n, "i+j<=n"
-    if 2 * n <= 2 * j + i:
-        return j, "i+j>=n,n<=j+i/2"
-    return 2 * n - i - j, "i+j>=n,n>=j+i/2"
-
-
-def _mp_34(n, i, j):
+def _mp_34(n, nc, i, j):
     if i + j >= n:
         return n, "i+j>=n"
     if n <= 2 * i + j:
@@ -147,38 +130,10 @@ def _mp_34(n, i, j):
     return n - i, "i+j<=n,n>=2i+j"
 
 
-def _mt_34(n, i, j):
-    if i + j >= n:
-        return n, "i+j>=n"
-    if n <= 2 * j + i:
-        return i + j, "i+j<=n,n<=2j+i"
-    return n - j, "i+j<=n,n>=2j+i"
-
-
 # ----------------------------------------------------------------------
-# Closed-form tables, quasi kind (4.1 - 4.4; grades k = e(P), l = e(Q),
-# non-comparable index i)
-
-
-def _mp_41(n, nc, k, l):
-    if k <= l:
-        return n, "k<=l"
-    if 2 * k <= n + l:
-        return n - k + l, "k>=l,2k<=n+l"
-    return k, "k>=l,2k>=n+l"
-
-
-def _mt_41(n, nc, k, l):
-    if k <= l:
-        return n, "k<=l"
-    if k - l != nc:
-        if k <= 2 * l:
-            return n - k + l, "l<=k<=2l,k-l!=i"
-        return n - l, "k>=2l,k-l!=i"
-    # !Q meets the implication value v_(n-i)T across the missing link.
-    if 2 * l > k + 1:
-        return n - k + l, "k>l,2l>k+1,k-l=i"
-    return min(n, n - l + 1), "k>l,2l<=k+1,k-l=i"
+# MP closed forms, quasi kind (4.2 - 4.4; grades k = e(P), l = e(Q),
+# non-comparable index i).  Table 4.1 is table 3.1: two true values never
+# meet the missing cross link.
 
 
 def _mp_42(n, nc, k, l):
@@ -191,14 +146,6 @@ def _mp_42(n, nc, k, l):
     if 2 * k > l + 1:
         return n - l + k, "k<l,2k>l+1,l-k=i"
     return min(n, n - k + 1), "k<l,2k<=l+1,l-k=i"
-
-
-def _mt_42(n, nc, k, l):
-    if k >= l:
-        return n, "k>=l"
-    if 2 * l <= n + k:
-        return n - l + k, "k<l,2l<=n+k"
-    return l, "k<l,2l>=n+k"
 
 
 def _mp_43(n, nc, k, l):
@@ -217,22 +164,6 @@ def _mp_43(n, nc, k, l):
     return k, "k+l>n,k=n-i,2(n-k)<=l-1"
 
 
-def _mt_43(n, nc, k, l):
-    if k + l <= n:
-        if l != n - nc:
-            return n, "k+l<=n,l!=n-i"
-        return n, "k+l<=n,l=n-i"
-    if l != n - nc:
-        if 2 * n <= 2 * l + k:
-            return l, "k+l>n,l!=n-i,n<=l+k/2"
-        return 2 * n - k - l, "k+l>n,l!=n-i,n>=l+k/2"
-    if k <= 2 * nc:
-        if k + l == n + 1:
-            return n, "k+l=n+1,l=n-i"
-        return 2 * n - k - l + 1, "k+l>n+1,l=n-i,2(n-l)>=k-1"
-    return l, "k+l>n,l=n-i,2(n-l)<=k-1"
-
-
 def _mp_44(n, nc, k, l):
     if k + l >= n:
         return n, "k+l>=n"
@@ -248,62 +179,100 @@ def _mp_44(n, nc, k, l):
     return n - k + 1, "k+l=n-i,n>=2k+l,k>=2"
 
 
-def _mt_44(n, nc, k, l):
-    if k + l >= n:
-        return n, "k+l>=n"
-    if k + l != n - nc:
-        if n <= 2 * l + k:
-            return k + l, "k+l<n,k+l!=n-i,n<=2l+k"
-        return n - l, "k+l<n,k+l!=n-i,n>=2l+k"
-    if 2 * l + k > n:
-        return k + l, "k+l=n-i,n<2l+k"
-    if l <= 1:
-        return n, "k+l=n-i,n>=2l+k,l<=1"
-    return n - l + 1, "k+l=n-i,n>=2l+k,l>=2"
+# (algebra kind, e(P) is true, e(Q) is true) -> (table, case function)
+_MP_TABLES = {
+    (LIA, True, True): ("3.1", _mp_31),
+    (LIA, False, False): ("3.2", _mp_32),
+    (LIA, True, False): ("3.3", _mp_33),
+    (LIA, False, True): ("3.4", _mp_34),
+    (QLIA, True, True): ("4.1", _mp_31),
+    (QLIA, False, False): ("4.2", _mp_42),
+    (QLIA, True, False): ("4.3", _mp_43),
+    (QLIA, False, True): ("4.4", _mp_44),
+}
+
+_IJ_TO_KL = str.maketrans("ij", "kl")
 
 
-def _closed(config, p, q, rule):
-    n, nc = config.n, config.noncomparable
-    i, j = p.grade, q.grade
-    if nc is None:
-        if p.is_true and q.is_true:
-            table, fn = "3.1", (_mp_31 if rule is RuleId.MP else _mt_31)
-        elif not p.is_true and not q.is_true:
-            table, fn = "3.2", (_mp_32 if rule is RuleId.MP else _mt_32)
-        elif p.is_true:
-            table, fn = "3.3", (_mp_33 if rule is RuleId.MP else _mt_33)
-        else:
-            table, fn = "3.4", (_mp_34 if rule is RuleId.MP else _mt_34)
-        grade, case = fn(n, i, j)
-    else:
-        if p.is_true and q.is_true:
-            table, fn = "4.1", (_mp_41 if rule is RuleId.MP else _mt_41)
-        elif not p.is_true and not q.is_true:
-            table, fn = "4.2", (_mp_42 if rule is RuleId.MP else _mt_42)
-        elif p.is_true:
-            table, fn = "4.3", (_mp_43 if rule is RuleId.MP else _mt_43)
-        else:
-            table, fn = "4.4", (_mp_44 if rule is RuleId.MP else _mt_44)
-        grade, case = fn(n, nc, i, j)
-    return LinguisticValue.true(grade), BranchLabel(table, case)
+def _mp_case(config, p_true, q_true, i, j):
+    """MP grade for e(P) of grade i and e(Q) of grade j with the given
+    polarities, with the table and the case that produced it."""
+    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
+    grade, case = case_fn(config.n, config.noncomparable, i, j)
+    if table == "4.1":
+        case = case.translate(_IJ_TO_KL)  # table 3.1's cases in the quasi grade names
+    return grade, table, case
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
-    return _closed(config, p, q, RuleId.MP)
+    grade, table, case = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
+    return LinguisticValue.true(grade), BranchLabel(table, case)
+
+
+# ----------------------------------------------------------------------
+# MT closed forms.  By I3, P -> Q = !Q -> !P in both kinds, so
+# MT(P, Q) = (!Q & (!Q -> !P)) -> !P = MP(!Q, !P).  The MP case that fires
+# on (!Q, !P) is renamed to the MT case covering the same region, which is
+# what the branch field reports.  The renaming is spelled out because the
+# MT case lists do not follow from the MP ones by swapping grade names.
+
+_MT_BRANCHES = {
+    tuple(mp.split(":", 1)): BranchLabel(*mt.split(":", 1))
+    for mp, mt in (
+        ("3.1:i<=j", "3.2:i>=j"),
+        ("3.1:i>=j,2i<=n+j", "3.2:i<=j,2j<=n+i"),
+        ("3.1:i>=j,2i>=n+j", "3.2:i<=j,2j>=n+i"),
+        ("3.2:i>=j", "3.1:i<=j"),
+        ("3.2:i<=j<=2i", "3.1:j<=i<=2j"),
+        ("3.2:j>=2i", "3.1:i>2j"),
+        ("3.3:i+j<=n", "3.3:i+j<=n"),
+        ("3.3:i+j>=n,n<=i+j/2", "3.3:i+j>=n,n<=j+i/2"),
+        ("3.3:i+j>=n,n>=i+j/2", "3.3:i+j>=n,n>=j+i/2"),
+        ("3.4:i+j>=n", "3.4:i+j>=n"),
+        ("3.4:i+j<=n,n<=2i+j", "3.4:i+j<=n,n<=2j+i"),
+        ("3.4:i+j<=n,n>=2i+j", "3.4:i+j<=n,n>=2j+i"),
+        ("4.1:k<=l", "4.2:k>=l"),
+        ("4.1:k>=l,2k<=n+l", "4.2:k<l,2l<=n+k"),
+        ("4.1:k>=l,2k>=n+l", "4.2:k<l,2l>=n+k"),
+        ("4.2:k>=l", "4.1:k<=l"),
+        ("4.2:k<l<=2k,l-k!=i", "4.1:l<=k<=2l,k-l!=i"),
+        ("4.2:l>=2k,l-k!=i", "4.1:k>=2l,k-l!=i"),
+        ("4.2:k<l,2k>l+1,l-k=i", "4.1:k>l,2l>k+1,k-l=i"),
+        ("4.2:k<l,2k<=l+1,l-k=i", "4.1:k>l,2l<=k+1,k-l=i"),
+        ("4.3:k+l<=n,k!=n-i", "4.3:k+l<=n,l!=n-i"),
+        ("4.3:k+l<=n,k=n-i", "4.3:k+l<=n,l=n-i"),
+        ("4.3:k+l>n,k!=n-i,n<=k+l/2", "4.3:k+l>n,l!=n-i,n<=l+k/2"),
+        ("4.3:k+l>n,k!=n-i,n>=k+l/2", "4.3:k+l>n,l!=n-i,n>=l+k/2"),
+        ("4.3:k+l=n+1,k=n-i", "4.3:k+l=n+1,l=n-i"),
+        ("4.3:k+l>n+1,k=n-i,2(n-k)>=l-1", "4.3:k+l>n+1,l=n-i,2(n-l)>=k-1"),
+        ("4.3:k+l>n,k=n-i,2(n-k)<=l-1", "4.3:k+l>n,l=n-i,2(n-l)<=k-1"),
+        ("4.4:k+l>=n", "4.4:k+l>=n"),
+        ("4.4:k+l<n,k+l!=n-i,n<=2k+l", "4.4:k+l<n,k+l!=n-i,n<=2l+k"),
+        ("4.4:k+l<n,k+l!=n-i,n>=2k+l", "4.4:k+l<n,k+l!=n-i,n>=2l+k"),
+        ("4.4:k+l=n-i,n<2k+l", "4.4:k+l=n-i,n<2l+k"),
+        ("4.4:k+l=n-i,n>=2k+l,k<=1", "4.4:k+l=n-i,n>=2l+k,l<=1"),
+        ("4.4:k+l=n-i,n>=2k+l,k>=2", "4.4:k+l=n-i,n>=2l+k,l>=2"),
+    )
+}
 
 
 def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
-    return _closed(config, p, q, RuleId.MT)
+    # MP on (!Q, !P); negation keeps the grade and flips the polarity
+    grade, table, case = _mp_case(config, not q.is_true, not p.is_true, q.grade, p.grade)
+    return LinguisticValue.true(grade), _MT_BRANCHES[table, case]
 
 
 def inference_table(config: AlgebraConfig, rule: RuleId) -> list[InferenceRow]:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
-    direct = mp_direct if rule is RuleId.MP else mt_direct
+    if rule is RuleId.MP:
+        direct, closed_form = mp_direct, mp_closed
+    else:
+        direct, closed_form = mt_direct, mt_closed
     values = config.values()
     rows = []
     for p in values:
         for q in values:
-            closed, branch = _closed(config, p, q, rule)
+            closed, branch = closed_form(config, p, q)
             rows.append(InferenceRow(p, q, rule, direct(config, p, q), closed, branch))
     return rows
 

@@ -61,6 +61,15 @@ class LinguisticValue:
     grade: int
     polarity: Polarity
 
+    def __post_init__(self):
+        polarity = self.polarity
+        if type(polarity) is not Polarity:
+            # the polarity checks compare by identity, so 0, 1 and bools
+            # must become Polarity members
+            if type(polarity) not in (int, bool) or polarity not in (0, 1):
+                raise DomainError(f"polarity must be a Polarity, 0 or 1, got {polarity!r}")
+            object.__setattr__(self, "polarity", Polarity(polarity))
+
     @staticmethod
     def true(grade: int) -> "LinguisticValue":
         return LinguisticValue(grade, Polarity.T)
@@ -74,7 +83,7 @@ class LinguisticValue:
         return self.polarity is Polarity.T
 
     def negated(self) -> "LinguisticValue":
-        return LinguisticValue(self.grade, Polarity(1 - self.polarity))
+        return LinguisticValue(self.grade, Polarity.F if self.is_true else Polarity.T)
 
     def __str__(self) -> str:
         return canonical(self)

@@ -95,18 +95,6 @@ def build_covers(config: AlgebraConfig) -> CoverGraph:
     return CoverGraph(config, config.values(), frozenset(covers))
 
 
-def leq_oracle(graph: CoverGraph, a: LinguisticValue, b: LinguisticValue) -> bool:
-    return graph.leq(a, b)
-
-
-def lub_oracle(graph: CoverGraph, a: LinguisticValue, b: LinguisticValue):
-    return graph.lub(a, b)
-
-
-def glb_oracle(graph: CoverGraph, a: LinguisticValue, b: LinguisticValue):
-    return graph.glb(a, b)
-
-
 @dataclass
 class LatticeReport:
     """Pairs of the carrier lacking a unique LUB or GLB (should be none)."""

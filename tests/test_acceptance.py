@@ -5,6 +5,7 @@ Every check is exact (the algebra has no tolerances); the two timed
 criteria assert their stated wall-clock budgets.
 """
 
+import hashlib
 import random
 import time
 
@@ -21,9 +22,12 @@ from lingtruth.axioms import (
 from lingtruth.discrepancies import full_report
 from lingtruth.formula import And, Atom, Implies, Not, Or, parse, render
 from lingtruth.inference import (
+    _MT_BRANCHES,
     RuleId,
     inference_table,
+    mp_closed,
     mp_direct,
+    mt_closed,
     mt_direct,
     verify_examples,
 )
@@ -215,6 +219,59 @@ def test_criterion_8_discrepancy_report():
     ]
     ok = ok and bool(computed)
     _report(8, "machine-readable correction entries", ok)
+
+
+def test_criterion_9_mt_is_mp_on_contrapositive():
+    mismatches = []
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS:
+        for p in config.values():
+            for q in config.values():
+                mt = mt_direct(config, p, q)
+                mp = mp_direct(config, q.negated(), p.negated())
+                if mt != mp:
+                    mismatches.append((config.kind, config.n, config.noncomparable,
+                                       str(p), str(q), str(mt), str(mp)))
+    _report(9, "MT(P,Q) = MP(!Q,!P) by direct evaluation", not mismatches,
+            "" if not mismatches else f" {mismatches[:5]}")
+
+
+def test_criterion_10_every_branch_label_fires():
+    fired = {"MP": set(), "MT": set()}
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS:
+        for p in config.values():
+            for q in config.values():
+                fired["MP"].add(mp_closed(config, p, q)[1])
+                fired["MT"].add(mt_closed(config, p, q)[1])
+    # the 33 MP cases are the keys of the MT renaming, the 33 MT cases its values
+    ok = (
+        len(fired["MP"]) == len(fired["MT"]) == len(_MT_BRANCHES) == 33
+        and {(b.table, b.case) for b in fired["MP"]} == set(_MT_BRANCHES)
+        and fired["MT"] == set(_MT_BRANCHES.values())
+    )
+    _report(10, "all 33 MP and 33 MT case labels fire", ok,
+            "" if ok else f" MP {len(fired['MP'])}, MT {len(fired['MT'])}")
+
+
+# sha256 of the concatenated ``infer --format csv`` output over n = 0..8,
+# each n as LIA and then QLIA with --noncomp 1..n-1
+INFER_CSV_SHA256 = {
+    "mp": "0e8342ef70185c565663489c1f79c4ebec3eea558f76b22eb91d63d399c56d54",
+    "mt": "dc15b0c2f5af8b5ce5ff476ac465ff60d391e13f6afc24140eb10eaaa983f46f",
+}
+
+
+def test_criterion_11_infer_csv_is_pinned(capsys):
+    changed = []
+    for rule, expected in INFER_CSV_SHA256.items():
+        digest = hashlib.sha256()
+        for n in range(9):
+            for kind in [[]] + [["--qlia", "--noncomp", str(i)] for i in range(1, n)]:
+                cli.main(["infer", "--rule", rule, "--n", str(n), "--format", "csv", *kind])
+                digest.update(capsys.readouterr().out.encode())
+        if digest.hexdigest() != expected:
+            changed.append(rule)
+    _report(11, "infer CSV output byte-identical to the pinned digests", not changed,
+            "" if not changed else f" changed: {changed}")
 
 
 if __name__ == "__main__":

@@ -67,15 +67,15 @@ class TestInvolution:
 
 class TestClassification:
     def test_plain_is_lia(self):
-        assert classify(lia(4)) is Classification.LIA
+        assert classify(check_all_axioms(lia(4))) is Classification.LIA
 
     def test_quasi_is_qlia(self):
-        assert classify(qlia(4, 2)) is Classification.QLIA
+        assert classify(check_all_axioms(qlia(4, 2))) is Classification.QLIA
 
     def test_smallest_quasi_config(self):
         # No triple with i+k+1 < n exists at n=2, yet I6/I7 still fail
         # through grade-saturated instances, so this classifies as QLIA.
-        assert classify(qlia(2, 1)) is Classification.QLIA
+        assert classify(check_all_axioms(qlia(2, 1))) is Classification.QLIA
 
 
 class TestReporting:

@@ -46,7 +46,7 @@ class TestCheck:
         assert len(payload["laws"]) == 8
 
     def test_classification_mismatch_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "classify", lambda config: Classification.NOT_QLIA)
+        monkeypatch.setattr(cli, "classify", lambda results: Classification.NOT_QLIA)
         code, out, _ = run(capsys, "check", "--n", "4")
         assert code == 1
 

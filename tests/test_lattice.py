@@ -66,6 +66,23 @@ class TestCarrier:
             alg.validate_value(T(3))
 
 
+class TestValueConstruction:
+    @pytest.mark.parametrize("raw, polarity", [(1, Polarity.T), (0, Polarity.F),
+                                                (True, Polarity.T), (False, Polarity.F)])
+    def test_int_and_bool_polarity_coerced(self, raw, polarity):
+        value = LinguisticValue(3, raw)
+        assert value.polarity is polarity
+        assert value == LinguisticValue(3, polarity)
+
+    def test_int_polarity_joins_like_enum(self):
+        assert lia(4).join(LinguisticValue(3, 1), T(1)) == T(3)
+
+    @pytest.mark.parametrize("bad", [2, -1, 1.0, "T", None])
+    def test_other_polarity_rejected(self, bad):
+        with pytest.raises(DomainError):
+            LinguisticValue(3, bad)
+
+
 class TestNegation:
     def test_flips_polarity_keeps_grade(self):
         alg = lia(4)

@@ -2,9 +2,6 @@ from lingtruth.lattice import LinguisticValue, lia, qlia
 from lingtruth.oracle import (
     build_covers,
     cross_check_ops,
-    glb_oracle,
-    leq_oracle,
-    lub_oracle,
     to_dot,
     to_json_dict,
     verify_lattice,
@@ -39,23 +36,23 @@ class TestCoverConstruction:
 class TestReachability:
     def test_bottom_below_top(self):
         graph = build_covers(lia(4))
-        assert leq_oracle(graph, F(4), T(4))
+        assert graph.leq(F(4), T(4))
 
     def test_true_chain_not_below_false_chain(self):
         graph = build_covers(lia(4))
-        assert not leq_oracle(graph, T(0), F(0))
+        assert not graph.leq(T(0), F(0))
 
     def test_noncomparable_pair(self):
         graph = build_covers(qlia(4, 2))
-        assert not leq_oracle(graph, F(2), T(2))
-        assert leq_oracle(graph, F(2), T(3))
+        assert not graph.leq(F(2), T(2))
+        assert graph.leq(F(2), T(3))
 
     def test_cross_reachability_pattern(self):
         n = 6
         graph = build_covers(lia(n))
         for k in range(n + 1):
             for j in range(n + 1):
-                assert leq_oracle(graph, F(k), T(j)) == (j >= n - k)
+                assert graph.leq(F(k), T(j)) == (j >= n - k)
 
     def test_cross_reachability_pattern_quasi(self):
         n, nc = 6, 2
@@ -63,7 +60,7 @@ class TestReachability:
         for k in range(n + 1):
             for j in range(n + 1):
                 expected = (j >= n - k) and not (k == nc and j == n - nc)
-                assert leq_oracle(graph, F(k), T(j)) == expected
+                assert graph.leq(F(k), T(j)) == expected
 
     def test_partial_order_properties(self):
         for config in (lia(5), qlia(5, 3), lia(0)):
@@ -82,19 +79,19 @@ class TestReachability:
 class TestBounds:
     def test_plain_bounds(self):
         graph = build_covers(lia(4))
-        assert lub_oracle(graph, T(0), F(0)) == T(4)
-        assert glb_oracle(graph, T(0), F(0)) == F(4)
+        assert graph.lub(T(0), F(0)) == T(4)
+        assert graph.glb(T(0), F(0)) == F(4)
 
     def test_quasi_pair_bounds(self):
         graph = build_covers(qlia(4, 2))
-        assert lub_oracle(graph, T(2), F(2)) == T(3)
-        assert glb_oracle(graph, T(2), F(2)) == F(3)
+        assert graph.lub(T(2), F(2)) == T(3)
+        assert graph.glb(T(2), F(2)) == F(3)
 
     def test_identity_cases(self):
         graph = build_covers(lia(3))
         for a in graph.elements:
-            assert lub_oracle(graph, a, a) == a
-            assert glb_oracle(graph, a, graph.config.top()) == a
+            assert graph.lub(a, a) == a
+            assert graph.glb(a, graph.config.top()) == a
 
     def test_bound_algebra_laws(self):
         """Oracle joins/meets are commutative, idempotent, absorptive, monotone."""
