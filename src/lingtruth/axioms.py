@@ -3,7 +3,12 @@
 All checks enumerate the whole carrier (pairs or triples as the axiom
 demands) in the deterministic order of ``AlgebraConfig.values()``, so two
 runs over the same algebra produce identical reports, including the order
-of counterexamples.  Witness lists in reports are capped (10 by default)
+of counterexamples.  They read the config's integer operation tables
+(``AlgebraConfig.tables``), built once per config from the closed forms
+and certified pair by pair by `lingtruth.oracle`, so every operation is a
+list lookup on carrier indices; row lookups are hoisted out of the inner
+loop, and only the violations kept as witnesses are turned back into
+``LinguisticValue``s.  Witness lists in reports are capped (10 by default)
 but the total violation count is always exact; pass ``max_witnesses=None``
 to keep every witness.
 
@@ -85,71 +90,78 @@ class CheckResult:
         }
 
 
-def _collect(name, violations, max_witnesses):
+def _collect(name, values, violations, max_witnesses):
+    """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
+    with y and z None where the check does not use them.  The count is
+    exact; only the kept violations become witnesses."""
     kept = violations if max_witnesses is None else violations[:max_witnesses]
-    return CheckResult(name, len(violations), kept)
+    witnesses = [
+        Witness(*(None if k is None else values[k] for k in violation))
+        for violation in kept
+    ]
+    return CheckResult(name, len(violations), witnesses)
 
 
 def check_axiom(
     config: AlgebraConfig, axiom: Axiom, max_witnesses: int | None = 10
 ) -> CheckResult:
-    values = config.values()
-    imp, join, meet, neg = config.implies, config.join, config.meet, config.negate
-    top = config.top()
-    bad: list[Witness] = []
+    tables = config.tables
+    imp, join, meet, neg, top = (
+        tables.implies, tables.join, tables.meet, tables.negate, tables.top
+    )
+    carrier = range(len(tables.values))
+    bad = []
 
     if axiom is Axiom.I1:
-        for x in values:
-            for y in values:
-                for z in values:
-                    lhs = imp(x, imp(y, z))
-                    rhs = imp(y, imp(x, z))
+        for x in carrier:
+            imp_x = imp[x]
+            for y in carrier:
+                imp_y = imp[y]
+                for z in carrier:
+                    lhs = imp_x[imp_y[z]]
+                    rhs = imp_y[imp_x[z]]
                     if lhs != rhs:
-                        bad.append(Witness(x, y, z, lhs, rhs))
+                        bad.append((x, y, z, lhs, rhs))
     elif axiom is Axiom.I2:
-        for x in values:
-            lhs = imp(x, x)
+        for x in carrier:
+            lhs = imp[x][x]
             if lhs != top:
-                bad.append(Witness(x, None, None, lhs, top))
+                bad.append((x, None, None, lhs, top))
     elif axiom is Axiom.I3:
-        for x in values:
-            for y in values:
-                lhs = imp(x, y)
-                rhs = imp(neg(y), neg(x))
+        for x in carrier:
+            for y in carrier:
+                lhs = imp[x][y]
+                rhs = imp[neg[y]][neg[x]]
                 if lhs != rhs:
-                    bad.append(Witness(x, y, None, lhs, rhs))
+                    bad.append((x, y, None, lhs, rhs))
     elif axiom is Axiom.I4:
-        for x in values:
-            for y in values:
-                if x != y and imp(x, y) == top and imp(y, x) == top:
-                    bad.append(Witness(x, y, None, imp(x, y), imp(y, x)))
+        for x in carrier:
+            for y in carrier:
+                if x != y and imp[x][y] == top and imp[y][x] == top:
+                    bad.append((x, y, None, imp[x][y], imp[y][x]))
     elif axiom is Axiom.I5:
-        for x in values:
-            for y in values:
-                lhs = imp(imp(x, y), y)
-                rhs = imp(imp(y, x), x)
+        for x in carrier:
+            for y in carrier:
+                lhs = imp[imp[x][y]][y]
+                rhs = imp[imp[y][x]][x]
                 if lhs != rhs:
-                    bad.append(Witness(x, y, None, lhs, rhs))
-    elif axiom is Axiom.I6:
-        for x in values:
-            for y in values:
-                for z in values:
-                    lhs = imp(join(x, y), z)
-                    rhs = meet(imp(x, z), imp(y, z))
+                    bad.append((x, y, None, lhs, rhs))
+    elif axiom in (Axiom.I6, Axiom.I7):
+        # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
+        inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
+        for x in carrier:
+            imp_x, inner_x = imp[x], inner[x]
+            for y in carrier:
+                imp_y, lhs_row = imp[y], imp[inner_x[y]]
+                for z in carrier:
+                    lhs = lhs_row[z]
+                    rhs = outer[imp_x[z]][imp_y[z]]
                     if lhs != rhs:
-                        bad.append(Witness(x, y, z, lhs, rhs))
-    elif axiom is Axiom.I7:
-        for x in values:
-            for y in values:
-                for z in values:
-                    lhs = imp(meet(x, y), z)
-                    rhs = join(imp(x, z), imp(y, z))
-                    if lhs != rhs:
-                        bad.append(Witness(x, y, z, lhs, rhs))
+                        bad.append((x, y, z, lhs, rhs))
     else:  # pragma: no cover - the enum is closed
         raise ValueError(f"unknown axiom {axiom}")
 
-    return _collect(axiom.value, bad, max_witnesses)
+    return _collect(axiom.value, tables.values, bad, max_witnesses)
 
 
 def check_all_axioms(
@@ -162,62 +174,62 @@ def check_lattice_laws(
     config: AlgebraConfig, max_witnesses: int | None = 10
 ) -> list[CheckResult]:
     """Idempotence, commutativity, associativity and absorption for v and ^."""
-    values = config.values()
-    join, meet = config.join, config.meet
+    tables = config.tables
+    values, join, meet = tables.values, tables.join, tables.meet
+    carrier = range(len(values))
     results = []
 
     for name, op in (("join", join), ("meet", meet)):
+        bad = [(x, None, None, op[x][x], x) for x in carrier if op[x][x] != x]
+        results.append(_collect(f"{name}-idempotent", values, bad, max_witnesses))
+
+    for name, op in (("join", join), ("meet", meet)):
         bad = [
-            Witness(x, None, None, op(x, x), x) for x in values if op(x, x) != x
+            (x, y, None, op[x][y], op[y][x])
+            for x in carrier
+            for y in carrier
+            if op[x][y] != op[y][x]
         ]
-        results.append(_collect(f"{name}-idempotent", bad, max_witnesses))
+        results.append(_collect(f"{name}-commutative", values, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
         bad = []
-        for x in values:
-            for y in values:
-                lhs, rhs = op(x, y), op(y, x)
-                if lhs != rhs:
-                    bad.append(Witness(x, y, None, lhs, rhs))
-        results.append(_collect(f"{name}-commutative", bad, max_witnesses))
-
-    for name, op in (("join", join), ("meet", meet)):
-        bad = []
-        for x in values:
-            for y in values:
-                for z in values:
-                    lhs = op(op(x, y), z)
-                    rhs = op(x, op(y, z))
+        for x in carrier:
+            op_x = op[x]
+            for y in carrier:
+                op_y, lhs_row = op[y], op[op_x[y]]
+                for z in carrier:
+                    lhs = lhs_row[z]
+                    rhs = op_x[op_y[z]]
                     if lhs != rhs:
-                        bad.append(Witness(x, y, z, lhs, rhs))
-        results.append(_collect(f"{name}-associative", bad, max_witnesses))
+                        bad.append((x, y, z, lhs, rhs))
+        results.append(_collect(f"{name}-associative", values, bad, max_witnesses))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
-        bad = []
-        for x in values:
-            for y in values:
-                lhs = outer(x, inner(x, y))
-                if lhs != x:
-                    bad.append(Witness(x, y, None, lhs, x))
-        results.append(_collect(f"{name}-absorption", bad, max_witnesses))
+        bad = [
+            (x, y, None, outer[x][inner[x][y]], x)
+            for x in carrier
+            for y in carrier
+            if outer[x][inner[x][y]] != x
+        ]
+        results.append(_collect(f"{name}-absorption", values, bad, max_witnesses))
 
     return results
 
 
 def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> CheckResult:
     """Negation is an involution and reverses the order."""
-    values = config.values()
-    neg, leq = config.negate, config.leq
-    bad = []
-    for x in values:
-        double = neg(neg(x))
-        if double != x:
-            bad.append(Witness(x, None, None, double, x))
-    for x in values:
-        for y in values:
-            if leq(x, y) and not leq(neg(y), neg(x)):
-                bad.append(Witness(x, y, None, neg(y), neg(x)))
-    return _collect("involution", bad, max_witnesses)
+    tables = config.tables
+    neg, leq = tables.negate, tables.leq
+    carrier = range(len(tables.values))
+    bad = [(x, None, None, neg[neg[x]], x) for x in carrier if neg[neg[x]] != x]
+    bad += [
+        (x, y, None, neg[y], neg[x])
+        for x in carrier
+        for y in carrier
+        if leq[x][y] and not leq[neg[y]][neg[x]]
+    ]
+    return _collect("involution", tables.values, bad, max_witnesses)
 
 
 def classify(results: dict[Axiom, CheckResult]) -> Classification:

@@ -229,7 +229,10 @@ def _parse_assignments(config, pairs):
         name, sep, value_text = item.partition("=")
         if not sep or not name:
             raise DomainError(f"bad assignment {item!r}, expected NAME=v3T")
-        assignment[name.strip()] = config.parse_value(value_text)
+        name = name.strip()
+        if name in assignment:
+            raise DomainError(f"atom {name!r} is assigned more than once")
+        assignment[name] = config.parse_value(value_text)
     return assignment
 
 

@@ -22,14 +22,17 @@ The implication operation is the same in both kinds:
     v_iT -> v_jF = v_max(0, i+j-n)F        v_iF -> v_jT = v_min(n, i+j)T
     v_iT -> v_jT = v_min(n, n-i+j)T        v_iF -> v_jF = v_min(n, n-j+i)T
 
-All operations are pure closed-form index arithmetic; `lingtruth.oracle`
-re-derives joins, meets and the order by brute force over the cover graph
-and the test suite checks the two agree on every pair.
+All operations are pure closed-form index arithmetic.
+``AlgebraConfig.tables`` tabulates them once per config as integer tables
+over the carrier, which the exhaustive checks in `lingtruth.axioms` read;
+`lingtruth.oracle` re-derives joins, meets and the order from the cover
+graph alone and certifies those tables on every pair.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -97,7 +100,27 @@ def canonical(value: LinguisticValue) -> str:
     return f"v{value.grade}{'T' if value.is_true else 'F'}"
 
 
-_CANONICAL_RE = re.compile(r"v(\d+)([TF])\Z")
+_CANONICAL_RE = re.compile(r"v(0|[1-9]\d*)([TF])\Z")
+
+
+@dataclass(frozen=True)
+class OpTables:
+    """The operations of one algebra as integer tables.
+
+    Elements are the indices of ``values`` (the order of
+    ``AlgebraConfig.values()``): ``implies[a][b]`` is the index of
+    values[a] -> values[b], likewise ``join`` and ``meet``; ``negate[a]``
+    is the index of values[a]'; ``leq[a][b]`` is values[a] <= values[b];
+    ``top`` is the index of the top element.
+    """
+
+    values: tuple[LinguisticValue, ...]
+    implies: tuple[tuple[int, ...], ...]
+    join: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    negate: tuple[int, ...]
+    leq: tuple[tuple[bool, ...], ...]
+    top: int
 
 
 @dataclass(frozen=True)
@@ -131,6 +154,8 @@ class AlgebraConfig:
                 raise DomainError(
                     f"need {self.n + 1} hedge labels, got {len(self.labels)}"
                 )
+            if any(not label.strip() for label in self.labels):
+                raise DomainError("hedge labels must not be blank")
             lowered = [label.lower() for label in self.labels]
             if len(set(lowered)) != len(lowered):
                 raise DomainError("hedge labels must be distinct")
@@ -157,6 +182,25 @@ class AlgebraConfig:
         false_side = [LinguisticValue.false(g) for g in range(self.n, -1, -1)]
         true_side = [LinguisticValue.true(g) for g in range(self.n + 1)]
         return tuple(false_side + true_side)
+
+    @functools.cached_property
+    def tables(self) -> OpTables:
+        """The operations tabulated over ``values()``, built on first use."""
+        values = self.values()
+        index = {value: k for k, value in enumerate(values)}
+
+        def tabulate(op):
+            return tuple(tuple(index[op(a, b)] for b in values) for a in values)
+
+        return OpTables(
+            values=values,
+            implies=tabulate(self.implies),
+            join=tabulate(self.join),
+            meet=tabulate(self.meet),
+            negate=tuple(index[self.negate(a)] for a in values),
+            leq=tuple(tuple(self.leq(a, b) for b in values) for a in values),
+            top=index[self.top()],
+        )
 
     def validate_value(self, value: LinguisticValue) -> LinguisticValue:
         if not 0 <= value.grade <= self.n:

@@ -2,15 +2,19 @@
 
 The closed-form operations in `lingtruth.lattice` are fast but easy to get
 wrong around the non-comparable pair, so this module rebuilds the order from
-first principles: lay down the cover edges of the carrier's Hasse diagram,
-take the reflexive-transitive closure by plain reachability, and compute
-least upper bounds / greatest lower bounds by exhaustive search over common
-bounds.  Everything here favors being obviously correct over being fast;
-the carrier never exceeds a few dozen elements at the sizes we verify.
+first principles: lay down the cover edges of the carrier's Hasse diagram
+and take the reflexive-transitive closure by plain reachability.  From the
+closure every element gets its up-set and down-set as a bitmask over the
+carrier.  The least upper bound of a and b is the element whose up-set is
+exactly ``up[a] & up[b]`` (found by one dict lookup), and None when no such
+element exists; in a finite poset that is the same as "the unique minimal
+common upper bound".  Greatest lower bounds are the dual, on down-sets.
+Nothing here uses the closed forms.
 
 `cross_check_ops` compares three things against the oracle on every pair:
 
-* the implemented closed-form join/meet/leq (must always agree);
+* the operation tables the axiom checker reads (``AlgebraConfig.tables``,
+  tabulated from the closed-form join/meet/leq); they must always agree;
 * the join/meet branch tables exactly as stated in the source case lists,
   before the corrections documented in `lingtruth.discrepancies` (the
   quasi-kind join rule for grade pairs around the missing cross link
@@ -35,27 +39,39 @@ class CoverGraph:
     covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
 
     def __post_init__(self):
-        object.__setattr__(self, "_reach", _closure(self.elements, self.covers))
+        reach = _closure(self.elements, self.covers)
+        index = {e: k for k, e in enumerate(self.elements)}
+        up = [0] * len(self.elements)
+        down = [0] * len(self.elements)
+        for e, above in reach.items():
+            for c in above:
+                up[index[e]] |= 1 << index[c]
+                down[index[c]] |= 1 << index[e]
+        # distinct elements have distinct up-sets (and down-sets): the order
+        # is antisymmetric
+        fields = {
+            "_reach": reach,
+            "_index": index,
+            "_up": up,
+            "_down": down,
+            "_by_up": {mask: k for k, mask in enumerate(up)},
+            "_by_down": {mask: k for k, mask in enumerate(down)},
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
         return b in self._reach[a]
 
-    def upper_bounds(self, a, b):
-        return [c for c in self.elements if self.leq(a, c) and self.leq(b, c)]
-
-    def lower_bounds(self, a, b):
-        return [c for c in self.elements if self.leq(c, a) and self.leq(c, b)]
-
     def lub(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
-        """Unique minimal common upper bound, or None if absent/ambiguous."""
-        ubs = self.upper_bounds(a, b)
-        minimal = [u for u in ubs if not any(v != u and self.leq(v, u) for v in ubs)]
-        return minimal[0] if len(minimal) == 1 else None
+        """Least common upper bound, or None if there is none."""
+        k = self._by_up.get(self._up[self._index[a]] & self._up[self._index[b]])
+        return None if k is None else self.elements[k]
 
     def glb(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
-        lbs = self.lower_bounds(a, b)
-        maximal = [u for u in lbs if not any(v != u and self.leq(u, v) for v in lbs)]
-        return maximal[0] if len(maximal) == 1 else None
+        """Greatest common lower bound, or None if there is none."""
+        k = self._by_down.get(self._down[self._index[a]] & self._down[self._index[b]])
+        return None if k is None else self.elements[k]
 
 
 def _closure(elements, covers):
@@ -224,24 +240,24 @@ def _stated_meet(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
 
 
 def cross_check_ops(config: AlgebraConfig) -> DiscrepancyReport:
-    """Exhaustively compare closed-form join/meet/leq with the oracle."""
+    """Exhaustively compare the config's join/meet/leq tables with the oracle."""
     graph = build_covers(config)
     report = DiscrepancyReport(config)
-    values = graph.elements
-    top = config.top()
-    for a in values:
-        for b in values:
+    tables = config.tables
+    values = tables.values
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
             oracle_join = graph.lub(a, b)
             oracle_meet = graph.glb(a, b)
             oracle_leq = graph.leq(a, b)
 
-            got_join = config.join(a, b)
+            got_join = values[tables.join[i][j]]
             if got_join != oracle_join:
                 report.implemented.append(OpMismatch("join", a, b, got_join, oracle_join))
-            got_meet = config.meet(a, b)
+            got_meet = values[tables.meet[i][j]]
             if got_meet != oracle_meet:
                 report.implemented.append(OpMismatch("meet", a, b, got_meet, oracle_meet))
-            got_leq = config.leq(a, b)
+            got_leq = tables.leq[i][j]
             if got_leq != oracle_leq:
                 report.implemented.append(OpMismatch("leq", a, b, got_leq, oracle_leq))
 
@@ -256,7 +272,7 @@ def cross_check_ops(config: AlgebraConfig) -> DiscrepancyReport:
                     OpMismatch("meet", a, b, stated_meet, oracle_meet, rule="2.4-item7/8")
                 )
 
-            if (config.implies(a, b) == top) != oracle_leq:
+            if (tables.implies[i][j] == tables.top) != oracle_leq:
                 report.residuation_exceptions.append((a, b))
     return report
 

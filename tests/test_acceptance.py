@@ -39,6 +39,8 @@ F = LinguisticValue.false
 
 PLAIN_CONFIGS = [lia(n) for n in range(9)]
 QUASI_CONFIGS = [qlia(n, i) for n in range(2, 9) for i in range(1, n)]
+# the LIA chains verified exhaustively beyond n = 8
+WIDE_PLAIN_CONFIGS = [lia(n) for n in range(9, 33)]
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -49,7 +51,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_plain_axiom_suite():
     started = time.perf_counter()
     failures = []
-    for config in PLAIN_CONFIGS:
+    for config in PLAIN_CONFIGS + WIDE_PLAIN_CONFIGS:
         results = check_all_axioms(config, max_witnesses=1)
         for axiom in Axiom:
             if not results[axiom].holds:
@@ -61,7 +63,7 @@ def test_criterion_1_plain_axiom_suite():
             failures.append((config.n, "involution"))
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 10.0
-    _report(1, "LIA axiom suite n=0..8", ok, f" [{elapsed:.2f}s]" if ok else f" {failures[:5]}")
+    _report(1, "LIA axiom suite n=0..32", ok, f" [{elapsed:.2f}s]" if ok else f" {failures[:5]}")
 
 
 def test_criterion_2_quasi_axiom_suite():
@@ -93,12 +95,12 @@ def test_criterion_2_quasi_axiom_suite():
 
 def test_criterion_3_oracle_equivalence():
     mismatches = []
-    for config in PLAIN_CONFIGS + QUASI_CONFIGS:
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_PLAIN_CONFIGS:
         report = cross_check_ops(config)
         if not report.clean:
             mismatches.append((config.kind, config.n, config.noncomparable,
                                len(report.implemented)))
-    _report(3, "closed forms vs brute-force oracle", not mismatches,
+    _report(3, "operation tables vs cover-graph oracle", not mismatches,
             "" if not mismatches else f" {mismatches[:5]}")
 
 
@@ -272,6 +274,23 @@ def test_criterion_11_infer_csv_is_pinned(capsys):
             changed.append(rule)
     _report(11, "infer CSV output byte-identical to the pinned digests", not changed,
             "" if not changed else f" changed: {changed}")
+
+
+# sha256 of the concatenated ``check`` output over n = 0..8, each n as LIA
+# and then QLIA with --noncomp 1..n-1, each in json and then text format
+CHECK_SHA256 = "e4118c9cbf307ba54569e71f32751dbc7b4846be07d4a3910930f294bc562296"
+
+
+def test_criterion_12_check_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in range(9):
+        for kind in [[]] + [["--qlia", "--noncomp", str(i)] for i in range(1, n)]:
+            for fmt in ("json", "text"):
+                cli.main(["check", "--n", str(n), "--format", fmt, *kind])
+                digest.update(capsys.readouterr().out.encode())
+    ok = digest.hexdigest() == CHECK_SHA256
+    _report(12, "check output byte-identical to the pinned digest", ok,
+            "" if ok else f" got {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

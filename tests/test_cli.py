@@ -88,6 +88,18 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--n", "4", "P", "-a", "P=v9T")
         assert code == 2
 
+    def test_repeated_atom_is_config_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "4", "P", "-a", "P=v1T", "-a", "P=v3T")
+        assert code == 2
+        assert out == ""
+        assert "'P'" in err
+
+    def test_leading_zero_grade_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "4", "P", "-a", "P=v03T")
+        assert code == 2
+        assert out == ""
+        assert "not a truth value" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--n", "4", "P->Q", "-a", "P=v0F", "-a", "Q=v2T",
@@ -185,6 +197,13 @@ class TestHasse:
     def test_wrong_label_count(self, capsys):
         code, _, err = run(capsys, "hasse", "--n", "4", "--labels", "a,b")
         assert code == 2
+
+    @pytest.mark.parametrize("labels", ["a,b,c,", "a,b, ,d"])
+    def test_blank_label_is_config_error(self, capsys, labels):
+        code, out, err = run(capsys, "hasse", "--n", "3", "--labels", labels)
+        assert code == 2
+        assert out == ""
+        assert "blank" in err
 
 
 class TestDiscrepancies:

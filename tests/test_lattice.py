@@ -38,6 +38,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             lia(1, labels=("same", "Same"))
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t"])
+    def test_labels_must_not_be_blank(self, blank):
+        with pytest.raises(DomainError):
+            lia(1, labels=("low", blank))
+
     def test_default_labels_only_for_five_hedges(self):
         assert default_labels(4) == DEFAULT_LABELS_N4
         assert default_labels(3) is None
@@ -81,6 +86,27 @@ class TestValueConstruction:
     def test_other_polarity_rejected(self, bad):
         with pytest.raises(DomainError):
             LinguisticValue(3, bad)
+
+
+class TestOpTables:
+    @pytest.mark.parametrize("config", [lia(0), lia(4), qlia(4, 2), qlia(7, 5)])
+    def test_tables_tabulate_the_operations(self, config):
+        tables = config.tables
+        values = config.values()
+        assert tables.values == values
+        assert values[tables.top] == config.top()
+        for i, a in enumerate(values):
+            assert values[tables.negate[i]] == config.negate(a)
+            for j, b in enumerate(values):
+                assert values[tables.implies[i][j]] == config.implies(a, b)
+                assert values[tables.join[i][j]] == config.join(a, b)
+                assert values[tables.meet[i][j]] == config.meet(a, b)
+                assert tables.leq[i][j] == config.leq(a, b)
+
+    def test_tables_are_built_once_per_config(self):
+        config = qlia(5, 2)
+        assert config.tables is config.tables
+        assert qlia(5, 2).tables is not config.tables
 
 
 class TestNegation:
@@ -194,6 +220,11 @@ class TestTextForms:
             lia(4).parse_value("3T")
         with pytest.raises(ParseError):
             lia(4).parse_value("vxT")
+
+    @pytest.mark.parametrize("text", ["v03T", "v00F", "v010T"])
+    def test_parse_rejects_leading_zeros(self, text):
+        with pytest.raises(ParseError):
+            lia(12).parse_value(text)
 
     def test_labeled_forms(self):
         alg = lia(4, labels=DEFAULT_LABELS_N4)

@@ -1,5 +1,6 @@
 from lingtruth.lattice import LinguisticValue, lia, qlia
 from lingtruth.oracle import (
+    CoverGraph,
     build_covers,
     cross_check_ops,
     to_dot,
@@ -110,6 +111,45 @@ class TestBounds:
                         for c in values:
                             assert graph.leq(graph.lub(a, c), graph.lub(b, c))
                             assert graph.leq(graph.glb(a, c), graph.glb(b, c))
+
+
+def _unique_extreme_bound(graph, a, b, below):
+    """The unique minimal common upper bound of a and b (below=False) or
+    unique maximal common lower bound (below=True), by exhaustive search
+    over ``graph.leq``; None if absent or ambiguous."""
+    leq = (lambda u, v: graph.leq(v, u)) if below else graph.leq
+    bounds = [c for c in graph.elements if leq(a, c) and leq(b, c)]
+    extreme = [u for u in bounds if not any(v != u and leq(v, u) for v in bounds)]
+    return extreme[0] if len(extreme) == 1 else None
+
+
+class TestBoundsAgainstExhaustiveSearch:
+    def test_every_pair_up_to_n8(self):
+        configs = [lia(n) for n in range(9)] + [
+            qlia(n, i) for n in range(2, 9) for i in range(1, n)
+        ]
+        for config in configs:
+            graph = build_covers(config)
+            for a in graph.elements:
+                for b in graph.elements:
+                    assert graph.lub(a, b) == _unique_extreme_bound(graph, a, b, False)
+                    assert graph.glb(a, b) == _unique_extreme_bound(graph, a, b, True)
+
+    def test_missing_bounds_are_none(self):
+        """In the poset F1, F0 < T0, T1 (no cross order otherwise) F1 and F0
+        have two minimal upper bounds and T0, T1 have none."""
+        lows, highs = (F(1), F(0)), (T(0), T(1))
+        graph = CoverGraph(
+            lia(1), lows + highs, frozenset((low, high) for low in lows for high in highs)
+        )
+        for a in graph.elements:
+            for b in graph.elements:
+                assert graph.lub(a, b) == _unique_extreme_bound(graph, a, b, False)
+                assert graph.glb(a, b) == _unique_extreme_bound(graph, a, b, True)
+        assert graph.lub(F(1), F(0)) is None
+        assert graph.lub(T(0), T(1)) is None
+        assert graph.glb(T(0), T(1)) is None
+        assert graph.lub(F(1), T(0)) == T(0)
 
 
 class TestLatticeCertificate:
