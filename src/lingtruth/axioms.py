@@ -4,13 +4,13 @@ All checks enumerate the whole carrier (pairs or triples as the axiom
 demands) in the deterministic order of ``AlgebraConfig.values()``, so two
 runs over the same algebra produce identical reports, including the order
 of counterexamples.  They read the config's integer operation tables
-(``AlgebraConfig.tables``), built once per config from the closed forms
+(``AlgebraConfig.tables``), built once per config from the carrier index
 and certified pair by pair by `lingtruth.oracle`, so every operation is a
 list lookup on carrier indices; row lookups are hoisted out of the inner
 loop, and only the violations kept as witnesses are turned back into
 ``LinguisticValue``s.  Witness lists in reports are capped (10 by default)
 but the total violation count is always exact; pass ``max_witnesses=None``
-to keep every witness.
+to keep every witness.  A negative cap raises ``DomainError``.
 
 The axioms, for all x, y, z:
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import DomainError
 from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 
@@ -94,6 +95,8 @@ def _collect(name, values, violations, max_witnesses):
     """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
     with y and z None where the check does not use them.  The count is
     exact; only the kept violations become witnesses."""
+    if max_witnesses is not None and max_witnesses < 0:
+        raise DomainError(f"max_witnesses must be >= 0 or None, got {max_witnesses}")
     kept = violations if max_witnesses is None else violations[:max_witnesses]
     witnesses = [
         Witness(*(None if k is None else values[k] for k in violation))

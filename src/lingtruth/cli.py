@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -76,6 +77,17 @@ def _build_algebra(args) -> AlgebraConfig:
     )
 
 
+def _count(text: str) -> int:
+    """A non-negative int option value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lingtruth",
@@ -93,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.add_argument(
         "--max-witnesses",
-        type=int,
+        type=_count,
         default=10,
         help="counterexamples kept per report entry (default 10)",
     )
@@ -175,8 +187,9 @@ def cmd_check(args) -> int:
     laws = check_lattice_laws(config, max_witnesses=cap)
     involution = check_involution(config, max_witnesses=cap)
     classification = classify(axioms)
-    lattice_report = verify_lattice(config)
-    oracle_report = cross_check_ops(config)
+    graph = build_covers(config)
+    lattice_report = verify_lattice(graph)
+    oracle_report = cross_check_ops(graph)
     requested = "QLIA" if args.qlia else "LIA"
     ok = classification.value == requested and oracle_report.clean
 
@@ -260,12 +273,15 @@ def _rows_csv(rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["p", "q", "rule", "direct", "closed", "branch", "agree"])
-    for row in rows:
-        d = row.to_dict()
-        writer.writerow(
-            [d["p"], d["q"], d["rule"], d["direct"], d["closed"], d["branch"],
-             "true" if d["agree"] else "false"]
-        )
+    # the rows share the carrier's values and the branch labels, so each
+    # one is formatted once
+    text = functools.cache(canonical)
+    branch_text = functools.cache(str)
+    writer.writerows(
+        (text(row.p), text(row.q), row.rule.value, text(row.direct), text(row.closed),
+         branch_text(row.branch), "true" if row.agree else "false")
+        for row in rows
+    )
     return out.getvalue()
 
 

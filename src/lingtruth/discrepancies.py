@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import AlgebraConfig, lia, qlia
-from .oracle import cross_check_ops
+from .oracle import build_covers, cross_check_ops
 
 
 @dataclass(frozen=True)
@@ -124,5 +124,5 @@ def full_report(configs: tuple[AlgebraConfig, ...] | None = None) -> dict:
         configs = (lia(4), qlia(4, 2), qlia(5, 2))
     return {
         "notes": [note.to_dict() for note in STATEMENT_NOTES],
-        "computed": [cross_check_ops(config).to_dict() for config in configs],
+        "computed": [cross_check_ops(build_covers(config)).to_dict() for config in configs],
     }

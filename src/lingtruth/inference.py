@@ -24,16 +24,21 @@ Half-grade comparisons such as n <= i + j/2 are evaluated in exact integer
 arithmetic (2n <= 2i + j).  ``inference_table`` materializes one row per
 ordered carrier pair and records whether the direct and closed-form values
 agree; they must agree everywhere, and the test suite checks this
-exhaustively for every verified algebra size.
+exhaustively for every verified algebra size.  It evaluates the schema
+column-wise: one walk of the same formula tree over the config's integer
+operation tables (``AlgebraConfig.tables``), each node a column of carrier
+indices with one entry per row, so it never calls ``mp_direct`` or
+``mt_direct``; the test suite checks its direct values against them.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
-from .formula import Valuation, evaluate, parse
-from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
+from .formula import And, Atom, Formula, Not, Or, Valuation, evaluate, parse
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, OpTables, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -204,11 +209,6 @@ def _mp_case(config, p_true, q_true, i, j):
     return grade, table, case
 
 
-def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
-    grade, table, case = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
-    return LinguisticValue.true(grade), BranchLabel(table, case)
-
-
 # ----------------------------------------------------------------------
 # MT closed forms.  By I3, P -> Q = !Q -> !P in both kinds, so
 # MT(P, Q) = (!Q & (!Q -> !P)) -> !P = MP(!Q, !P).  The MP case that fires
@@ -256,24 +256,62 @@ _MT_BRANCHES = {
 }
 
 
-def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
+# the 33 MP case labels, one shared object each
+_MP_BRANCHES = {key: BranchLabel(*key) for key in _MT_BRANCHES}
+
+
+def _closed_grade(config, rule, p, q) -> tuple[int, BranchLabel]:
+    """Grade of the closed-form value of ``rule`` at (p, q) and its branch."""
+    if rule is RuleId.MP:
+        grade, table, case = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
+        return grade, _MP_BRANCHES[table, case]
     # MP on (!Q, !P); negation keeps the grade and flips the polarity
     grade, table, case = _mp_case(config, not q.is_true, not p.is_true, q.grade, p.grade)
-    return LinguisticValue.true(grade), _MT_BRANCHES[table, case]
+    return grade, _MT_BRANCHES[table, case]
+
+
+def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
+    grade, branch = _closed_grade(config, RuleId.MP, p, q)
+    return LinguisticValue.true(grade), branch
+
+
+def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
+    grade, branch = _closed_grade(config, RuleId.MT, p, q)
+    return LinguisticValue.true(grade), branch
+
+
+def _column(node: Formula, atoms: dict[str, list[int]], tables: OpTables) -> list[int]:
+    """The value of ``node`` on every row, as carrier indices, given the
+    column of each atom: the structural evaluation of `lingtruth.formula`,
+    one table lookup per row and connective."""
+    if isinstance(node, Atom):
+        return atoms[node.name]
+    if isinstance(node, Not):
+        negate = tables.negate
+        return [negate[x] for x in _column(node.child, atoms, tables)]
+    if isinstance(node, And):
+        op = tables.meet
+    elif isinstance(node, Or):
+        op = tables.join
+    else:
+        op = tables.implies
+    left = _column(node.left, atoms, tables)
+    right = _column(node.right, atoms, tables)
+    return [op[x][y] for x, y in zip(left, right)]
 
 
 def inference_table(config: AlgebraConfig, rule: RuleId) -> list[InferenceRow]:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
-    if rule is RuleId.MP:
-        direct, closed_form = mp_direct, mp_closed
-    else:
-        direct, closed_form = mt_direct, mt_closed
-    values = config.values()
+    tables = config.tables
+    values = tables.values
+    carrier = range(len(values))
+    atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(values)}
+    direct = _column(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms, tables)
+    true_values = values[config.n + 1:]  # v_gT at position g
     rows = []
-    for p in values:
-        for q in values:
-            closed, branch = closed_form(config, p, q)
-            rows.append(InferenceRow(p, q, rule, direct(config, p, q), closed, branch))
+    for (p, q), d in zip(itertools.product(values, repeat=2), direct):
+        grade, branch = _closed_grade(config, rule, p, q)
+        rows.append(InferenceRow(p, q, rule, values[d], true_values[grade], branch))
     return rows
 
 

@@ -22,11 +22,23 @@ The implication operation is the same in both kinds:
     v_iT -> v_jF = v_max(0, i+j-n)F        v_iF -> v_jT = v_min(n, i+j)T
     v_iT -> v_jT = v_min(n, n-i+j)T        v_iF -> v_jF = v_min(n, n-j+i)T
 
-All operations are pure closed-form index arithmetic.
-``AlgebraConfig.tables`` tabulates them once per config as integer tables
-over the carrier, which the exhaustive checks in `lingtruth.axioms` read;
-`lingtruth.oracle` re-derives joins, meets and the order from the cover
-graph alone and certifies those tables on every pair.
+The carrier index of a value is x = b·(n+1) + p, where b is its polarity
+bit (F = 0, T = 1) and p is its grade for a T value and n - grade for an F
+value; this is the order of ``AlgebraConfig.values()``.  On the pairs
+(b, p) the plain kind is the product of the two-element chain and the
+chain 0..n: join, meet and <= are coordinate-wise max, min and <=,
+negation is (1 - b, n - p), and x -> y is (b <= b', min(n, n - p + p')).
+The quasi kind changes one <= entry and the joins and meets around the
+removed link.
+
+``AlgebraConfig.tables`` computes every operation from the carrier index,
+once per config, as integer tables that the exhaustive checks in
+`lingtruth.axioms` and ``inference_table`` read.  The ``AlgebraConfig``
+methods stay the closed forms on ``LinguisticValue``s: they are the library
+API, what `lingtruth.formula` evaluates with, and the reference the tests
+compare the tables with entry by entry.  `lingtruth.oracle` re-derives
+joins, meets and the order from the cover graph alone and certifies the
+tables on every pair.
 """
 
 from __future__ import annotations
@@ -185,21 +197,44 @@ class AlgebraConfig:
 
     @functools.cached_property
     def tables(self) -> OpTables:
-        """The operations tabulated over ``values()``, built on first use."""
-        values = self.values()
-        index = {value: k for k, value in enumerate(values)}
+        """The operations tabulated over ``values()``, built on first use.
 
-        def tabulate(op):
-            return tuple(tuple(index[op(a, b)] for b in values) for a in values)
+        Index x = b·(n+1) + p is the pair (b, p) of the module docstring.
+        Each table row is a chain row over p, once per polarity half.
+        """
+        n = self.n
+        s = n + 1
+        chain = range(s)
+        join_c = [[max(p, q) for q in chain] for p in chain]
+        meet_c = [[min(p, q) for q in chain] for p in chain]
+        implies_c = [[min(n, n - p + q) for q in chain] for p in chain]
+        leq_c = [[p <= q for q in chain] for p in chain]
+
+        def lift(row):  # the same grades in the half with polarity bit 1
+            return [s + q for q in row]
+
+        # rows b = 0, then b = 1; the halves of a row are b' = 0 and b' = 1
+        join = [r + lift(r) for r in join_c] + [lift(r) * 2 for r in join_c]
+        meet = [r * 2 for r in meet_c] + [r + lift(r) for r in meet_c]
+        implies = [lift(r) * 2 for r in implies_c] + [r + lift(r) for r in implies_c]
+        leq = [r * 2 for r in leq_c] + [[False] * s + r for r in leq_c]
+        if self.noncomparable is not None:
+            # v_iF = (0, m) and v_(n-i)T = (1, m) lose their cross link
+            m = n - self.noncomparable
+            leq[m][s + m] = False
+            for k in range(m + 1):  # v_iF v v_kT, k <= n-i, rises above v_(n-i)T
+                join[m][s + k] = join[s + k][m] = s + m + 1
+            for p in range(m, s):  # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
+                meet[s + m][p] = meet[p][s + m] = m - 1
 
         return OpTables(
-            values=values,
-            implies=tabulate(self.implies),
-            join=tabulate(self.join),
-            meet=tabulate(self.meet),
-            negate=tuple(index[self.negate(a)] for a in values),
-            leq=tuple(tuple(self.leq(a, b) for b in values) for a in values),
-            top=index[self.top()],
+            values=self.values(),
+            implies=tuple(map(tuple, implies)),
+            join=tuple(map(tuple, join)),
+            meet=tuple(map(tuple, meet)),
+            negate=tuple(range(2 * s - 1, -1, -1)),  # (1 - b, n - p)
+            leq=tuple(map(tuple, leq)),
+            top=2 * s - 1,
         )
 
     def validate_value(self, value: LinguisticValue) -> LinguisticValue:

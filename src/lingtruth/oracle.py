@@ -11,10 +11,13 @@ element exists; in a finite poset that is the same as "the unique minimal
 common upper bound".  Greatest lower bounds are the dual, on down-sets.
 Nothing here uses the closed forms.
 
-`cross_check_ops` compares three things against the oracle on every pair:
+`verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
+``check`` builds the graph once.  `cross_check_ops` compares three things
+against the oracle on every pair:
 
-* the operation tables the axiom checker reads (``AlgebraConfig.tables``,
-  tabulated from the closed-form join/meet/leq); they must always agree;
+* the operation tables the axiom checker and the inference tables read
+  (``AlgebraConfig.tables``, computed from the carrier index); they must
+  always agree;
 * the join/meet branch tables exactly as stated in the source case lists,
   before the corrections documented in `lingtruth.discrepancies` (the
   quasi-kind join rule for grade pairs around the missing cross link
@@ -133,9 +136,9 @@ class LatticeReport:
         }
 
 
-def verify_lattice(config: AlgebraConfig) -> LatticeReport:
-    graph = build_covers(config)
-    report = LatticeReport(config)
+def verify_lattice(graph: CoverGraph) -> LatticeReport:
+    """Every pair of the graph's carrier lacking a unique LUB or GLB."""
+    report = LatticeReport(graph.config)
     values = graph.elements
     for a in values:
         for b in values:
@@ -239,9 +242,10 @@ def _stated_meet(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
     return LinguisticValue.false(n - k)
 
 
-def cross_check_ops(config: AlgebraConfig) -> DiscrepancyReport:
-    """Exhaustively compare the config's join/meet/leq tables with the oracle."""
-    graph = build_covers(config)
+def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
+    """Exhaustively compare the join/meet/leq tables of the graph's config
+    with the oracle."""
+    config = graph.config
     report = DiscrepancyReport(config)
     tables = config.tables
     values = tables.values

@@ -32,7 +32,7 @@ from lingtruth.inference import (
     verify_examples,
 )
 from lingtruth.lattice import LinguisticValue, lia, qlia
-from lingtruth.oracle import cross_check_ops
+from lingtruth.oracle import build_covers, cross_check_ops
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -96,7 +96,7 @@ def test_criterion_2_quasi_axiom_suite():
 def test_criterion_3_oracle_equivalence():
     mismatches = []
     for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_PLAIN_CONFIGS:
-        report = cross_check_ops(config)
+        report = cross_check_ops(build_covers(config))
         if not report.clean:
             mismatches.append((config.kind, config.n, config.noncomparable,
                                len(report.implemented)))
@@ -291,6 +291,20 @@ def test_criterion_12_check_output_is_pinned(capsys):
     ok = digest.hexdigest() == CHECK_SHA256
     _report(12, "check output byte-identical to the pinned digest", ok,
             "" if ok else f" got {digest.hexdigest()}")
+
+
+def test_criterion_13_column_direct_is_schema_evaluation():
+    # inference_table evaluates the schemas over the operation tables;
+    # formula.evaluate through mp_direct/mt_direct is the reference
+    mismatches = []
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS:
+        for rule, direct in ((RuleId.MP, mp_direct), (RuleId.MT, mt_direct)):
+            for row in inference_table(config, rule):
+                if row.direct != direct(config, row.p, row.q):
+                    mismatches.append((config.kind, config.n, config.noncomparable,
+                                       row.to_dict()))
+    _report(13, "column-wise direct values equal formula evaluation", not mismatches,
+            "" if not mismatches else f" {mismatches[:3]}")
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from lingtruth.axioms import (
     check_lattice_laws,
     classify,
 )
+from lingtruth.errors import DomainError
 from lingtruth.lattice import LinguisticValue, lia, qlia
 
 T = LinguisticValue.true
@@ -84,6 +85,15 @@ class TestReporting:
         assert len(result.witnesses) == 3
         assert result.total_violations == 48
         assert not result.holds
+
+    @pytest.mark.parametrize("check", [
+        lambda cap: check_axiom(qlia(4, 2), Axiom.I6, max_witnesses=cap),
+        lambda cap: check_lattice_laws(lia(2), max_witnesses=cap),
+        lambda cap: check_involution(lia(2), max_witnesses=cap),
+    ], ids=["axiom", "laws", "involution"])
+    def test_negative_cap_is_rejected(self, check):
+        with pytest.raises(DomainError):
+            check(-1)
 
     def test_uncapped(self):
         result = check_axiom(qlia(4, 2), Axiom.I6, max_witnesses=None)

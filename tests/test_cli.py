@@ -36,6 +36,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--n", "4", "--noncomp", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["-1", "x"])
+    def test_bad_witness_cap_is_usage_error(self, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--n", "4", "--qlia", "--noncomp", "2",
+                      "--max-witnesses", cap, "--format", "json"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--max-witnesses" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "2", "--format", "json")
         assert code == 0

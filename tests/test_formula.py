@@ -135,6 +135,13 @@ class TestEvaluation:
         val = Valuation(qlia(4, 2), {"P": T(3), "Q": T(1)})
         assert evaluate(parse("(!Q & (P -> Q)) -> !P"), val) == T(4)
 
+    def test_evaluation_builds_no_operation_tables(self):
+        # the tables cost far more than one evaluation at large n
+        config = qlia(300, 7)
+        val = Valuation(config, {"P": T(250), "Q": F(7)})
+        assert evaluate(parse("(!Q & (P -> Q)) -> !P | P"), val) == T(300)
+        assert "tables" not in vars(config)
+
     def test_self_implication_lifts_to_formulas(self):
         alg = lia(4)
         for v in alg.values():

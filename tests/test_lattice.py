@@ -88,8 +88,12 @@ class TestValueConstruction:
             LinguisticValue(3, bad)
 
 
+# every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n
+SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+
+
 class TestOpTables:
-    @pytest.mark.parametrize("config", [lia(0), lia(4), qlia(4, 2), qlia(7, 5)])
+    @pytest.mark.parametrize("config", SMALL_CONFIGS)
     def test_tables_tabulate_the_operations(self, config):
         tables = config.tables
         values = config.values()

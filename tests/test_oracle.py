@@ -155,30 +155,30 @@ class TestBoundsAgainstExhaustiveSearch:
 class TestLatticeCertificate:
     def test_no_defects(self):
         for config in (lia(4), qlia(4, 2), lia(0)):
-            report = verify_lattice(config)
+            report = verify_lattice(build_covers(config))
             assert report.is_lattice
             assert report.missing_joins == [] and report.missing_meets == []
 
     def test_report_dict_shape(self):
-        d = verify_lattice(lia(1)).to_dict()
+        d = verify_lattice(build_covers(lia(1))).to_dict()
         assert d["is_lattice"] is True
         assert d["missing_joins"] == []
 
 
 class TestCrossCheck:
     def test_plain_everything_agrees(self):
-        report = cross_check_ops(lia(4))
+        report = cross_check_ops(build_covers(lia(4)))
         assert report.clean
         assert report.stated == []
         assert report.residuation_exceptions == []
 
     def test_quasi_implementation_agrees(self):
-        report = cross_check_ops(qlia(4, 2))
+        report = cross_check_ops(build_covers(qlia(4, 2)))
         assert report.clean
 
     def test_quasi_stated_join_scope_deviation(self):
         """The stated raised-join branch is wrong for false grades above i."""
-        report = cross_check_ops(qlia(5, 2))
+        report = cross_check_ops(build_covers(qlia(5, 2)))
         pairs = {
             (str(m.a), str(m.b)): (str(m.got), str(m.expected))
             for m in report.stated
@@ -188,11 +188,11 @@ class TestCrossCheck:
         assert all(m.rule == "2.4-item3" for m in report.stated)
 
     def test_quasi_residuation_exception_is_the_missing_link(self):
-        report = cross_check_ops(qlia(4, 2))
+        report = cross_check_ops(build_covers(qlia(4, 2)))
         assert report.residuation_exceptions == [(F(2), T(2))]
 
     def test_report_dict(self):
-        d = cross_check_ops(qlia(4, 2)).to_dict()
+        d = cross_check_ops(build_covers(qlia(4, 2))).to_dict()
         assert d["implemented_mismatches"] == []
         assert d["kind"] == "QLIA" and d["noncomparable"] == 2
         assert len(d["stated_mismatches"]) == 4  # (v2T, v3F/v4F), both orders
