@@ -9,8 +9,9 @@ Subcommands:
     hasse            export the carrier's cover graph (DOT or JSON)
     discrepancies    print the case-table correction notes as JSON
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
-All output goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 verification failure, 2 usage, config or output
+error (a closed stdout is an output error).  All output goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -287,20 +289,18 @@ def _rows_csv(rows) -> str:
 
 def _rows_grid(config, rows, rule) -> str:
     values = config.values()
-    closed = {(row.p, row.q): row for row in rows}
+    size = len(values)
     width = max(len(canonical(v)) for v in values) + 2
     lines = [f"{rule.value} table, {config.kind} n={config.n}"
              f"{'' if config.noncomparable is None else f' i={config.noncomparable}'}"
              " (rows e(P), columns e(Q))"]
     header = " " * width + "".join(canonical(q).rjust(width) for q in values)
     lines.append(header)
-    for p in values:
-        cells = []
-        for q in values:
-            row = closed[(p, q)]
-            mark = "" if row.agree else "*"
-            cells.append((canonical(row.closed) + mark).rjust(width))
-        lines.append(canonical(p).rjust(width) + "".join(cells))
+    # the rows are in carrier order: e(P) = values[k] for rows[k*size:(k+1)*size]
+    for k, p in enumerate(values):
+        cells = "".join((canonical(row.closed) + ("" if row.agree else "*")).rjust(width)
+                        for row in rows[k * size:(k + 1) * size])
+        lines.append(canonical(p).rjust(width) + cells)
     disagreements = sum(1 for row in rows if not row.agree)
     lines.append(
         "all rows: direct evaluation matches the closed form"
@@ -319,24 +319,19 @@ def cmd_infer(args) -> int:
     rows = inference_table(config, rule)
     if args.diff_only:
         rows = [row for row in rows if not row.agree]
-        if args.format == "json":
-            print(json.dumps([row.to_dict() for row in rows], indent=2))
-        elif args.format == "csv":
-            sys.stdout.write(_rows_csv(rows))
-        else:
-            for row in rows:
-                d = row.to_dict()
-                print(f"{d['p']} {d['q']} {d['rule']} direct={d['direct']} "
-                      f"closed={d['closed']} branch={d['branch']}")
-            print(f"{len(rows)} disagreements")
-        return 0 if not rows else 1
     if args.format == "json":
         print(json.dumps([row.to_dict() for row in rows], indent=2))
     elif args.format == "csv":
         sys.stdout.write(_rows_csv(rows))
+    elif args.diff_only:
+        for row in rows:
+            d = row.to_dict()
+            print(f"{d['p']} {d['q']} {d['rule']} direct={d['direct']} "
+                  f"closed={d['closed']} branch={d['branch']}")
+        print(f"{len(rows)} disagreements")
     else:
         print(_rows_grid(config, rows, rule))
-    return 0
+    return 1 if args.diff_only and rows else 0
 
 
 def cmd_verify_examples(args) -> int:
@@ -386,10 +381,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except (DomainError, ParseError, UnboundAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        # a formula nested too deeply for the recursive evaluator or renderer
+        print("error: formula nested too deeply to evaluate", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader went away; send the unwritten rest to devnull so the
+        # flush at interpreter exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import AlgebraConfig, lia, qlia
+from .lattice import lia, qlia
 from .oracle import build_covers, cross_check_ops
 
 
@@ -118,11 +118,14 @@ STATEMENT_NOTES: tuple[StatementNote, ...] = (
 )
 
 
-def full_report(configs: tuple[AlgebraConfig, ...] | None = None) -> dict:
+_REPORT_CONFIGS = (lia(4), qlia(4, 2), qlia(5, 2))
+
+
+def full_report() -> dict:
     """Static correction notes plus computed stated-vs-oracle mismatches."""
-    if configs is None:
-        configs = (lia(4), qlia(4, 2), qlia(5, 2))
     return {
         "notes": [note.to_dict() for note in STATEMENT_NOTES],
-        "computed": [cross_check_ops(build_covers(config)).to_dict() for config in configs],
+        "computed": [
+            cross_check_ops(build_covers(config)).to_dict() for config in _REPORT_CONFIGS
+        ],
     }

@@ -152,9 +152,13 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; raises ParseError with an offset on bad input."""
+    """Parse formula text; raises ParseError with an offset on bad input,
+    including input nested deeper than the interpreter's recursion limit."""
     parser = _Parser(text)
-    node = parser.formula()
+    try:
+        node = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
     kind, _, pos = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)

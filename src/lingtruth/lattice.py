@@ -49,7 +49,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
-from .hedges import HedgeChain
 
 LIA = "LIA"
 QLIA = "QLIA"
@@ -178,10 +177,6 @@ class AlgebraConfig:
     @property
     def kind(self) -> str:
         return LIA if self.noncomparable is None else QLIA
-
-    @property
-    def hedges(self) -> HedgeChain:
-        return HedgeChain(self.n)
 
     def top(self) -> LinguisticValue:
         return LinguisticValue.true(self.n)

@@ -3,13 +3,17 @@
 The closed-form operations in `lingtruth.lattice` are fast but easy to get
 wrong around the non-comparable pair, so this module rebuilds the order from
 first principles: lay down the cover edges of the carrier's Hasse diagram
-and take the reflexive-transitive closure by plain reachability.  From the
-closure every element gets its up-set and down-set as a bitmask over the
-carrier.  The least upper bound of a and b is the element whose up-set is
-exactly ``up[a] & up[b]`` (found by one dict lookup), and None when no such
-element exists; in a finite poset that is the same as "the unique minimal
-common upper bound".  Greatest lower bounds are the dual, on down-sets.
-Nothing here uses the closed forms.
+and grow each element's up-set, a bitmask over the positions of the
+carrier, along those edges until nothing changes.  That is the
+reflexive-transitive closure by plain reachability; a <= b is one bit of
+a's up-set, and the down-sets are its transpose.  The least upper bound of
+a and b is the element whose up-set is exactly ``up[a] & up[b]`` (found by
+one dict lookup), and None when no such element exists; in a finite poset
+that is the same as "the unique minimal common upper bound".  Greatest
+lower bounds are the dual, on down-sets.  The bounds of every pair are
+computed once, when the graph is built; ``lub``, ``glb``, `verify_lattice`
+and `cross_check_ops` only read them.  Nothing here uses the closed forms
+or the operation tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
 ``check`` builds the graph once.  `cross_check_ops` compares three things
@@ -35,67 +39,55 @@ from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 @dataclass(frozen=True)
 class CoverGraph:
-    """Hasse cover edges of a carrier; queries answered from the closure."""
+    """Hasse cover edges of a carrier.  The order and the bounds of every
+    pair are computed from them once, when the graph is built."""
 
     config: AlgebraConfig
     elements: tuple[LinguisticValue, ...]
     covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
 
     def __post_init__(self):
-        reach = _closure(self.elements, self.covers)
         index = {e: k for k, e in enumerate(self.elements)}
-        up = [0] * len(self.elements)
-        down = [0] * len(self.elements)
-        for e, above in reach.items():
-            for c in above:
-                up[index[e]] |= 1 << index[c]
-                down[index[c]] |= 1 << index[e]
+        positions = range(len(self.elements))
+        # up[k]: the positions of the elements at or above elements[k]
+        up = [1 << k for k in positions]
+        # highest lower end first: on a carrier listed bottom-up one pass
+        # reaches the closure and the next one confirms it
+        edges = sorted(((index[lower], index[upper]) for lower, upper in self.covers),
+                       reverse=True)
+        changed = True
+        while changed:
+            changed = False
+            for lower, upper in edges:
+                if up[upper] & ~up[lower]:
+                    up[lower] |= up[upper]
+                    changed = True
+        down = [sum(1 << k for k in positions if up[k] >> j & 1) for j in positions]
         # distinct elements have distinct up-sets (and down-sets): the order
         # is antisymmetric
+        by_up = {mask: k for k, mask in enumerate(up)}
+        by_down = {mask: k for k, mask in enumerate(down)}
         fields = {
-            "_reach": reach,
             "_index": index,
             "_up": up,
-            "_down": down,
-            "_by_up": {mask: k for k, mask in enumerate(up)},
-            "_by_down": {mask: k for k, mask in enumerate(down)},
+            "_lub": [[by_up.get(up[a] & up[b]) for b in positions] for a in positions],
+            "_glb": [[by_down.get(down[a] & down[b]) for b in positions] for a in positions],
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
-        return b in self._reach[a]
+        return bool(self._up[self._index[a]] >> self._index[b] & 1)
 
     def lub(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Least common upper bound, or None if there is none."""
-        k = self._by_up.get(self._up[self._index[a]] & self._up[self._index[b]])
+        k = self._lub[self._index[a]][self._index[b]]
         return None if k is None else self.elements[k]
 
     def glb(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Greatest common lower bound, or None if there is none."""
-        k = self._by_down.get(self._down[self._index[a]] & self._down[self._index[b]])
+        k = self._glb[self._index[a]][self._index[b]]
         return None if k is None else self.elements[k]
-
-
-def _closure(elements, covers):
-    """Reflexive-transitive closure by repeated expansion (no cleverness)."""
-    above = {e: {e} for e in elements}
-    edges = {}
-    for lower, upper in covers:
-        edges.setdefault(lower, set()).add(upper)
-    changed = True
-    while changed:
-        changed = False
-        for e in elements:
-            grown = set(above[e])
-            for reached in tuple(grown):
-                grown |= edges.get(reached, set())
-            for reached in tuple(grown):
-                grown |= above[reached]
-            if grown != above[e]:
-                above[e] = grown
-                changed = True
-    return above
 
 
 def build_covers(config: AlgebraConfig) -> CoverGraph:
@@ -140,11 +132,11 @@ def verify_lattice(graph: CoverGraph) -> LatticeReport:
     """Every pair of the graph's carrier lacking a unique LUB or GLB."""
     report = LatticeReport(graph.config)
     values = graph.elements
-    for a in values:
-        for b in values:
-            if graph.lub(a, b) is None:
+    for a, lubs, glbs in zip(values, graph._lub, graph._glb):
+        for b, lub, glb in zip(values, lubs, glbs):
+            if lub is None:
                 report.missing_joins.append((a, b))
-            if graph.glb(a, b) is None:
+            if glb is None:
                 report.missing_meets.append((a, b))
     return report
 

@@ -1,12 +1,28 @@
 import csv
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from lingtruth import cli
 from lingtruth.axioms import Classification
-from lingtruth.inference import ExampleReport
+from lingtruth.inference import ExampleReport, RuleId, inference_table
+from lingtruth.lattice import LinguisticValue, lia
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# formulas nested deeper than the default recursion limit, one per way to nest
+DEEP_FORMULAS = {
+    "not": "!" * 3000 + "P",
+    "parens": "(" * 3000 + "P" + ")" * 3000,
+    "implies": " -> ".join(["P"] * 3000),
+    "and": " & ".join(["P"] * 3000),
+}
 
 
 def run(capsys, *argv):
@@ -109,6 +125,13 @@ class TestEval:
         assert out == ""
         assert "not a truth value" in err
 
+    @pytest.mark.parametrize("shape", DEEP_FORMULAS)
+    def test_deep_formula_is_usage_error(self, capsys, shape):
+        code, out, err = run(capsys, "eval", "--n", "4", DEEP_FORMULAS[shape], "-a", "P=v1T")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: formula nested too deeply") and err.count("\n") == 1
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--n", "4", "P->Q", "-a", "P=v0F", "-a", "Q=v2T",
@@ -139,6 +162,35 @@ class TestInfer:
         )
         assert code == 0
         assert "0 disagreements" in out
+
+    @pytest.fixture
+    def disagreement(self, monkeypatch):
+        """The lia(1) MP table with a wrong direct value at (v0F, v0F)."""
+        rows = inference_table(lia(1), RuleId.MP)
+        rows[5] = dataclasses.replace(rows[5], direct=LinguisticValue.false(1))
+        monkeypatch.setattr(cli, "inference_table", lambda config, rule: rows)
+        return rows[5].to_dict()
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_diff_only_prints_disagreement(self, capsys, disagreement, fmt):
+        code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "1",
+                           "--diff-only", "--format", fmt)
+        assert code == 1
+        row = disagreement
+        if fmt == "json":
+            assert json.loads(out) == [row]
+        elif fmt == "csv":
+            assert list(csv.DictReader(io.StringIO(out))) == [{**row, "agree": "false"}]
+        else:
+            assert out == (f"v0F v0F MP direct=v1F closed={row['closed']} "
+                           f"branch={row['branch']}\n1 disagreements\n")
+
+    def test_grid_marks_disagreement(self, capsys, disagreement):
+        code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3].split() == ["v0F", "v1T", "v1T*", "v1T", "v1T"]
+        assert lines[-1] == "*1 rows disagree with direct evaluation"
 
     def test_grid_output(self, capsys):
         code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "4")
@@ -223,6 +275,27 @@ class TestDiscrepancies:
         ids = {note["id"] for note in notes}
         assert "3.2-mt-vl1" in ids
         assert "2.4-item3-scope" in ids
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--n", "4"], ["infer", "--rule", "mp", "--n", "8", "--format", "json"]],
+    ids=["short", "long"],
+)
+def test_closed_stdout_is_output_error(argv):
+    """A reader that closes the pipe early gets exit 2 and no traceback,
+    whether the write fails in a print (long) or in the final flush (short)."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # the short output must wait for the flush
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nothing will read what the command prints
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lingtruth.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 def test_unknown_command_is_usage_error():

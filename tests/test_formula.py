@@ -20,6 +20,14 @@ from lingtruth.lattice import LinguisticValue, lia, qlia
 T = LinguisticValue.true
 F = LinguisticValue.false
 
+# formulas nested deeper than the default recursion limit, one per way to nest
+DEEP_FORMULAS = {
+    "not": "!" * 3000 + "P",
+    "parens": "(" * 3000 + "P" + ")" * 3000,
+    "implies": " -> ".join(["P"] * 3000),
+    "and": " & ".join(["P"] * 3000),
+}
+
 
 class TestParsing:
     def test_single_connective(self):
@@ -72,6 +80,22 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("P + Q")
         assert err.value.position == 2
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("shape", ["not", "parens", "implies"])
+    def test_recursive_nesting_is_a_parse_error(self, shape):
+        text = DEEP_FORMULAS[shape]
+        with pytest.raises(ParseError, match="nested too deeply") as err:
+            parse(text)
+        assert 0 <= err.value.position < len(text)
+
+    def test_long_conjunction_parses_in_a_loop(self):
+        node, depth = parse(DEEP_FORMULAS["and"]), 0
+        while isinstance(node, And):
+            assert node.right == Atom("P")
+            node, depth = node.left, depth + 1
+        assert (node, depth) == (Atom("P"), 2999)
 
 
 class TestRendering:

@@ -11,6 +11,18 @@ from lingtruth.oracle import (
 T = LinguisticValue.true
 F = LinguisticValue.false
 
+SMALL_CONFIGS = [lia(n) for n in range(9)] + [
+    qlia(n, i) for n in range(2, 9) for i in range(1, n)
+]
+
+
+def _two_by_two_poset():
+    """F1, F0 < T0, T1 with no other order: not a lattice."""
+    lows, highs = (F(1), F(0)), (T(0), T(1))
+    return CoverGraph(
+        lia(1), lows + highs, frozenset((low, high) for low in lows for high in highs)
+    )
+
 
 class TestCoverConstruction:
     def test_two_point_chain(self):
@@ -62,6 +74,24 @@ class TestReachability:
             for j in range(n + 1):
                 expected = (j >= n - k) and not (k == nc and j == n - nc)
                 assert graph.leq(F(k), T(j)) == expected
+
+    def test_leq_is_reachability_over_covers(self):
+        """Every pair of every n <= 8 config, with the carrier listed bottom-up
+        and top-down, and of a non-lattice poset, against a breadth-first
+        search along the cover edges."""
+        graphs = [_two_by_two_poset()]
+        for config in SMALL_CONFIGS:
+            graph = build_covers(config)
+            graphs += [graph, CoverGraph(config, graph.elements[::-1], graph.covers)]
+        for graph in graphs:
+            for a in graph.elements:
+                reached, frontier = {a}, [a]
+                while frontier:
+                    frontier = [upper for lower, upper in graph.covers
+                                if lower in frontier and upper not in reached]
+                    reached.update(frontier)
+                for b in graph.elements:
+                    assert graph.leq(a, b) == (b in reached), (graph.config, a, b)
 
     def test_partial_order_properties(self):
         for config in (lia(5), qlia(5, 3), lia(0)):
@@ -125,10 +155,7 @@ def _unique_extreme_bound(graph, a, b, below):
 
 class TestBoundsAgainstExhaustiveSearch:
     def test_every_pair_up_to_n8(self):
-        configs = [lia(n) for n in range(9)] + [
-            qlia(n, i) for n in range(2, 9) for i in range(1, n)
-        ]
-        for config in configs:
+        for config in SMALL_CONFIGS:
             graph = build_covers(config)
             for a in graph.elements:
                 for b in graph.elements:
@@ -138,10 +165,7 @@ class TestBoundsAgainstExhaustiveSearch:
     def test_missing_bounds_are_none(self):
         """In the poset F1, F0 < T0, T1 (no cross order otherwise) F1 and F0
         have two minimal upper bounds and T0, T1 have none."""
-        lows, highs = (F(1), F(0)), (T(0), T(1))
-        graph = CoverGraph(
-            lia(1), lows + highs, frozenset((low, high) for low in lows for high in highs)
-        )
+        graph = _two_by_two_poset()
         for a in graph.elements:
             for b in graph.elements:
                 assert graph.lub(a, b) == _unique_extreme_bound(graph, a, b, False)
@@ -158,6 +182,23 @@ class TestLatticeCertificate:
             report = verify_lattice(build_covers(config))
             assert report.is_lattice
             assert report.missing_joins == [] and report.missing_meets == []
+
+    def test_non_lattice_defects(self):
+        """Both pairs of the poset's two minimal and two maximal elements, in
+        carrier order, lack a join and a meet."""
+        report = verify_lattice(_two_by_two_poset())
+        defects = [(F(1), F(0)), (F(0), F(1)), (T(0), T(1)), (T(1), T(0))]
+        assert not report.is_lattice
+        assert report.missing_joins == defects
+        assert report.missing_meets == defects
+
+    def test_joins_and_meets_are_reported_apart(self):
+        """With a top above T0 and T1, only the meet of T0 and T1 is missing."""
+        graph = _two_by_two_poset()
+        covers = graph.covers | {(T(0), T(2)), (T(1), T(2))}
+        report = verify_lattice(CoverGraph(lia(2), graph.elements + (T(2),), covers))
+        assert report.missing_joins == [(F(1), F(0)), (F(0), F(1))]
+        assert report.missing_meets == [(F(1), F(0)), (F(0), F(1)), (T(0), T(1)), (T(1), T(0))]
 
     def test_report_dict_shape(self):
         d = verify_lattice(build_covers(lia(1))).to_dict()
