@@ -17,6 +17,8 @@ tables of its own: axiom I3 (x -> y = y' -> x') holds in both kinds, so
 MT(P, Q) = MP(!Q, !P).  It evaluates MP on (!Q, !P) and renames the MP
 branch that fired to the MT case covering the same region, so its labels
 still name the MT case lists, keyed on the polarity pair of (e(P), e(Q)).
+Like the direct forms, both closed forms reject a value outside the carrier
+with ``DomainError``.
 The tables follow the case derivations rather than the published case
 lists, which contain a few symbol and scope errors;
 `lingtruth.discrepancies` documents each one.
@@ -271,11 +273,15 @@ def _closed_grade(config, rule, p, q) -> tuple[int, BranchLabel]:
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
+    config.validate_value(p)
+    config.validate_value(q)
     grade, branch = _closed_grade(config, RuleId.MP, p, q)
     return LinguisticValue.true(grade), branch
 
 
 def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
+    config.validate_value(p)
+    config.validate_value(q)
     grade, branch = _closed_grade(config, RuleId.MT, p, q)
     return LinguisticValue.true(grade), branch
 

@@ -36,7 +36,8 @@ once per config, as integer tables that the exhaustive checks in
 `lingtruth.axioms` and ``inference_table`` read.  The ``AlgebraConfig``
 methods stay the closed forms on ``LinguisticValue``s: they are the library
 API, what `lingtruth.formula` evaluates with, and the reference the tests
-compare the tables with entry by entry.  `lingtruth.oracle` re-derives
+compare the tables with entry by entry.  They raise ``DomainError`` for a
+value whose grade is outside 0..n.  `lingtruth.oracle` re-derives
 joins, meets and the order from the cover graph alone and certifies the
 tables on every pair.
 """
@@ -233,17 +234,24 @@ class AlgebraConfig:
         )
 
     def validate_value(self, value: LinguisticValue) -> LinguisticValue:
-        if not 0 <= value.grade <= self.n:
-            raise DomainError(f"grade of {value} outside 0..{self.n}")
+        self._check(value)
         return value
 
+    def _check(self, *values: LinguisticValue) -> None:
+        n = self.n
+        for value in values:
+            if not 0 <= value.grade <= n:
+                raise DomainError(f"grade of {value} outside 0..{n}")
+
     # ------------------------------------------------------------------
-    # Operations
+    # Operations (each raises DomainError for a value outside the carrier)
 
     def negate(self, a: LinguisticValue) -> LinguisticValue:
+        self._check(a)
         return a.negated()
 
     def join(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
+        self._check(a, b)
         if a.polarity is b.polarity:
             grade = max(a.grade, b.grade) if a.is_true else min(a.grade, b.grade)
             return LinguisticValue(grade, a.polarity)
@@ -251,6 +259,7 @@ class AlgebraConfig:
         return self._mixed_join(t.grade, f.grade)
 
     def meet(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
+        self._check(a, b)
         if a.polarity is b.polarity:
             grade = min(a.grade, b.grade) if a.is_true else max(a.grade, b.grade)
             return LinguisticValue(grade, a.polarity)
@@ -278,6 +287,7 @@ class AlgebraConfig:
         return LinguisticValue.false(n - k)
 
     def implies(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
+        self._check(a, b)
         n = self.n
         i, j = a.grade, b.grade
         if a.is_true:
@@ -289,6 +299,7 @@ class AlgebraConfig:
         return LinguisticValue.true(min(n, n - j + i))
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
+        self._check(a, b)
         if a.polarity is b.polarity:
             return a.grade <= b.grade if a.is_true else a.grade >= b.grade
         if a.is_true:

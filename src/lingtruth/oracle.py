@@ -10,14 +10,14 @@ a's up-set, and the down-sets are its transpose.  The least upper bound of
 a and b is the element whose up-set is exactly ``up[a] & up[b]`` (found by
 one dict lookup), and None when no such element exists; in a finite poset
 that is the same as "the unique minimal common upper bound".  Greatest
-lower bounds are the dual, on down-sets.  The bounds of every pair are
-computed once, when the graph is built; ``lub``, ``glb``, `verify_lattice`
-and `cross_check_ops` only read them.  Nothing here uses the closed forms
-or the operation tables.
+lower bounds are the dual, on down-sets.  The up-sets and the bounds of
+every pair are position tables of the graph, each built on first use, so
+``hasse``, which exports only the edges, builds none of them.  Nothing here
+uses the closed forms or the operation tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
-``check`` builds the graph once.  `cross_check_ops` compares three things
-against the oracle on every pair:
+``check`` builds the graph and its tables once.  `cross_check_ops` compares
+three things against the oracle on every pair, position by position:
 
 * the operation tables the axiom checker and the inference tables read
   (``AlgebraConfig.tables``, computed from the carrier index); they must
@@ -32,25 +32,31 @@ against the oracle on every pair:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
+from .errors import DomainError
 from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 
 @dataclass(frozen=True)
 class CoverGraph:
-    """Hasse cover edges of a carrier.  The order and the bounds of every
-    pair are computed from them once, when the graph is built."""
+    """Hasse cover edges of a carrier, with the order and the bounds as
+    tables over the positions of ``elements``, built on first use."""
 
     config: AlgebraConfig
     elements: tuple[LinguisticValue, ...]
     covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
 
-    def __post_init__(self):
-        index = {e: k for k, e in enumerate(self.elements)}
-        positions = range(len(self.elements))
-        # up[k]: the positions of the elements at or above elements[k]
-        up = [1 << k for k in positions]
+    @functools.cached_property
+    def _index(self) -> dict[LinguisticValue, int]:
+        return {e: k for k, e in enumerate(self.elements)}
+
+    @functools.cached_property
+    def up(self) -> list[int]:
+        """up[a]: the positions at or above position a, as a bitmask."""
+        index = self._index
+        up = [1 << k for k in range(len(self.elements))]
         # highest lower end first: on a carrier listed bottom-up one pass
         # reaches the closure and the next one confirms it
         edges = sorted(((index[lower], index[upper]) for lower, upper in self.covers),
@@ -62,32 +68,39 @@ class CoverGraph:
                 if up[upper] & ~up[lower]:
                     up[lower] |= up[upper]
                     changed = True
-        down = [sum(1 << k for k in positions if up[k] >> j & 1) for j in positions]
-        # distinct elements have distinct up-sets (and down-sets): the order
-        # is antisymmetric
-        by_up = {mask: k for k, mask in enumerate(up)}
-        by_down = {mask: k for k, mask in enumerate(down)}
-        fields = {
-            "_index": index,
-            "_up": up,
-            "_lub": [[by_up.get(up[a] & up[b]) for b in positions] for a in positions],
-            "_glb": [[by_down.get(down[a] & down[b]) for b in positions] for a in positions],
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        return up
+
+    @functools.cached_property
+    def joins(self) -> list[list[int | None]]:
+        """joins[a][b]: the position of the least upper bound of a and b, or None."""
+        return _bounds(self.up)
+
+    @functools.cached_property
+    def meets(self) -> list[list[int | None]]:
+        """meets[a][b]: the position of the greatest lower bound of a and b, or None."""
+        up = self.up
+        positions = range(len(up))
+        return _bounds([sum(1 << k for k in positions if up[k] >> j & 1) for j in positions])
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
-        return bool(self._up[self._index[a]] >> self._index[b] & 1)
+        return bool(self.up[self._index[a]] >> self._index[b] & 1)
 
     def lub(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Least common upper bound, or None if there is none."""
-        k = self._lub[self._index[a]][self._index[b]]
+        k = self.joins[self._index[a]][self._index[b]]
         return None if k is None else self.elements[k]
 
     def glb(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Greatest common lower bound, or None if there is none."""
-        k = self._glb[self._index[a]][self._index[b]]
+        k = self.meets[self._index[a]][self._index[b]]
         return None if k is None else self.elements[k]
+
+
+def _bounds(sets: list[int]) -> list[list[int | None]]:
+    """bounds[a][b]: the position whose set is sets[a] & sets[b], or None."""
+    # distinct elements have distinct up-sets (and down-sets): the order is antisymmetric
+    by_set = {mask: k for k, mask in enumerate(sets)}
+    return [[by_set.get(x & y) for y in sets] for x in sets]
 
 
 def build_covers(config: AlgebraConfig) -> CoverGraph:
@@ -132,11 +145,11 @@ def verify_lattice(graph: CoverGraph) -> LatticeReport:
     """Every pair of the graph's carrier lacking a unique LUB or GLB."""
     report = LatticeReport(graph.config)
     values = graph.elements
-    for a, lubs, glbs in zip(values, graph._lub, graph._glb):
-        for b, lub, glb in zip(values, lubs, glbs):
-            if lub is None:
+    for a, joins, meets in zip(values, graph.joins, graph.meets):
+        for b, join, meet in zip(values, joins, meets):
+            if join is None:
                 report.missing_joins.append((a, b))
-            if glb is None:
+            if meet is None:
                 report.missing_meets.append((a, b))
     return report
 
@@ -199,76 +212,59 @@ class DiscrepancyReport:
         }
 
 
-def _stated_join(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
-    """Mixed-polarity join exactly as the quasi-kind case list states it:
-    the raised value v_(n-(i-1))T is used for every true grade k = n-i,
-    regardless of the false grade."""
+def _stated_bounds(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
+    """Join and meet of a and b exactly as the case lists state them.  For a
+    mixed-polarity pair of the quasi kind the stated join uses the raised
+    value v_(n-(i-1))T for every true grade k = n-i, regardless of the false
+    grade; the stated meet scopes its special branches correctly, so it
+    coincides with the implemented meet."""
     if config.noncomparable is None or a.polarity is b.polarity:
-        return config.join(a, b)
-    t, f = (a, b) if a.is_true else (b, a)
+        return config.join(a, b), config.meet(a, b)
     n, nc = config.n, config.noncomparable
-    k, l = t.grade, f.grade
+    k, l = (a.grade, b.grade) if a.is_true else (b.grade, a.grade)  # true grade, false grade
     if n <= k + l:
-        if k == n - nc:
-            return LinguisticValue.true(n - (nc - 1))
-        return LinguisticValue.true(k)
-    if l == nc:
-        return LinguisticValue.true(n - (nc - 1))
-    return LinguisticValue.true(n - l)
-
-
-def _stated_meet(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
-    """Mixed-polarity meet as stated (the case list scopes its special
-    branches correctly, so this coincides with the implemented meet)."""
-    if config.noncomparable is None or a.polarity is b.polarity:
-        return config.meet(a, b)
-    t, f = (a, b) if a.is_true else (b, a)
-    n, nc = config.n, config.noncomparable
-    k, l = t.grade, f.grade
-    if n <= k + l:
-        if k == n - nc and l == nc:
-            return LinguisticValue.false(nc + 1)
-        return LinguisticValue.false(l)
-    if k == n - nc:
-        return LinguisticValue.false(nc + 1)
-    return LinguisticValue.false(n - k)
+        join = n - (nc - 1) if k == n - nc else k
+        meet = nc + 1 if k == n - nc and l == nc else l
+    else:
+        join = n - (nc - 1) if l == nc else n - l
+        meet = nc + 1 if k == n - nc else n - k
+    return LinguisticValue.true(join), LinguisticValue.false(meet)
 
 
 def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     """Exhaustively compare the join/meet/leq tables of the graph's config
-    with the oracle."""
+    with the oracle.  The graph must list the carrier in the order of
+    ``config.values()``, so that its positions are the table indices."""
     config = graph.config
-    report = DiscrepancyReport(config)
     tables = config.tables
     values = tables.values
-    for i, a in enumerate(values):
+    if graph.elements != values:
+        raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
+    report = DiscrepancyReport(config)
+    value = dict(enumerate(values)).get  # value(None), a missing bound, is None
+    rows = zip(values, graph.up, graph.joins, graph.meets,
+               tables.join, tables.meet, tables.leq, tables.implies)
+    for a, up, joins, meets, join_row, meet_row, leq_row, implies_row in rows:
         for j, b in enumerate(values):
-            oracle_join = graph.lub(a, b)
-            oracle_meet = graph.glb(a, b)
-            oracle_leq = graph.leq(a, b)
+            join, meet, leq = joins[j], meets[j], bool(up >> j & 1)
+            if join_row[j] != join:
+                report.implemented.append(
+                    OpMismatch("join", a, b, values[join_row[j]], value(join)))
+            if meet_row[j] != meet:
+                report.implemented.append(
+                    OpMismatch("meet", a, b, values[meet_row[j]], value(meet)))
+            if leq_row[j] != leq:
+                report.implemented.append(OpMismatch("leq", a, b, leq_row[j], leq))
 
-            got_join = values[tables.join[i][j]]
-            if got_join != oracle_join:
-                report.implemented.append(OpMismatch("join", a, b, got_join, oracle_join))
-            got_meet = values[tables.meet[i][j]]
-            if got_meet != oracle_meet:
-                report.implemented.append(OpMismatch("meet", a, b, got_meet, oracle_meet))
-            got_leq = tables.leq[i][j]
-            if got_leq != oracle_leq:
-                report.implemented.append(OpMismatch("leq", a, b, got_leq, oracle_leq))
-
-            stated_join = _stated_join(config, a, b)
-            if stated_join != oracle_join:
+            stated_join, stated_meet = _stated_bounds(config, a, b)
+            if stated_join != value(join):
                 report.stated.append(
-                    OpMismatch("join", a, b, stated_join, oracle_join, rule="2.4-item3")
-                )
-            stated_meet = _stated_meet(config, a, b)
-            if stated_meet != oracle_meet:
+                    OpMismatch("join", a, b, stated_join, value(join), rule="2.4-item3"))
+            if stated_meet != value(meet):
                 report.stated.append(
-                    OpMismatch("meet", a, b, stated_meet, oracle_meet, rule="2.4-item7/8")
-                )
+                    OpMismatch("meet", a, b, stated_meet, value(meet), rule="2.4-item7/8"))
 
-            if (tables.implies[i][j] == tables.top) != oracle_leq:
+            if (implies_row[j] == tables.top) != leq:
                 report.residuation_exceptions.append((a, b))
     return report
 

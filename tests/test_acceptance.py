@@ -307,5 +307,22 @@ def test_criterion_13_column_direct_is_schema_evaluation():
             "" if not mismatches else f" {mismatches[:3]}")
 
 
+# sha256 of the concatenated ``hasse`` output over n = 0..8, each n as LIA
+# and then QLIA with --noncomp 1..n-1, each in dot and then json format
+HASSE_SHA256 = "84894ba47b80f4b770fff1c7335200ef704ab0a90112a44a251f61ad8117f0b6"
+
+
+def test_criterion_14_hasse_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for n in range(9):
+        for kind in [[]] + [["--qlia", "--noncomp", str(i)] for i in range(1, n)]:
+            for fmt in ("dot", "json"):
+                cli.main(["hasse", "--n", str(n), "--format", fmt, *kind])
+                digest.update(capsys.readouterr().out.encode())
+    ok = digest.hexdigest() == HASSE_SHA256
+    _report(14, "hasse output byte-identical to the pinned digest", ok,
+            "" if ok else f" got {digest.hexdigest()}")
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-s", "-v"])

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from lingtruth import inference
 from lingtruth.errors import DomainError, ParseError
 from lingtruth.lattice import (
     DEFAULT_LABELS_N4,
@@ -69,6 +72,22 @@ class TestCarrier:
         assert alg.validate_value(T(2)) == T(2)
         with pytest.raises(DomainError):
             alg.validate_value(T(3))
+
+    @pytest.mark.parametrize(
+        "op", ["negate", "join", "meet", "implies", "leq", "mp_closed", "mt_closed"])
+    @pytest.mark.parametrize("polarity", [Polarity.F, Polarity.T], ids=["F", "T"])
+    @pytest.mark.parametrize("grade", [-1, 5])
+    def test_operations_reject_values_outside_the_carrier(self, grade, polarity, op):
+        bad = LinguisticValue(grade, polarity)
+        for config in (lia(4), qlia(4, 2)):
+            if op in ("mp_closed", "mt_closed"):
+                fn = functools.partial(getattr(inference, op), config)
+            else:
+                fn = getattr(config, op)
+            calls = [(bad,)] if op == "negate" else [(bad, T(2)), (F(1), bad), (bad, bad)]
+            for args in calls:
+                with pytest.raises(DomainError):
+                    fn(*args)
 
 
 class TestValueConstruction:

@@ -1,6 +1,13 @@
+import dataclasses
+import json
+
+import pytest
+
+from lingtruth.errors import DomainError
 from lingtruth.lattice import LinguisticValue, lia, qlia
 from lingtruth.oracle import (
     CoverGraph,
+    OpMismatch,
     build_covers,
     cross_check_ops,
     to_dot,
@@ -22,6 +29,13 @@ def _two_by_two_poset():
     return CoverGraph(
         lia(1), lows + highs, frozenset((low, high) for low in lows for high in highs)
     )
+
+
+def _with_entry(table, i, j, entry):
+    """``table`` with entry [i][j] replaced."""
+    rows = [list(row) for row in table]
+    rows[i][j] = entry
+    return tuple(map(tuple, rows))
 
 
 class TestCoverConstruction:
@@ -232,6 +246,58 @@ class TestCrossCheck:
         report = cross_check_ops(build_covers(qlia(4, 2)))
         assert report.residuation_exceptions == [(F(2), T(2))]
 
+    def test_wrong_table_entries_are_reported(self):
+        """lia(2) carrier positions: F2 F1 F0 T0 T1 T2.  One wrong join, meet
+        and leq entry each gives one mismatch, in row-major pair order."""
+        config = lia(2)
+        tables = config.tables
+        # the cached tables live in the instance dict
+        vars(config)["tables"] = dataclasses.replace(
+            tables,
+            join=_with_entry(tables.join, 1, 3, 5),  # v1F v v0T = v1T, not v2T
+            meet=_with_entry(tables.meet, 4, 2, 0),  # v1T ^ v0F = v1F, not v2F
+            leq=_with_entry(tables.leq, 2, 3, True),  # v0F <= v0T is false
+        )
+        report = cross_check_ops(build_covers(config))
+        assert report.implemented == [
+            OpMismatch("join", F(1), T(0), T(2), T(1)),
+            OpMismatch("leq", F(0), T(0), True, False),
+            OpMismatch("meet", T(1), F(0), F(2), F(1)),
+        ]
+        assert [m.to_dict() for m in report.implemented] == [
+            {"op": "join", "a": "v1F", "b": "v0T", "got": "v2T", "expected": "v1T"},
+            {"op": "leq", "a": "v0F", "b": "v0T", "got": True, "expected": False},
+            {"op": "meet", "a": "v1T", "b": "v0F", "got": "v2F", "expected": "v1F"},
+        ]
+        assert report.stated == [] and report.residuation_exceptions == []
+
+    def test_missing_bound_is_reported_as_null(self):
+        """Without the cover edge v0F -> v1T of lia(1), v0F has no upper
+        bound in common with a true value, and the meet of v0F and v1T
+        drops to v1F."""
+        config = lia(1)
+        graph = build_covers(config)
+        report = cross_check_ops(
+            CoverGraph(config, graph.elements, graph.covers - {(F(0), T(1))}))
+        assert report.implemented == [
+            OpMismatch("join", F(0), T(0), T(1), None),
+            OpMismatch("join", F(0), T(1), T(1), None),
+            OpMismatch("meet", F(0), T(1), F(0), F(1)),
+            OpMismatch("leq", F(0), T(1), True, False),
+            OpMismatch("join", T(0), F(0), T(1), None),
+            OpMismatch("join", T(1), F(0), T(1), None),
+            OpMismatch("meet", T(1), F(0), F(0), F(1)),
+        ]
+        assert report.implemented[0].to_dict() == {
+            "op": "join", "a": "v0F", "b": "v0T", "got": "v1T", "expected": None}
+        assert '"expected": null' in json.dumps(report.to_dict())
+        assert report.residuation_exceptions == [(F(0), T(1))]
+
+    def test_graph_out_of_table_order_is_rejected(self):
+        graph = build_covers(qlia(4, 2))
+        with pytest.raises(DomainError):
+            cross_check_ops(CoverGraph(graph.config, graph.elements[::-1], graph.covers))
+
     def test_report_dict(self):
         d = cross_check_ops(build_covers(qlia(4, 2))).to_dict()
         assert d["implemented_mismatches"] == []
@@ -240,6 +306,16 @@ class TestCrossCheck:
 
 
 class TestExports:
+    def test_exports_build_no_order_tables(self):
+        """The edges alone make the exports; the order and the bounds are
+        built on first use, each once."""
+        graph = build_covers(lia(300))
+        to_dot(graph)
+        to_json_dict(graph)
+        assert not {"up", "joins", "meets"} & vars(graph).keys()
+        assert graph.joins is graph.joins
+        assert {"up", "joins"} <= vars(graph).keys() and "meets" not in vars(graph)
+
     def test_dot_output(self):
         dot = to_dot(build_covers(lia(4)))
         assert dot.startswith("digraph hasse {")
