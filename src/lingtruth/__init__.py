@@ -39,6 +39,7 @@ from .inference import (
     BranchLabel,
     ExampleReport,
     InferenceRow,
+    InferenceTable,
     RuleId,
     inference_table,
     mp_closed,
@@ -84,6 +85,7 @@ __all__ = [
     "HedgeChain",
     "Implies",
     "InferenceRow",
+    "InferenceTable",
     "LatticeReport",
     "LinguisticValue",
     "Not",

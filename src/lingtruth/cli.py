@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import os
@@ -271,41 +270,81 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _rows_csv(rows) -> str:
+def _csv_field(text: str) -> str:
+    """``text`` as a field of a csv.writer row, quoted where it must be."""
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["p", "q", "rule", "direct", "closed", "branch", "agree"])
-    # the rows share the carrier's values and the branch labels, so each
-    # one is formatted once
-    text = functools.cache(canonical)
-    branch_text = functools.cache(str)
-    writer.writerows(
-        (text(row.p), text(row.q), row.rule.value, text(row.direct), text(row.closed),
-         branch_text(row.branch), "true" if row.agree else "false")
-        for row in rows
-    )
+    csv.writer(out, lineterminator="").writerow([text])
     return out.getvalue()
 
 
-def _rows_grid(config, rows, rule) -> str:
-    values = config.values()
+_CHUNK_ROWS = 1024  # rows joined into one string at a time
+
+
+def _row_chunks(table, keys, quote, seps, agree, between="") -> list[str]:
+    """The rows in ``keys`` as text, ``between`` between rows: seps[0], then
+    the row's e(P), e(Q), direct, closed and branch texts, each followed by
+    the next string of ``seps``, then ``agree[True]`` or ``agree[False]``.
+    Each carrier value and branch label goes through ``quote`` once per
+    table and is joined to the separator that follows it there, so a row
+    costs one f-string.  The rows are joined ``_CHUNK_ROWS`` at a time, and
+    the chunks are returned: only one chunk's row strings are alive at
+    once, so a large table's text does not claim fresh memory pages row by
+    row."""
+    values = [quote(canonical(v)) for v in table.values]
+    size = len(values)
+    true_base = size // 2  # v_gT sits at carrier index n + 1 + g
+    first = [seps[0] + v + seps[1] for v in values]
+    second = [v + seps[2] for v in values]
+    direct_text = [v + seps[3] for v in values]
+    closed_text = [v + seps[4] for v in values[true_base:]]
+    branch_text = [quote(str(label)) + seps[5] for label in table.labels]
+    direct, closed, branch = table.direct, table.closed, table.branch
+    return [between.join([f"{first[k // size]}{second[k % size]}{direct_text[direct[k]]}"
+                          f"{closed_text[closed[k]]}{branch_text[branch[k]]}"
+                          f"{agree[direct[k] == true_base + closed[k]]}"
+                          for k in keys[start:start + _CHUNK_ROWS]])
+            for start in range(0, len(keys), _CHUNK_ROWS)]
+
+
+def _rows_csv(table, keys) -> str:
+    rule = _csv_field(table.rule.value)
+    chunks = _row_chunks(table, keys, _csv_field, ("", ",", f",{rule},", ",", ",", ","),
+                         {True: "true\r\n", False: "false\r\n"})
+    return "".join(["p,q,rule,direct,closed,branch,agree\r\n", *chunks])
+
+
+def _rows_json(table, keys) -> str:
+    """The rows as ``json.dumps([row.to_dict() ...], indent=2)`` writes them."""
+    if not keys:
+        return "[]"
+    seps = ('  {\n    "p": ', ',\n    "q": ',
+            f',\n    "rule": {json.dumps(table.rule.value)},\n    "direct": ',
+            ',\n    "closed": ', ',\n    "branch": ', ',\n    "agree": ')
+    chunks = _row_chunks(table, keys, json.dumps, seps,
+                         {True: "true\n  }", False: "false\n  }"}, ",\n")
+    return "[\n" + ",\n".join(chunks) + "\n]"
+
+
+def _rows_grid(table) -> str:
+    config, values = table.config, table.values
     size = len(values)
     width = max(len(canonical(v)) for v in values) + 2
-    lines = [f"{rule.value} table, {config.kind} n={config.n}"
+    lines = [f"{table.rule.value} table, {config.kind} n={config.n}"
              f"{'' if config.noncomparable is None else f' i={config.noncomparable}'}"
              " (rows e(P), columns e(Q))"]
     header = " " * width + "".join(canonical(q).rjust(width) for q in values)
     lines.append(header)
-    # the rows are in carrier order: e(P) = values[k] for rows[k*size:(k+1)*size]
+    true_values = [canonical(v) for v in values[size // 2:]]
+    disagreements = set(table.disagreements())
+    cells = [(true_values[g] + ("*" if k in disagreements else "")).rjust(width)
+             for k, g in enumerate(table.closed)]
+    # the rows are in carrier order: e(P) = values[k] for rows k*size ... (k+1)*size - 1
     for k, p in enumerate(values):
-        cells = "".join((canonical(row.closed) + ("" if row.agree else "*")).rjust(width)
-                        for row in rows[k * size:(k + 1) * size])
-        lines.append(canonical(p).rjust(width) + cells)
-    disagreements = sum(1 for row in rows if not row.agree)
+        lines.append(canonical(p).rjust(width) + "".join(cells[k * size:(k + 1) * size]))
     lines.append(
         "all rows: direct evaluation matches the closed form"
-        if disagreements == 0
-        else f"*{disagreements} rows disagree with direct evaluation"
+        if not disagreements
+        else f"*{len(disagreements)} rows disagree with direct evaluation"
     )
     if config.labels is not None:
         legend = ", ".join(f"v{g}={name}" for g, name in enumerate(config.labels))
@@ -316,22 +355,20 @@ def _rows_grid(config, rows, rule) -> str:
 def cmd_infer(args) -> int:
     config = _build_algebra(args)
     rule = RuleId.MP if args.rule == "mp" else RuleId.MT
-    rows = inference_table(config, rule)
-    if args.diff_only:
-        rows = [row for row in rows if not row.agree]
+    table = inference_table(config, rule)
+    keys = table.disagreements() if args.diff_only else range(len(table))
     if args.format == "json":
-        print(json.dumps([row.to_dict() for row in rows], indent=2))
+        print(_rows_json(table, keys))
     elif args.format == "csv":
-        sys.stdout.write(_rows_csv(rows))
+        sys.stdout.write(_rows_csv(table, keys))
     elif args.diff_only:
-        for row in rows:
-            d = row.to_dict()
-            print(f"{d['p']} {d['q']} {d['rule']} direct={d['direct']} "
-                  f"closed={d['closed']} branch={d['branch']}")
-        print(f"{len(rows)} disagreements")
+        chunks = _row_chunks(table, keys, str,
+                             ("", " ", f" {rule.value} direct=", " closed=", " branch=", "\n"),
+                             {True: "", False: ""})
+        print(f"{''.join(chunks)}{len(keys)} disagreements")
     else:
-        print(_rows_grid(config, rows, rule))
-    return 1 if args.diff_only and rows else 0
+        print(_rows_grid(table))
+    return 1 if args.diff_only and keys else 0
 
 
 def cmd_verify_examples(args) -> int:

@@ -23,21 +23,30 @@ The tables follow the case derivations rather than the published case
 lists, which contain a few symbol and scope errors;
 `lingtruth.discrepancies` documents each one.
 Half-grade comparisons such as n <= i + j/2 are evaluated in exact integer
-arithmetic (2n <= 2i + j).  ``inference_table`` materializes one row per
-ordered carrier pair and records whether the direct and closed-form values
-agree; they must agree everywhere, and the test suite checks this
-exhaustively for every verified algebra size.  It evaluates the schema
-column-wise: one walk of the same formula tree over the config's integer
-operation tables (``AlgebraConfig.tables``), each node a column of carrier
-indices with one entry per row, so it never calls ``mp_direct`` or
-``mt_direct``; the test suite checks its direct values against them.
+arithmetic (2n <= 2i + j).
+
+``inference_table`` returns an ``InferenceTable``: one row per ordered
+carrier pair, held as three columns.  The direct column holds carrier
+indices from one walk of the schema's formula tree over the config's integer
+operation tables (``AlgebraConfig.tables``), each node a column with one
+entry per row, so it never calls ``mp_direct`` or ``mt_direct``; the test
+suite checks it against them.  The closed grade and branch columns come from
+the same case functions as ``mp_closed``, called once per cell of each
+polarity block's (n+1) x (n+1) grade grid; MT reads the MP block of
+(!Q, !P) transposed.  Neither column is derived from the other, so a row's
+``agree`` compares two independent computations; they must agree
+everywhere, and the test suite checks this exhaustively for every verified
+algebra size.  An ``InferenceRow`` is built only when a row is indexed or
+iterated; the CLI writers read the columns.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .formula import And, Atom, Formula, Not, Or, Valuation, evaluate, parse
 from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, OpTables, canonical, lia, qlia
@@ -201,14 +210,43 @@ _MP_TABLES = {
 _IJ_TO_KL = str.maketrans("ij", "kl")
 
 
-def _mp_case(config, p_true, q_true, i, j):
-    """MP grade for e(P) of grade i and e(Q) of grade j with the given
-    polarities, with the table and the case that produced it."""
-    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
-    grade, case = case_fn(config.n, config.noncomparable, i, j)
+def _mp_code(table: str, case: str) -> int:
+    """Index in ``_BRANCHES`` of the MP case that ``table``'s case function
+    reports as ``case``."""
     if table == "4.1":
         case = case.translate(_IJ_TO_KL)  # table 3.1's cases in the quasi grade names
-    return grade, table, case
+    return _MP_CODES[table, case]
+
+
+def _mp_case(config, p_true, q_true, i, j) -> tuple[int, int]:
+    """MP grade for e(P) of grade i and e(Q) of grade j with the given
+    polarities, with the code of the case that produced it."""
+    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
+    grade, case = case_fn(config.n, config.noncomparable, i, j)
+    return grade, _mp_code(table, case)
+
+
+def _mp_block(config, p_true, q_true, offset=0):
+    """``_mp_case`` over one polarity block's whole grade grid, as two flat
+    lists: entry i·(n+1) + j is the grade and the case code for e(P) of
+    grade i and e(Q) of grade j.  ``offset`` is added to every code (``_MT``
+    gives the MT labels of the same cases)."""
+    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
+    n, nc = config.n, config.noncomparable
+    grid = range(n + 1)
+    code = {}  # one code lookup per distinct case, not per cell
+    grades, codes = [], []
+    for i in grid:
+        # one grid row of (grade, case) pairs at a time, freed before the
+        # next: a block keeps two flat lists alive, not a pair per cell, so
+        # building it does not set off the cyclic garbage collector
+        cells = [case_fn(n, nc, i, j) for j in grid]
+        for _, case in cells:
+            if case not in code:
+                code[case] = _mp_code(table, case) + offset
+        grades += [grade for grade, _ in cells]
+        codes += [code[case] for _, case in cells]
+    return grades, codes
 
 
 # ----------------------------------------------------------------------
@@ -258,18 +296,21 @@ _MT_BRANCHES = {
 }
 
 
-# the 33 MP case labels, one shared object each
-_MP_BRANCHES = {key: BranchLabel(*key) for key in _MT_BRANCHES}
+# Every branch label, one shared object each, numbered by its code: the 33
+# MP cases, then the MT case each one is renamed to, in the same order.
+_BRANCHES = (*(BranchLabel(*key) for key in _MT_BRANCHES), *_MT_BRANCHES.values())
+_MP_CODES = {key: code for code, key in enumerate(_MT_BRANCHES)}
+_MT = len(_MT_BRANCHES)  # MT code = code of the MP case on (!Q, !P) + _MT
 
 
 def _closed_grade(config, rule, p, q) -> tuple[int, BranchLabel]:
     """Grade of the closed-form value of ``rule`` at (p, q) and its branch."""
     if rule is RuleId.MP:
-        grade, table, case = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
-        return grade, _MP_BRANCHES[table, case]
+        grade, code = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
+        return grade, _BRANCHES[code]
     # MP on (!Q, !P); negation keeps the grade and flips the polarity
-    grade, table, case = _mp_case(config, not q.is_true, not p.is_true, q.grade, p.grade)
-    return grade, _MT_BRANCHES[table, case]
+    grade, code = _mp_case(config, not q.is_true, not p.is_true, q.grade, p.grade)
+    return grade, _BRANCHES[code + _MT]
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
@@ -284,6 +325,38 @@ def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
     config.validate_value(q)
     grade, branch = _closed_grade(config, RuleId.MT, p, q)
     return LinguisticValue.true(grade), branch
+
+
+def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], list[int]]:
+    """Closed-form grade and branch code of every row, in carrier order,
+    from one ``_mp_block`` per polarity block."""
+    n = config.n
+    s = n + 1
+    blocks = {}
+    for p_true, q_true in itertools.product((False, True), repeat=2):
+        if rule is RuleId.MP:
+            blocks[p_true, q_true] = _mp_block(config, p_true, q_true)
+        else:
+            # MT(P, Q) = MP(!Q, !P): the MP block of (!Q, !P), transposed
+            blocks[p_true, q_true] = _mp_block(config, not q_true, not p_true, _MT)
+    if rule is RuleId.MP:
+        def row(grid, i):  # grades i of e(P), 0..n of e(Q)
+            return grid[i * s:(i + 1) * s]
+    else:
+        def row(grid, i):  # column i of the (!Q, !P) block
+            return grid[i::s]
+    closed, branch = [], []
+    # carrier order: the false values from grade n down to 0, then the true
+    # values from grade 0 up to n, for e(P) and, within each row, for e(Q)
+    for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
+        false_grades, false_codes = blocks[p_true, False]
+        true_grades, true_codes = blocks[p_true, True]
+        for i in p_grades:
+            closed += row(false_grades, i)[::-1]
+            closed += row(true_grades, i)
+            branch += row(false_codes, i)[::-1]
+            branch += row(true_codes, i)
+    return closed, branch
 
 
 def _column(node: Formula, atoms: dict[str, list[int]], tables: OpTables) -> list[int]:
@@ -306,19 +379,59 @@ def _column(node: Formula, atoms: dict[str, list[int]], tables: OpTables) -> lis
     return [op[x][y] for x, y in zip(left, right)]
 
 
-def inference_table(config: AlgebraConfig, rule: RuleId) -> list[InferenceRow]:
+@dataclass(frozen=True, eq=False)
+class InferenceTable(Sequence):
+    """The MP or MT table of one algebra, held as columns.
+
+    Row k pairs e(P) = values[k // len(values)] with e(Q) = values[k %
+    len(values)], in carrier enumeration order.  ``direct[k]`` is the
+    carrier index of the schema's value, ``closed[k]`` the grade of the
+    closed-form value (always a true value) and ``branch[k]`` the index in
+    ``labels`` of the case that fired.  Indexing and iteration build each
+    ``InferenceRow`` when it is asked for.
+    """
+
+    config: AlgebraConfig
+    rule: RuleId
+    direct: list[int]
+    closed: list[int]
+    branch: list[int]
+    labels: ClassVar[tuple[BranchLabel, ...]] = _BRANCHES
+
+    @property
+    def values(self) -> tuple[LinguisticValue, ...]:
+        return self.config.tables.values
+
+    def __len__(self) -> int:
+        return len(self.direct)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # a negative k counts from the end; IndexError past it
+        values = self.values
+        p, q = divmod(k, len(values))
+        return InferenceRow(values[p], values[q], self.rule, values[self.direct[k]],
+                            values[self.config.n + 1 + self.closed[k]],
+                            self.labels[self.branch[k]])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def disagreements(self) -> list[int]:
+        """The rows whose direct and closed-form values differ."""
+        true_base = self.config.n + 1  # v_gT sits at carrier index n + 1 + g
+        return [k for k, (d, g) in enumerate(zip(self.direct, self.closed))
+                if d != true_base + g]
+
+
+def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
     tables = config.tables
-    values = tables.values
-    carrier = range(len(values))
-    atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(values)}
+    carrier = range(len(tables.values))
+    atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(carrier)}
     direct = _column(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms, tables)
-    true_values = values[config.n + 1:]  # v_gT at position g
-    rows = []
-    for (p, q), d in zip(itertools.product(values, repeat=2), direct):
-        grade, branch = _closed_grade(config, rule, p, q)
-        rows.append(InferenceRow(p, q, rule, values[d], true_values[grade], branch))
-    return rows
+    return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
 
 
 # ----------------------------------------------------------------------

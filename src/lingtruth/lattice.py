@@ -71,12 +71,16 @@ class Polarity(enum.IntEnum):
 
 @dataclass(frozen=True)
 class LinguisticValue:
-    """One carrier element v_(grade)(polarity)."""
+    """One carrier element v_(grade)(polarity).  The grade must be an int
+    (not a bool); the carrier's range 0..n is checked by the algebra."""
 
     grade: int
     polarity: Polarity
 
     def __post_init__(self):
+        if type(self.grade) is not int:
+            # a float or bool grade would pass the carrier's range check
+            raise DomainError(f"grade must be an int, got {self.grade!r}")
         polarity = self.polarity
         if type(polarity) is not Polarity:
             # the polarity checks compare by identity, so 0, 1 and bools

@@ -41,6 +41,8 @@ PLAIN_CONFIGS = [lia(n) for n in range(9)]
 QUASI_CONFIGS = [qlia(n, i) for n in range(2, 9) for i in range(1, n)]
 # the LIA chains verified exhaustively beyond n = 8
 WIDE_PLAIN_CONFIGS = [lia(n) for n in range(9, 33)]
+# every configuration with 8 < n <= 16, LIA then QLIA i = 1..n-1 for each n
+WIDE_CONFIGS = [c for n in range(9, 17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -107,7 +109,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_closed_tables():
     started = time.perf_counter()
     disagreements = []
-    for config in PLAIN_CONFIGS + QUASI_CONFIGS:
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_CONFIGS:
         for rule in (RuleId.MP, RuleId.MT):
             for row in inference_table(config, rule):
                 if not row.agree:
@@ -115,7 +117,7 @@ def test_criterion_4_closed_tables():
                                           row.to_dict()))
     elapsed = time.perf_counter() - started
     ok = not disagreements and elapsed < 5.0
-    _report(4, "closed tables match direct evaluation", ok,
+    _report(4, "closed tables match direct evaluation, n=0..16", ok,
             f" [{elapsed:.2f}s]" if ok else f" {disagreements[:3]}")
 
 
@@ -322,6 +324,29 @@ def test_criterion_14_hasse_output_is_pinned(capsys):
     ok = digest.hexdigest() == HASSE_SHA256
     _report(14, "hasse output byte-identical to the pinned digest", ok,
             "" if ok else f" got {digest.hexdigest()}")
+
+
+# sha256 of the concatenated ``infer`` output over n = 0..8, each n as LIA
+# and then QLIA with --noncomp 1..n-1, each in json and then text format
+INFER_JSON_TEXT_SHA256 = {
+    "mp": "39b854286a1a5edcce0f6c6dbd75ca35e1a7b126a701b1a04e9495d8db5c45e7",
+    "mt": "29e82e8a92657d4490d64e82d2ba9aefba710914097650987faf0a6935299901",
+}
+
+
+def test_criterion_15_infer_json_and_text_are_pinned(capsys):
+    changed = []
+    for rule, expected in INFER_JSON_TEXT_SHA256.items():
+        digest = hashlib.sha256()
+        for n in range(9):
+            for kind in [[]] + [["--qlia", "--noncomp", str(i)] for i in range(1, n)]:
+                for fmt in ("json", "text"):
+                    cli.main(["infer", "--rule", rule, "--n", str(n), "--format", fmt, *kind])
+                    digest.update(capsys.readouterr().out.encode())
+        if digest.hexdigest() != expected:
+            changed.append(rule)
+    _report(15, "infer JSON and text output byte-identical to the pinned digests",
+            not changed, "" if not changed else f" changed: {changed}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -166,10 +165,10 @@ class TestInfer:
     @pytest.fixture
     def disagreement(self, monkeypatch):
         """The lia(1) MP table with a wrong direct value at (v0F, v0F)."""
-        rows = inference_table(lia(1), RuleId.MP)
-        rows[5] = dataclasses.replace(rows[5], direct=LinguisticValue.false(1))
-        monkeypatch.setattr(cli, "inference_table", lambda config, rule: rows)
-        return rows[5].to_dict()
+        table = inference_table(lia(1), RuleId.MP)
+        table.direct[5] = table.values.index(LinguisticValue.false(1))
+        monkeypatch.setattr(cli, "inference_table", lambda config, rule: table)
+        return table[5].to_dict()
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_diff_only_prints_disagreement(self, capsys, disagreement, fmt):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lingtruth.inference import (
@@ -103,6 +105,48 @@ class TestTables:
         first = [r.to_dict() for r in inference_table(QUASI, RuleId.MT)]
         second = [r.to_dict() for r in inference_table(QUASI, RuleId.MT)]
         assert first == second
+
+    def test_rows_are_served_from_the_columns(self):
+        table = inference_table(lia(1), RuleId.MP)
+        rows = list(table)
+        values = lia(1).values()
+        assert [(row.p, row.q) for row in rows] == [(p, q) for p in values for q in values]
+        assert table[-1] == rows[-1] == table[15]
+        assert table[3:7] == rows[3:7]
+        assert rows[5].p == rows[5].q == F(0)
+        with pytest.raises(IndexError):
+            table[16]
+
+
+# every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n
+SMALL_CONFIGS = [c for n in range(9) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+SCALAR_CLOSED = {RuleId.MP: mp_closed, RuleId.MT: mt_closed}
+
+
+class TestClosedColumns:
+    """The table's closed grades and branches, computed per polarity block,
+    equal the scalar closed forms row by row."""
+
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_every_row_up_to_n8(self, rule):
+        closed = SCALAR_CLOSED[rule]
+        mismatches = [
+            (str(config), row.to_dict())
+            for config in SMALL_CONFIGS
+            for row in inference_table(config, rule)
+            if (row.closed, row.branch) != closed(config, row.p, row.q)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("config", [lia(96), qlia(96, 7)], ids=["lia96", "qlia96-7"])
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_seeded_rows_at_n96(self, config, rule):
+        table = inference_table(config, rule)
+        closed = SCALAR_CLOSED[rule]
+        rng = random.Random(f"{config.kind}:{rule.value}")
+        for k in rng.sample(range(len(table)), 256):
+            row = table[k]
+            assert (row.closed, row.branch) == closed(config, row.p, row.q), row.to_dict()
 
 
 class TestBoundaryCoincidence:

@@ -106,6 +106,20 @@ class TestValueConstruction:
         with pytest.raises(DomainError):
             LinguisticValue(3, bad)
 
+    @pytest.mark.parametrize("op", ["join", "implies", "negate", "mp_closed"])
+    @pytest.mark.parametrize("grade", [2.5, True, "2", None])
+    def test_non_int_grade_rejected(self, grade, op):
+        # 2.5 and True would pass the carrier's range check; "2" and None
+        # would fail it with a TypeError
+        config = lia(4)
+        if op == "mp_closed":
+            fn = functools.partial(inference.mp_closed, config)
+        else:
+            fn = getattr(config, op)
+        with pytest.raises(DomainError):
+            bad = LinguisticValue(grade, Polarity.T)
+            fn(bad) if op == "negate" else fn(bad, T(1))
+
 
 # every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n
 SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
