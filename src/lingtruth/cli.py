@@ -33,7 +33,7 @@ from .axioms import (
 )
 from .discrepancies import STATEMENT_NOTES
 from .errors import DomainError, ParseError, UnboundAtomError
-from .formula import Valuation, evaluate, parse
+from .formula import _ATOM_RE, Valuation, evaluate, parse
 from .inference import RuleId, inference_table, verify_examples
 from .lattice import AlgebraConfig, canonical, default_labels
 from .oracle import build_covers, cross_check_ops, to_dot, to_json_dict, verify_lattice
@@ -244,6 +244,8 @@ def _parse_assignments(config, pairs):
         if not sep or not name:
             raise DomainError(f"bad assignment {item!r}, expected NAME=v3T")
         name = name.strip()
+        if not _ATOM_RE.fullmatch(name):
+            raise DomainError(f"bad assignment {item!r}: {name!r} is not an atom name")
         if name in assignment:
             raise DomainError(f"atom {name!r} is assigned more than once")
         assignment[name] = config.parse_value(value_text)
@@ -423,9 +425,6 @@ def main(argv=None) -> int:
         return code
     except (DomainError, ParseError, UnboundAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except RecursionError:
-        # a formula nested too deeply for the recursive evaluator or renderer
-        print("error: formula nested too deeply to evaluate", file=sys.stderr)
     except BrokenPipeError:
         # the reader went away; send the unwritten rest to devnull so the
         # flush at interpreter exit is silent

@@ -14,6 +14,11 @@ minimal parentheses, and ``parse(render(f)) == f`` for every formula.
 Truth evaluation is structural: each connective maps to the corresponding
 algebra operation of the valuation's config, and negation to the polarity
 flip.  Every atom must be assigned; evaluation never invents defaults.
+
+No function here recurses, so any depth that fits in memory works: ``parse``
+runs one loop over the tokens with an operand and an operator stack, and
+``evaluate``, ``render`` and ``atom_names`` walk the tree with explicit
+stacks.  The node classes' generated ``==``, ``hash`` and ``repr`` recurse.
 """
 
 from __future__ import annotations
@@ -66,139 +71,152 @@ class Implies(Formula):
 # ----------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<implies>->)|(?P<op>[!~&|()]))"
-)
+_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# group 1 an atom or an operator, group 2 any other visible character
+_TOKEN_RE = re.compile(rf"\s*(?:({_ATOM_RE.pattern}|->|[!~&|()])|(\S))")
+
+# binary operator token -> (precedence, node class); only '->' groups right
+_BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
+_NEGATION = frozenset("!~")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[at]!r}", at)
-        if m.group("atom"):
-            tokens.append(("atom", m.group("atom"), m.start("atom")))
-        elif m.group("implies"):
-            tokens.append(("->", "->", m.start("implies")))
-        else:
-            op = m.group("op")
-            tokens.append((op, op, m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, what: str):
-        token = self.peek()
-        if token[0] != kind:
-            raise ParseError(what, token[2])
-        return self.advance()
-
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.advance()
-            return Implies(left, self.formula())
-        return left
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek()[0] == "|":
-            self.advance()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind in ("!", "~"):
-            self.advance()
-            return Not(self.unary())
-        if kind == "(":
-            self.advance()
-            node = self.formula()
-            self.expect(")", "expected ')'")
-            return node
-        if kind == "atom":
-            self.advance()
-            return Atom(value)
-        raise ParseError("expected a formula", pos)
+def _offset(text: str, k: int) -> int:
+    """Where token k of ``text`` starts, or its length past the last token."""
+    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; raises ParseError with an offset on bad input,
-    including input nested deeper than the interpreter's recursion limit."""
-    parser = _Parser(text)
-    try:
-        node = parser.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", parser.peek()[2]) from None
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", pos)
-    return node
+    """Parse formula text; raises ParseError with an offset on bad input.
+    Every token is read first, so a bad character is reported before any
+    syntax error; offsets are looked up only for an error."""
+    pairs = _TOKEN_RE.findall(text)  # (token, bad character): one of them is ""
+    tokens, bad = zip(*pairs) if pairs else ((), ())
+    if any(bad):
+        k, c = next((k, c) for k, c in enumerate(bad) if c)
+        raise ParseError(f"unexpected character {c!r}", _offset(text, k))
+
+    operands: list[Formula] = []
+    operators: list[str] = []  # '!', '~', '(' and binary operator tokens
+    depth = 0  # open parentheses
+    want_operand = True
+
+    def reduce() -> None:
+        node_class = _BINARY[operators.pop()][1]
+        right = operands.pop()
+        operands[-1] = node_class(operands[-1], right)
+
+    for k, token in enumerate(tokens):
+        if want_operand:
+            if token in _NEGATION or token == "(":
+                operators.append(token)
+                depth += token == "("
+                continue
+            if token in _BINARY or token == ")":
+                raise ParseError("expected a formula", _offset(text, k))
+            operands.append(Atom(token))
+        elif token in _BINARY:
+            precedence = _BINARY[token][0] + (token == "->")  # an earlier '->' waits
+            while operators and _BINARY.get(operators[-1], (0,))[0] >= precedence:
+                reduce()  # '(' has no precedence and stops the reduction
+            operators.append(token)
+            want_operand = True
+            continue
+        elif token == ")" and depth:
+            while operators[-1] != "(":
+                reduce()
+            operators.pop()
+            depth -= 1
+        else:
+            message = "expected ')'" if depth else "unexpected trailing input"
+            raise ParseError(message, _offset(text, k))
+        # an operand is complete: the negations in front of it apply now
+        while operators and operators[-1] in _NEGATION:
+            operators.pop()
+            operands[-1] = Not(operands[-1])
+        want_operand = False
+    if want_operand or depth:
+        raise ParseError("expected a formula" if want_operand else "expected ')'", len(text))
+    while operators:
+        reduce()
+    return operands[0]
+
+
+# ----------------------------------------------------------------------
+# Walking a tree
+
+
+def _postorder(node: Formula) -> list[Formula]:
+    """Every node of the tree, left subtree first and each node after its
+    subtrees: a node-right-left pre-order, reversed."""
+    order, lefts = [node], []  # lefts: left subtrees still to visit
+    while True:
+        kind = type(node)
+        if kind is Not:
+            node = node.child
+        elif kind is not Atom:
+            lefts.append(node.left)
+            node = node.right
+        elif lefts:
+            node = lefts.pop()
+        else:
+            break
+        order.append(node)
+    order.reverse()
+    return order
+
+
+def _fold(node: Formula, atom, ops):
+    """``node``'s value, bottom-up over one post-order walk: ``atom(name)`` for
+    an atom, ``ops[Not](x)`` and ``ops[And|Or|Implies](x, y)`` for the rest."""
+    values = []
+    push, pop, negate = values.append, values.pop, ops[Not]
+    for n in _postorder(node):
+        kind = type(n)
+        if kind is Atom:
+            push(atom(n.name))
+        elif kind is Not:
+            values[-1] = negate(values[-1])
+        else:
+            right = pop()
+            values[-1] = ops[kind](values[-1], right)
+    return values[0]
+
+
+def atom_names(node: Formula) -> set[str]:
+    return {n.name for n in _postorder(node) if type(n) is Atom}
 
 
 # ----------------------------------------------------------------------
 # Rendering
 
-_PREC = {Implies: 1, Or: 2, And: 3, Not: 4, Atom: 5}
+# node class -> (precedence, symbol, least precedence of the left and the
+# right operand that needs no parentheses); '->' groups to the right, and
+# '!' has precedence 4
+_RENDER = {Implies: (1, " -> ", 2, 1), Or: (2, " | ", 2, 3), And: (3, " & ", 3, 4)}
 
 
 def render(node: Formula) -> str:
-    """Canonical text with minimal parentheses; inverse of parse."""
-    return _render(node, 0)
-
-
-def _render(node: Formula, min_prec: int) -> str:
-    prec = _PREC[type(node)]
-    if isinstance(node, Atom):
-        text = node.name
-    elif isinstance(node, Not):
-        text = "!" + _render(node.child, prec)
-    elif isinstance(node, Implies):
-        # right associative: only an Implies on the left needs parentheses
-        text = f"{_render(node.left, prec + 1)} -> {_render(node.right, prec)}"
-    else:
-        symbol = "&" if isinstance(node, And) else "|"
-        text = f"{_render(node.left, prec)} {symbol} {_render(node.right, prec + 1)}"
-    if prec < min_prec:
-        return f"({text})"
-    return text
-
-
-def atom_names(node: Formula) -> set[str]:
-    if isinstance(node, Atom):
-        return {node.name}
-    if isinstance(node, Not):
-        return atom_names(node.child)
-    return atom_names(node.left) | atom_names(node.right)
+    """Canonical text with minimal parentheses; inverse of parse.  A stack of
+    pending texts and (node, least precedence) pairs writes each piece once."""
+    out, todo = [], [(node, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, least = item
+        kind = type(node)
+        if kind is Atom:
+            out.append(node.name)
+            continue
+        if kind is Not:
+            precedence, pieces = 4, ((node.child, 4), "!")
+        else:
+            precedence, symbol, left, right = _RENDER[kind]
+            pieces = ((node.right, right), symbol, (node.left, left))
+        todo += (")", *pieces, "(") if precedence < least else pieces
+    return "".join(out)
 
 
 # ----------------------------------------------------------------------
@@ -225,14 +243,6 @@ class Valuation:
 
 def evaluate(node: Formula, valuation: Valuation) -> LinguisticValue:
     config = valuation.config
-    if isinstance(node, Atom):
-        return valuation.value_of(node.name)
-    if isinstance(node, Not):
-        return config.negate(evaluate(node.child, valuation))
-    left = evaluate(node.left, valuation)
-    right = evaluate(node.right, valuation)
-    if isinstance(node, And):
-        return config.meet(left, right)
-    if isinstance(node, Or):
-        return config.join(left, right)
-    return config.implies(left, right)
+    return _fold(node, valuation.value_of, {
+        Not: config.negate, And: config.meet, Or: config.join, Implies: config.implies,
+    })

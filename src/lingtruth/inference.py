@@ -48,8 +48,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .formula import And, Atom, Formula, Not, Or, Valuation, evaluate, parse
-from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, OpTables, canonical, lia, qlia
+from .formula import And, Implies, Not, Or, Valuation, _fold, evaluate, parse
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -359,26 +359,6 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], lis
     return closed, branch
 
 
-def _column(node: Formula, atoms: dict[str, list[int]], tables: OpTables) -> list[int]:
-    """The value of ``node`` on every row, as carrier indices, given the
-    column of each atom: the structural evaluation of `lingtruth.formula`,
-    one table lookup per row and connective."""
-    if isinstance(node, Atom):
-        return atoms[node.name]
-    if isinstance(node, Not):
-        negate = tables.negate
-        return [negate[x] for x in _column(node.child, atoms, tables)]
-    if isinstance(node, And):
-        op = tables.meet
-    elif isinstance(node, Or):
-        op = tables.join
-    else:
-        op = tables.implies
-    left = _column(node.left, atoms, tables)
-    right = _column(node.right, atoms, tables)
-    return [op[x][y] for x, y in zip(left, right)]
-
-
 @dataclass(frozen=True, eq=False)
 class InferenceTable(Sequence):
     """The MP or MT table of one algebra, held as columns.
@@ -428,9 +408,17 @@ class InferenceTable(Sequence):
 def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
     tables = config.tables
-    carrier = range(len(tables.values))
+    negate, carrier = tables.negate, range(len(tables.values))
     atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(carrier)}
-    direct = _column(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms, tables)
+
+    def lookup(op):  # a binary connective, one table lookup per row
+        return lambda left, right: [op[x][y] for x, y in zip(left, right)]
+
+    # the schema folded as in ``evaluate``, over whole columns of indices
+    direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, {
+        Not: lambda column: [negate[x] for x in column],
+        And: lookup(tables.meet), Or: lookup(tables.join), Implies: lookup(tables.implies),
+    })
     return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
 
 

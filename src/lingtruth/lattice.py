@@ -154,6 +154,13 @@ class AlgebraConfig:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        # exactly int, as for a grade: a float or bool passes the range checks
+        if type(self.n) is not int:
+            raise DomainError(f"hedge count n must be an int, got {self.n!r}")
+        if self.noncomparable is not None and type(self.noncomparable) is not int:
+            raise DomainError(
+                f"non-comparable index must be an int or None, got {self.noncomparable!r}"
+            )
         if self.n < 0:
             raise DomainError(f"hedge count n must be >= 0, got {self.n}")
         if self.noncomparable is not None:

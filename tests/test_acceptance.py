@@ -20,6 +20,7 @@ from lingtruth.axioms import (
     check_lattice_laws,
 )
 from lingtruth.discrepancies import full_report
+from lingtruth.errors import ParseError
 from lingtruth.formula import And, Atom, Implies, Not, Or, parse, render
 from lingtruth.inference import (
     _MT_BRANCHES,
@@ -41,8 +42,6 @@ PLAIN_CONFIGS = [lia(n) for n in range(9)]
 QUASI_CONFIGS = [qlia(n, i) for n in range(2, 9) for i in range(1, n)]
 # the LIA chains verified exhaustively beyond n = 8
 WIDE_PLAIN_CONFIGS = [lia(n) for n in range(9, 33)]
-# every configuration with 8 < n <= 16, LIA then QLIA i = 1..n-1 for each n
-WIDE_CONFIGS = [c for n in range(9, 17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -108,17 +107,23 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_closed_tables():
     started = time.perf_counter()
+    configs = rows = 0
     disagreements = []
-    for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_CONFIGS:
-        for rule in (RuleId.MP, RuleId.MT):
-            for row in inference_table(config, rule):
-                if not row.agree:
-                    disagreements.append((config.kind, config.n, config.noncomparable,
-                                          row.to_dict()))
+    # every configuration with n <= 32, LIA then QLIA i = 1..n-1 for each n;
+    # built here so that their operation tables are freed as the test goes
+    for n in range(33):
+        for config in [lia(n)] + [qlia(n, i) for i in range(1, n)]:
+            configs += 1
+            for rule in (RuleId.MP, RuleId.MT):
+                table = inference_table(config, rule)
+                rows += len(table)
+                disagreements += [(config.kind, n, config.noncomparable, table[k].to_dict())
+                                  for k in table.disagreements()]
     elapsed = time.perf_counter() - started
-    ok = not disagreements and elapsed < 5.0
-    _report(4, "closed tables match direct evaluation, n=0..16", ok,
-            f" [{elapsed:.2f}s]" if ok else f" {disagreements[:3]}")
+    ok = not disagreements and (configs, rows) == (529, 2_417_544) and elapsed < 5.0
+    _report(4, "closed tables match direct evaluation, n=0..32", ok,
+            f" [{elapsed:.2f}s]" if ok else f" {configs} configs, {rows} rows, {elapsed:.2f}s,"
+            f" {disagreements[:3]}")
 
 
 def test_criterion_5_worked_examples():
@@ -347,6 +352,56 @@ def test_criterion_15_infer_json_and_text_are_pinned(capsys):
             changed.append(rule)
     _report(15, "infer JSON and text output byte-identical to the pinned digests",
             not changed, "" if not changed else f" changed: {changed}")
+
+
+# pieces of the criterion 16 strings: operands (with the prefix operators
+# and '('), operators (with ')'), the glue between tokens (none, so that
+# neighbours can fuse, or whitespace), and characters no formula contains
+_OPERANDS = ("P", "Q", "x1", "_a", "!", "~", "(")
+_OPERATORS = ("&", "|", "->", ")")
+_GLUE = ("", "", " ", "  ", "\t")
+_BAD = ("-", ">", "+", "9", "é", "=", "\n#")
+
+
+def _parser_corpus(count: int, seed: int):
+    """Random strings of tokens and bad characters.  Each piece is drawn
+    from the class the grammar expects next 95 % of the time, and open
+    parentheses are closed at the end, so about one string in nine parses."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pieces, operand = [], True
+        for _ in range(rng.randint(0, 24)):
+            r = rng.random()
+            if r < 0.02:
+                token = rng.choice(_BAD)
+            else:
+                token = rng.choice(_OPERANDS if operand == (r < 0.95) else _OPERATORS)
+            operand = token not in ("P", "Q", "x1", "_a", ")")
+            pieces += (token, rng.choice(_GLUE))
+        pieces += ")" * (pieces.count("(") - pieces.count(")"))
+        yield "".join(pieces)
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return "ok\t" + render(parse(text))
+    except ParseError as exc:
+        return f"err\t{exc}\t{exc.position}"
+
+
+# sha256 of the newline-joined outcomes of parsing each string of
+# ``_parser_corpus(100_000, 20261018)``: its canonical text, or the
+# ParseError's message and offset; computed with the recursive-descent
+# parser that the iterative one replaced
+PARSER_CORPUS_SHA256 = "b4aa6effde8fdb1a3a47e6914700e9fa4b9d9aba9b4101586b5b3c429a227c6c"
+
+
+def test_criterion_16_parser_outcomes_are_pinned():
+    outcomes = "\n".join(map(_parse_outcome, _parser_corpus(100_000, 20261018)))
+    digest = hashlib.sha256(outcomes.encode()).hexdigest()
+    ok = digest == PARSER_CORPUS_SHA256
+    _report(16, "parse and render outcomes on 100000 random strings pinned", ok,
+            "" if ok else f" got {digest}")
 
 
 if __name__ == "__main__":

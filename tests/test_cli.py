@@ -22,6 +22,8 @@ DEEP_FORMULAS = {
     "implies": " -> ".join(["P"] * 3000),
     "and": " & ".join(["P"] * 3000),
 }
+# each shape's value at P = v1T with --n 4 (the depth is even)
+DEEP_VALUES = {"not": "v1T", "parens": "v1T", "implies": "v4T", "and": "v1T"}
 
 
 def run(capsys, *argv):
@@ -124,12 +126,26 @@ class TestEval:
         assert out == ""
         assert "not a truth value" in err
 
+    # this case used to pin a refusal of deep input; it keeps its name
     @pytest.mark.parametrize("shape", DEEP_FORMULAS)
     def test_deep_formula_is_usage_error(self, capsys, shape):
-        code, out, err = run(capsys, "eval", "--n", "4", DEEP_FORMULAS[shape], "-a", "P=v1T")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: formula nested too deeply") and err.count("\n") == 1
+        text = DEEP_FORMULAS[shape]
+        code, out, err = run(capsys, "eval", "--n", "4", text, "-a", "P=v1T", "--format", "json")
+        assert (code, err) == (0, "")
+        value = DEEP_VALUES[shape]
+        label = {"v1T": "somewhat True", "v4T": "absolutely True"}[value]
+        rendered = "P" if shape == "parens" else text
+        assert json.loads(out) == {"formula": rendered, "value": value, "label": label}
+
+    @pytest.mark.parametrize("item", [" =v1T", "9x=v2T", "P Q=v2T"])
+    def test_name_no_formula_can_contain_is_config_error(self, capsys, item):
+        code, out, err = run(capsys, "eval", "--n", "4", "P", "-a", "P=v1T", "-a", item)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad assignment {item!r}") and err.count("\n") == 1
+
+    def test_name_is_stripped_before_the_check(self, capsys):
+        code, out, _ = run(capsys, "eval", "--n", "4", "P", "-a", " P =v1T")
+        assert (code, out) == (0, "v1T (somewhat True)\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from lingtruth.errors import ParseError, UnboundAtomError
 from lingtruth.formula import (
     And,
     Atom,
+    Formula,
     Implies,
     Not,
     Or,
@@ -20,13 +23,27 @@ from lingtruth.lattice import LinguisticValue, lia, qlia
 T = LinguisticValue.true
 F = LinguisticValue.false
 
+
+def deep_formula(shape: str, depth: int) -> str:
+    """A formula nested ``depth`` levels deep in one of four ways."""
+    return {
+        "not": "!" * depth + "P",
+        "parens": "(" * depth + "P" + ")" * depth,
+        "implies": " -> ".join(["P"] * depth),
+        "and": " & ".join(["P"] * depth),
+    }[shape]
+
+
+# each shape's value at P = v1F in lia(4), for an even depth
+DEEP_VALUES = {"not": F(1), "parens": F(1), "implies": T(4), "and": F(1)}
 # formulas nested deeper than the default recursion limit, one per way to nest
-DEEP_FORMULAS = {
-    "not": "!" * 3000 + "P",
-    "parens": "(" * 3000 + "P" + ")" * 3000,
-    "implies": " -> ".join(["P"] * 3000),
-    "and": " & ".join(["P"] * 3000),
-}
+DEEP_FORMULAS = {shape: deep_formula(shape, 3000) for shape in DEEP_VALUES}
+
+
+def deep_rendered(shape: str, depth: int) -> str:
+    """The canonical text of ``deep_formula(shape, depth)``: only the
+    parentheses go."""
+    return "P" if shape == "parens" else deep_formula(shape, depth)
 
 
 class TestParsing:
@@ -81,14 +98,42 @@ class TestParseErrors:
             parse("P + Q")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("text, position", [("P Q -", 4), ("( & ) -", 6), ("P ) -", 4)])
+    def test_bad_character_is_reported_before_a_syntax_error(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character '-' (at offset {position})"
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("P & Q)", "unexpected trailing input", 5),
+        ("(P & Q", "expected ')'", 6),
+        ("(P & Q R", "expected ')'", 7),
+        ("P & Q R", "unexpected trailing input", 6),
+        ("!(P) !Q", "unexpected trailing input", 5),
+        ("P -> ", "expected a formula", 5),
+        ("(!)", "expected a formula", 2),
+    ])
+    def test_syntax_error_messages(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {position})"
+
 
 class TestDeepNesting:
+    # this case used to pin a refusal of deep input; it keeps its name
     @pytest.mark.parametrize("shape", ["not", "parens", "implies"])
     def test_recursive_nesting_is_a_parse_error(self, shape):
-        text = DEEP_FORMULAS[shape]
-        with pytest.raises(ParseError, match="nested too deeply") as err:
-            parse(text)
-        assert 0 <= err.value.position < len(text)
+        node = parse(DEEP_FORMULAS[shape])
+        assert evaluate(node, Valuation(lia(4), {"P": F(1)})) == DEEP_VALUES[shape]
+        assert render(node) == deep_rendered(shape, 3000)
+
+    @pytest.mark.parametrize("shape", DEEP_VALUES)
+    def test_hundred_thousand_levels(self, shape):
+        depth = 100_000
+        node = parse(deep_formula(shape, depth))
+        assert evaluate(node, Valuation(lia(4), {"P": F(1)})) == DEEP_VALUES[shape]
+        assert render(node) == deep_rendered(shape, depth)
+        assert atom_names(node) == {"P"}
 
     def test_long_conjunction_parses_in_a_loop(self):
         node, depth = parse(DEEP_FORMULAS["and"]), 0
@@ -136,6 +181,31 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_parse_render_round_trip(node):
     assert parse(render(node)) == node
+
+
+def _deep_random_formula(rng, depth: int) -> Formula:
+    """A formula ``depth`` levels deep: each level negates the formula so
+    far or joins it, on either side, to an atom or a negated atom."""
+    node = Atom(rng.choice("PQR"))
+    for _ in range(depth):
+        shape = rng.randrange(7)
+        if shape == 0:
+            node = Not(node)
+            continue
+        other = Atom(rng.choice("PQR"))
+        if shape % 2:
+            other = Not(other)
+        kind = (And, Or, Implies)[shape % 3]
+        node = kind(node, other) if shape < 4 else kind(other, node)
+    return node
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1000, 5000))
+def test_deep_parse_render_round_trip(seed, depth):
+    # deep trees are compared through their text: node == recurses
+    text = render(_deep_random_formula(random.Random(seed), depth))
+    assert render(parse(text)) == text
 
 
 def test_atom_names():

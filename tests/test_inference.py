@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from strategies import algebra_pairs
 
 from lingtruth.inference import (
     BranchLabel,
@@ -81,6 +83,21 @@ class TestClosedForms:
         got_value, got_branch = mt_closed(config, p, q)
         assert got_value == value
         assert str(got_branch) == branch
+
+
+@settings(max_examples=300)
+@given(algebra_pairs())
+def test_closed_forms_equal_direct_evaluation(drawn):
+    config, p, q = drawn
+    assert mp_closed(config, p, q)[0] == mp_direct(config, p, q)
+    assert mt_closed(config, p, q)[0] == mt_direct(config, p, q)
+
+
+@settings(max_examples=300)
+@given(algebra_pairs())
+def test_mt_is_mp_on_the_contrapositive(drawn):
+    config, p, q = drawn
+    assert mt_direct(config, p, q) == mp_direct(config, q.negated(), p.negated())
 
 
 class TestTables:

@@ -1,6 +1,8 @@
 import functools
 
 import pytest
+from hypothesis import given, settings
+from strategies import algebra_pairs
 
 from lingtruth import inference
 from lingtruth.errors import DomainError, ParseError
@@ -32,6 +34,13 @@ class TestConfigValidation:
     def test_noncomparable_index_must_be_interior(self, bad):
         with pytest.raises(DomainError):
             qlia(4, bad)
+
+    @pytest.mark.parametrize("n, noncomparable", [
+        (2.0, None), (True, None), ("4", None), (4.0, 2), (3, 1.5), (3, True), (4, "2"),
+    ])
+    def test_parameters_must_be_ints(self, n, noncomparable):
+        with pytest.raises(DomainError, match="must be an int"):
+            AlgebraConfig(n, noncomparable)
 
     def test_labels_must_match_chain_length(self):
         with pytest.raises(DomainError):
@@ -235,6 +244,20 @@ class TestOrder:
             for a in alg.values():
                 for b in alg.values():
                     assert alg.leq(a, b) == (alg.meet(a, b) == a)
+
+    @settings(max_examples=300)
+    @given(algebra_pairs())
+    def test_leq_is_the_product_order_less_one_link(self, drawn):
+        # a value is the pair (b, p): polarity bit, and grade counted up the chain
+        config, a, b = drawn
+        n, i = config.n, config.noncomparable
+
+        def pair(v):
+            return (1, v.grade) if v.is_true else (0, n - v.grade)
+
+        (ba, pa), (bb, pb) = pair(a), pair(b)
+        removed = i is not None and ((ba, pa), (bb, pb)) == ((0, n - i), (1, n - i))
+        assert config.leq(a, b) == (ba <= bb and pa <= pb and not removed)
 
 
 class TestTextForms:
