@@ -17,8 +17,8 @@ flip.  Every atom must be assigned; evaluation never invents defaults.
 
 No function here recurses, so any depth that fits in memory works: ``parse``
 runs one loop over the tokens with an operand and an operator stack, and
-``evaluate``, ``render`` and ``atom_names`` walk the tree with explicit
-stacks.  The node classes' generated ``==``, ``hash`` and ``repr`` recurse.
+``evaluate``, ``render``, ``atom_names`` and the nodes' ``==``, ``hash`` and
+``repr`` walk the tree with explicit stacks.
 """
 
 from __future__ import annotations
@@ -32,37 +32,68 @@ from .lattice import AlgebraConfig, LinguisticValue
 
 
 class Formula:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.  Two trees are equal when their
+    post-order sequences of (node class, atom name) are: each class has a
+    fixed number of children, so that sequence fixes the tree."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
+    def _shape(self) -> list[tuple[type, str | None]]:
+        return [(type(n), n.name if type(n) is Atom else None) for n in _postorder(self)]
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        """The dataclass form, e.g. ``Not(child=Atom(name='P'))``, written
+        from a stack of pending texts and nodes."""
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            kind = type(item)
+            if kind is str:
+                out.append(item)
+            elif kind is Atom:
+                out.append(f"Atom(name={item.name!r})")
+            elif kind is Not:
+                todo += (")", item.child, "Not(child=")
+            else:
+                todo += (")", item.right, ", right=", item.left, f"{kind.__name__}(left=")
+        return "".join(out)
+
+
+# equality, hashing and repr come from Formula, without recursion
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula

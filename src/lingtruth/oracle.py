@@ -17,7 +17,7 @@ uses the closed forms or the operation tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
 ``check`` builds the graph and its tables once.  `cross_check_ops` compares
-three things against the oracle on every pair, position by position:
+three things against the oracle on every pair:
 
 * the operation tables the axiom checker and the inference tables read
   (``AlgebraConfig.tables``, computed from the carrier index); they must
@@ -25,9 +25,15 @@ three things against the oracle on every pair, position by position:
 * the join/meet branch tables exactly as stated in the source case lists,
   before the corrections documented in `lingtruth.discrepancies` (the
   quasi-kind join rule for grade pairs around the missing cross link
-  genuinely disagrees, and the report records each such pair);
+  genuinely disagrees, and the report records each such pair); they are
+  tabulated once per config as position rows, by grade arithmetic written
+  from the case text, sharing no code with ``AlgebraConfig.tables``;
 * the residuation reading "a <= b iff a -> b = top", which in the quasi
   kind has exactly one exceptional pair.
+
+Both checks compare whole rows with one equality each, in C, and walk a
+row pair by pair only when it differs (`verify_lattice` only when the row
+lacks a bound), so the reports list their entries in row-major pair order.
 """
 
 from __future__ import annotations
@@ -146,6 +152,8 @@ def verify_lattice(graph: CoverGraph) -> LatticeReport:
     report = LatticeReport(graph.config)
     values = graph.elements
     for a, joins, meets in zip(values, graph.joins, graph.meets):
+        if None not in joins and None not in meets:
+            continue
         for b, join, meet in zip(values, joins, meets):
             if join is None:
                 report.missing_joins.append((a, b))
@@ -212,23 +220,44 @@ class DiscrepancyReport:
         }
 
 
-def _stated_bounds(config: AlgebraConfig, a: LinguisticValue, b: LinguisticValue):
-    """Join and meet of a and b exactly as the case lists state them.  For a
-    mixed-polarity pair of the quasi kind the stated join uses the raised
-    value v_(n-(i-1))T for every true grade k = n-i, regardless of the false
-    grade; the stated meet scopes its special branches correctly, so it
-    coincides with the implemented meet."""
-    if config.noncomparable is None or a.polarity is b.polarity:
-        return config.join(a, b), config.meet(a, b)
+def _stated_rows(config: AlgebraConfig) -> tuple[list[list[int]], list[list[int]]]:
+    """The join and meet tables exactly as the case lists state them, as
+    position rows over ``config.values()``.  Same-polarity pairs take the
+    larger and the smaller value of their chain.  For a mixed-polarity pair
+    of the quasi kind the stated join uses the raised value v_(n-(i-1))T
+    for every true grade k = n-i, regardless of the false grade; the stated
+    meet scopes its special branches correctly, so it coincides with the
+    implemented meet."""
     n, nc = config.n, config.noncomparable
-    k, l = (a.grade, b.grade) if a.is_true else (b.grade, a.grade)  # true grade, false grade
-    if n <= k + l:
-        join = n - (nc - 1) if k == n - nc else k
-        meet = nc + 1 if k == n - nc and l == nc else l
-    else:
-        join = n - (nc - 1) if l == nc else n - l
-        meet = nc + 1 if k == n - nc else n - k
-    return LinguisticValue.true(join), LinguisticValue.false(meet)
+    quasi = nc is not None
+    f_grades, t_grades = range(n, -1, -1), range(n + 1)  # carrier order, v_nF first
+
+    def false(grade):  # position of v_gradeF
+        return n - grade
+
+    def true(grade):  # position of v_gradeT
+        return n + 1 + grade
+
+    # v_kT with v_lF: rows k, columns l in carrier order
+    mixed_join = [[true(n - (nc - 1) if quasi and k == n - nc else k) if n <= k + l
+                   else true(n - (nc - 1) if quasi and l == nc else n - l)
+                   for l in f_grades] for k in t_grades]
+    mixed_meet = [[false(nc + 1 if quasi and k == n - nc and l == nc else l) if n <= k + l
+                   else false(nc + 1 if quasi and k == n - nc else n - k)
+                   for l in f_grades] for k in t_grades]
+    joins = [[false(min(g, l)) for l in f_grades] + list(mixed)
+             for g, mixed in zip(f_grades, zip(*mixed_join))]
+    joins += [mixed + [true(max(k, j)) for j in t_grades]
+              for k, mixed in zip(t_grades, mixed_join)]
+    meets = [[false(max(g, l)) for l in f_grades] + list(mixed)
+             for g, mixed in zip(f_grades, zip(*mixed_meet))]
+    meets += [mixed + [true(min(k, j)) for j in t_grades]
+              for k, mixed in zip(t_grades, mixed_meet)]
+    return joins, meets
+
+
+# bits as the bytes b"0" and b"1", whatever their source
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
@@ -242,9 +271,19 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
     report = DiscrepancyReport(config)
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
-    rows = zip(values, graph.up, graph.joins, graph.meets,
+    top, size = tables.top, len(values)
+    stated_joins, stated_meets = _stated_rows(config)
+    rows = zip(values, graph.up, graph.joins, graph.meets, stated_joins, stated_meets,
                tables.join, tables.meet, tables.leq, tables.implies)
-    for a, up, joins, meets, join_row, meet_row, leq_row, implies_row in rows:
+    for a, up, joins, meets, stated_join, stated_meet, join_row, meet_row, leq_row, \
+            implies_row in rows:
+        # the whole row at once; bit j of up is byte j of oracle_leq
+        oracle_leq = format(up, f"0{size}b")[::-1].encode()
+        if (stated_join == joins and stated_meet == meets
+                and list(join_row) == joins and list(meet_row) == meets
+                and bytes(leq_row).translate(_DIGITS) == oracle_leq
+                and bytes(map(top.__eq__, implies_row)).translate(_DIGITS) == oracle_leq):
+            continue
         for j, b in enumerate(values):
             join, meet, leq = joins[j], meets[j], bool(up >> j & 1)
             if join_row[j] != join:
@@ -256,15 +295,14 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
             if leq_row[j] != leq:
                 report.implemented.append(OpMismatch("leq", a, b, leq_row[j], leq))
 
-            stated_join, stated_meet = _stated_bounds(config, a, b)
-            if stated_join != value(join):
-                report.stated.append(
-                    OpMismatch("join", a, b, stated_join, value(join), rule="2.4-item3"))
-            if stated_meet != value(meet):
-                report.stated.append(
-                    OpMismatch("meet", a, b, stated_meet, value(meet), rule="2.4-item7/8"))
+            if stated_join[j] != join:
+                report.stated.append(OpMismatch(
+                    "join", a, b, values[stated_join[j]], value(join), rule="2.4-item3"))
+            if stated_meet[j] != meet:
+                report.stated.append(OpMismatch(
+                    "meet", a, b, values[stated_meet[j]], value(meet), rule="2.4-item7/8"))
 
-            if (implies_row[j] == tables.top) != leq:
+            if (implies_row[j] == top) != leq:
                 report.residuation_exceptions.append((a, b))
     return report
 

@@ -42,6 +42,8 @@ PLAIN_CONFIGS = [lia(n) for n in range(9)]
 QUASI_CONFIGS = [qlia(n, i) for n in range(2, 9) for i in range(1, n)]
 # the LIA chains verified exhaustively beyond n = 8
 WIDE_PLAIN_CONFIGS = [lia(n) for n in range(9, 33)]
+# the QLIA configs verified exhaustively beyond n = 8 (criteria 2 and 3)
+WIDE_QUASI_CONFIGS = [qlia(n, i) for n in range(9, 17) for i in range(1, n)]
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -69,7 +71,7 @@ def test_criterion_1_plain_axiom_suite():
 
 def test_criterion_2_quasi_axiom_suite():
     failures = []
-    for config in QUASI_CONFIGS:
+    for config in QUASI_CONFIGS + WIDE_QUASI_CONFIGS:
         n, i = config.n, config.noncomparable
         for axiom in (Axiom.I1, Axiom.I2, Axiom.I3, Axiom.I4, Axiom.I5):
             if not check_axiom(config, axiom, max_witnesses=0).holds:
@@ -90,19 +92,21 @@ def test_criterion_2_quasi_axiom_suite():
                 failures.append((n, i, k, "I6 witness"))
             if not (found7 and found7[0].lhs == T(i + k + 1) and found7[0].rhs == T(i + k)):
                 failures.append((n, i, k, "I7 witness"))
-    _report(2, "QLIA suite with exact I6/I7 witnesses", not failures,
+    _report(2, "QLIA suite n=2..16 with exact I6/I7 witnesses", not failures,
             "" if not failures else f" {failures[:5]}")
 
 
 def test_criterion_3_oracle_equivalence():
+    started = time.perf_counter()
     mismatches = []
-    for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_PLAIN_CONFIGS:
+    for config in PLAIN_CONFIGS + QUASI_CONFIGS + WIDE_PLAIN_CONFIGS + WIDE_QUASI_CONFIGS:
         report = cross_check_ops(build_covers(config))
         if not report.clean:
             mismatches.append((config.kind, config.n, config.noncomparable,
                                len(report.implemented)))
+    elapsed = time.perf_counter() - started
     _report(3, "operation tables vs cover-graph oracle", not mismatches,
-            "" if not mismatches else f" {mismatches[:5]}")
+            f" [{elapsed:.2f}s]" if not mismatches else f" {mismatches[:5]}")
 
 
 def test_criterion_4_closed_tables():

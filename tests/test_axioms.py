@@ -1,5 +1,9 @@
+import dataclasses
+import random
+
 import pytest
 
+from lingtruth import axioms
 from lingtruth.axioms import (
     Axiom,
     Classification,
@@ -116,3 +120,90 @@ class TestReporting:
         d = check_involution(lia(1)).to_dict()
         assert d["holds"] is True
         assert all(result[axiom].holds for axiom in Axiom)
+
+
+def _with_entry(table, i, j, entry):
+    """``table`` with entry [i][j] replaced."""
+    rows = [list(row) for row in table]
+    rows[i][j] = entry
+    return tuple(map(tuple, rows))
+
+
+def _naive(tables, name):
+    """Violations (x, y, z, lhs, rhs) of one cubic check by a plain triple
+    loop, in the order x, then y, then z."""
+    imp, join, meet = tables.implies, tables.join, tables.meet
+    sides = {
+        "I1": lambda x, y, z: (imp[x][imp[y][z]], imp[y][imp[x][z]]),
+        "I6": lambda x, y, z: (imp[join[x][y]][z], meet[imp[x][z]][imp[y][z]]),
+        "I7": lambda x, y, z: (imp[meet[x][y]][z], join[imp[x][z]][imp[y][z]]),
+        "join-associative": lambda x, y, z: (join[join[x][y]][z], join[x][join[y][z]]),
+        "meet-associative": lambda x, y, z: (meet[meet[x][y]][z], meet[x][meet[y][z]]),
+    }[name]
+    carrier = range(len(tables.values))
+    return [(x, y, z, *pair) for x in carrier for y in carrier for z in carrier
+            if (pair := sides(x, y, z))[0] != pair[1]]
+
+
+def _cubic_reports(config):
+    """The I1, I6, I7 and associativity reports, every witness kept, as
+    (name, count, witnesses as carrier-index tuples)."""
+    index = {v: k for k, v in enumerate(config.tables.values)}
+    results = [check_axiom(config, axiom, max_witnesses=None)
+               for axiom in (Axiom.I1, Axiom.I6, Axiom.I7)]
+    results += [law for law in check_lattice_laws(config, max_witnesses=None)
+                if law.name.endswith("associative")]
+    return [(r.name, r.total_violations,
+             [tuple(index[v] for v in (w.x, w.y, w.z, w.lhs, w.rhs)) for w in r.witnesses])
+            for r in results]
+
+
+@pytest.fixture(params=["screened", "walk only"])
+def screen(request, monkeypatch):
+    if request.param == "walk only":  # as above 256 elements
+        monkeypatch.setattr(axioms, "_byte_rows", lambda table: None)
+    return request.param
+
+
+class TestRowScreen:
+    @pytest.mark.parametrize("config", [lia(3), qlia(4, 2), qlia(6, 1)], ids=str)
+    def test_single_wrong_entries_are_all_reported(self, config, screen):
+        """One wrong entry planted in implies, join or meet, on the diagonal
+        and at random cells: every cubic report equals the plain triple
+        loop's, count and witnesses.  A wrong x v x or x ^ x at the bottom or
+        the top breaks associativity only where op[x] after op[y] still
+        equals op[y]."""
+        rng = random.Random(f"{config.n} {config.noncomparable}")
+        size = len(config.tables.values)
+        cells = [(x, x) for x in range(size)]
+        cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
+        for op in ("implies", "join", "meet"):
+            for i, j in cells:
+                planted = dataclasses.replace(config)  # fresh table cache
+                tables = planted.tables
+                table = getattr(tables, op)
+                entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
+                # the cached tables live in the instance dict
+                tables = vars(planted)["tables"] = dataclasses.replace(
+                    tables, **{op: _with_entry(table, i, j, entry)})
+                expected = [(name, len(bad), bad) for name, bad in (
+                    (name, _naive(tables, name)) for name in
+                    ("I1", "I6", "I7", "join-associative", "meet-associative"))]
+                assert _cubic_reports(planted) == expected, (op, i, j, entry)
+
+    def test_walk_alone_gives_the_same_reports(self, monkeypatch):
+        configs = [lia(n) for n in range(9)] + [qlia(n, i) for n in range(2, 9)
+                                               for i in range(1, n)]
+
+        def reports(config):
+            results = check_all_axioms(config, max_witnesses=None)
+            return ([results[a].to_dict() for a in Axiom]
+                    + [law.to_dict() for law in check_lattice_laws(config, max_witnesses=None)])
+
+        screened = [reports(config) for config in configs]
+        monkeypatch.setattr(axioms, "_byte_rows", lambda table: None)
+        assert [reports(config) for config in configs] == screened
+
+    def test_screen_stops_at_a_byte(self):
+        assert axioms._byte_rows([[0] * 256] * 256) is not None
+        assert axioms._byte_rows([[0] * 257] * 257) is None

@@ -65,6 +65,14 @@ class TestParsing:
     def test_parentheses(self):
         assert parse("P & (Q | R)") == And(Atom("P"), Or(Atom("Q"), Atom("R")))
 
+    def test_equality_and_repr_are_structural(self):
+        node = parse("!P & Q -> R")
+        assert repr(node) == ("Implies(left=And(left=Not(child=Atom(name='P')), "
+                              "right=Atom(name='Q')), right=Atom(name='R'))")
+        assert node == Implies(And(Not(Atom("P")), Atom("Q")), Atom("R"))
+        assert parse("P & Q") != parse("P | Q") and parse("P & Q") != parse("Q & P")
+        assert Atom("P") != "P" and len({parse("P -> Q"), parse("(P) -> (Q)")}) == 1
+
     def test_whitespace_insignificant(self):
         assert parse("  P->Q  ") == parse("P -> Q")
 
@@ -135,6 +143,22 @@ class TestDeepNesting:
         assert render(node) == deep_rendered(shape, depth)
         assert atom_names(node) == {"P"}
 
+    @pytest.mark.parametrize("shape", DEEP_VALUES)
+    def test_equality_hash_and_repr_at_hundred_thousand_levels(self, shape):
+        depth = 100_000
+        node = parse(deep_formula(shape, depth))
+        twin = parse(deep_formula(shape, depth))
+        assert node == twin and hash(node) == hash(twin)
+        if shape != "parens":  # parentheses leave only the atom
+            assert node != parse(deep_formula(shape, depth - 2))
+        atom, levels = "Atom(name='P')", depth - (shape in ("implies", "and"))
+        assert repr(node) == {
+            "not": "Not(child=" * levels + atom + ")" * levels,
+            "parens": atom,
+            "implies": f"Implies(left={atom}, right=" * levels + atom + ")" * levels,
+            "and": "And(left=" * levels + atom + f", right={atom})" * levels,
+        }[shape]
+
     def test_long_conjunction_parses_in_a_loop(self):
         node, depth = parse(DEEP_FORMULAS["and"]), 0
         while isinstance(node, And):
@@ -203,7 +227,6 @@ def _deep_random_formula(rng, depth: int) -> Formula:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1000, 5000))
 def test_deep_parse_render_round_trip(seed, depth):
-    # deep trees are compared through their text: node == recurses
     text = render(_deep_random_formula(random.Random(seed), depth))
     assert render(parse(text)) == text
 

@@ -271,6 +271,49 @@ class TestCrossCheck:
         ]
         assert report.stated == [] and report.residuation_exceptions == []
 
+    @pytest.mark.parametrize("config", [lia(2), qlia(3, 1)], ids=str)
+    def test_every_single_wrong_entry_is_reported(self, config):
+        """A wrong entry planted at each position of each table shows up in the
+        report as a pair-by-pair walk over the graph's own lub/glb/leq finds it;
+        the stated deviations stay those of the unplanted tables."""
+        clean = cross_check_ops(build_covers(config))
+        size = len(config.tables.values)
+        for op in ("join", "meet", "leq", "implies"):
+            for i in range(size):
+                for j in range(size):
+                    planted = dataclasses.replace(config)
+                    tables = planted.tables
+                    entry = getattr(tables, op)[i][j]
+                    if op == "leq":
+                        entry = not entry
+                    elif op == "implies":  # top or not: residuation reads only that
+                        entry = 0 if entry == tables.top else tables.top
+                    else:
+                        entry = (entry + 1) % size
+                    # the cached tables live in the instance dict
+                    tables = vars(planted)["tables"] = dataclasses.replace(
+                        tables, **{op: _with_entry(getattr(tables, op), i, j, entry)})
+                    graph = build_covers(planted)
+                    report = cross_check_ops(graph)
+                    values, implemented, residuation = tables.values, [], []
+                    for x, a in enumerate(values):
+                        for y, b in enumerate(values):
+                            expected = {"join": graph.lub(a, b), "meet": graph.glb(a, b),
+                                        "leq": graph.leq(a, b)}
+                            for name in ("join", "meet", "leq"):
+                                got = getattr(tables, name)[x][y]
+                                got = got if name == "leq" else values[got]
+                                if got != expected[name]:
+                                    implemented.append(
+                                        OpMismatch(name, a, b, got, expected[name]))
+                            if (tables.implies[x][y] == tables.top) != expected["leq"]:
+                                residuation.append((a, b))
+                    assert report.implemented == implemented, (op, i, j)
+                    assert report.residuation_exceptions == residuation, (op, i, j)
+                    assert report.stated == clean.stated, (op, i, j)
+                    assert (implemented, residuation) != (
+                        [], clean.residuation_exceptions), (op, i, j)
+
     def test_missing_bound_is_reported_as_null(self):
         """Without the cover edge v0F -> v1T of lia(1), v0F has no upper
         bound in common with a true value, and the meet of v0F and v1T
