@@ -27,10 +27,14 @@ class HedgeChain:
     n: int
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise DomainError(f"hedge chain n must be an int, got {self.n!r}")
         if self.n < 0:
             raise DomainError(f"hedge chain needs n >= 0, got {self.n}")
 
     def _check(self, j: int) -> None:
+        if type(j) is not int:
+            raise DomainError(f"hedge index must be an int, got {j!r}")
         if not 0 <= j <= self.n:
             raise DomainError(f"hedge index {j} outside 0..{self.n}")
 

@@ -31,23 +31,26 @@ indices from one walk of the schema's formula tree over the config's integer
 operation tables (``AlgebraConfig.tables``), each node a column with one
 entry per row, so it never calls ``mp_direct`` or ``mt_direct``; the test
 suite checks it against them.  The closed grade and branch columns come from
-the same case functions as ``mp_closed``, called once per cell of each
-polarity block's (n+1) x (n+1) grade grid; MT reads the MP block of
-(!Q, !P) transposed.  Neither column is derived from the other, so a row's
-``agree`` compares two independent computations; they must agree
-everywhere, and the test suite checks this exhaustively for every verified
-algebra size.  An ``InferenceRow`` is built only when a row is indexed or
-iterated; the CLI writers read the columns.
+the same dispatch table as ``mp_closed`` and ``mt_closed``: one entry per
+rule, kind and polarity pair, holding the case function and the branch code
+of each case it reports (an MT entry is the MP entry of (!Q, !P)).  The
+columns are filled row by row in carrier order, one call per cell.  Neither
+column is derived from the other, so a row's ``agree`` compares two
+independent computations; they must agree everywhere, and the test suite
+checks this exhaustively for every verified algebra size.  An
+``InferenceRow`` is built only when a row is indexed or iterated; the CLI
+writers read the columns.  A rule that is not a ``RuleId`` raises
+``DomainError``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
+from .errors import DomainError
 from .formula import And, Implies, Not, Or, Valuation, _fold, evaluate, parse
 from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
@@ -207,48 +210,6 @@ _MP_TABLES = {
     (QLIA, False, True): ("4.4", _mp_44),
 }
 
-_IJ_TO_KL = str.maketrans("ij", "kl")
-
-
-def _mp_code(table: str, case: str) -> int:
-    """Index in ``_BRANCHES`` of the MP case that ``table``'s case function
-    reports as ``case``."""
-    if table == "4.1":
-        case = case.translate(_IJ_TO_KL)  # table 3.1's cases in the quasi grade names
-    return _MP_CODES[table, case]
-
-
-def _mp_case(config, p_true, q_true, i, j) -> tuple[int, int]:
-    """MP grade for e(P) of grade i and e(Q) of grade j with the given
-    polarities, with the code of the case that produced it."""
-    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
-    grade, case = case_fn(config.n, config.noncomparable, i, j)
-    return grade, _mp_code(table, case)
-
-
-def _mp_block(config, p_true, q_true, offset=0):
-    """``_mp_case`` over one polarity block's whole grade grid, as two flat
-    lists: entry i·(n+1) + j is the grade and the case code for e(P) of
-    grade i and e(Q) of grade j.  ``offset`` is added to every code (``_MT``
-    gives the MT labels of the same cases)."""
-    table, case_fn = _MP_TABLES[config.kind, p_true, q_true]
-    n, nc = config.n, config.noncomparable
-    grid = range(n + 1)
-    code = {}  # one code lookup per distinct case, not per cell
-    grades, codes = [], []
-    for i in grid:
-        # one grid row of (grade, case) pairs at a time, freed before the
-        # next: a block keeps two flat lists alive, not a pair per cell, so
-        # building it does not set off the cyclic garbage collector
-        cells = [case_fn(n, nc, i, j) for j in grid]
-        for _, case in cells:
-            if case not in code:
-                code[case] = _mp_code(table, case) + offset
-        grades += [grade for grade, _ in cells]
-        codes += [code[case] for _, case in cells]
-    return grades, codes
-
-
 # ----------------------------------------------------------------------
 # MT closed forms.  By I3, P -> Q = !Q -> !P in both kinds, so
 # MT(P, Q) = (!Q & (!Q -> !P)) -> !P = MP(!Q, !P).  The MP case that fires
@@ -299,63 +260,66 @@ _MT_BRANCHES = {
 # Every branch label, one shared object each, numbered by its code: the 33
 # MP cases, then the MT case each one is renamed to, in the same order.
 _BRANCHES = (*(BranchLabel(*key) for key in _MT_BRANCHES), *_MT_BRANCHES.values())
-_MP_CODES = {key: code for code, key in enumerate(_MT_BRANCHES)}
 _MT = len(_MT_BRANCHES)  # MT code = code of the MP case on (!Q, !P) + _MT
 
 
-def _closed_grade(config, rule, p, q) -> tuple[int, BranchLabel]:
-    """Grade of the closed-form value of ``rule`` at (p, q) and its branch."""
-    if rule is RuleId.MP:
-        grade, code = _mp_case(config, p.is_true, q.is_true, p.grade, q.grade)
-        return grade, _BRANCHES[code]
-    # MP on (!Q, !P); negation keeps the grade and flips the polarity
-    grade, code = _mp_case(config, not q.is_true, not p.is_true, q.grade, p.grade)
-    return grade, _BRANCHES[code + _MT]
+def _dispatch():
+    """(rule, kind, e(P) is true, e(Q) is true) -> (case function, code of
+    each case text it returns).  An MT entry is the MP entry of (!Q, !P),
+    its codes offset by ``_MT``; MT callers pass the grade of Q first, since
+    negation keeps the grade."""
+    codes = {}  # table -> {case text: MP code}
+    for code, (table, case) in enumerate(_MT_BRANCHES):
+        codes.setdefault(table, {})[case] = code
+    # table 4.1 runs table 3.1's case function, which reports 3.1's case
+    # texts (grades named i, j); both tables list their cases in one order
+    codes["4.1"] = dict(zip(codes["3.1"], codes["4.1"].values()))
+    entries = {}
+    for (kind, p_true, q_true), (table, case_fn) in _MP_TABLES.items():
+        entries[RuleId.MP, kind, p_true, q_true] = case_fn, codes[table]
+        entries[RuleId.MT, kind, not q_true, not p_true] = case_fn, {
+            case: code + _MT for case, code in codes[table].items()}
+    return entries
+
+
+_CLOSED = _dispatch()
+
+
+def _closed(config, rule, p, q) -> tuple[LinguisticValue, BranchLabel]:
+    """The closed-form value of ``rule`` at (p, q) and the branch that fired."""
+    config.validate_value(p)
+    config.validate_value(q)
+    case_fn, codes = _CLOSED[rule, config.kind, p.is_true, q.is_true]
+    i, j = (p.grade, q.grade) if rule is RuleId.MP else (q.grade, p.grade)
+    grade, case = case_fn(config.n, config.noncomparable, i, j)
+    return LinguisticValue.true(grade), _BRANCHES[codes[case]]
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
-    config.validate_value(p)
-    config.validate_value(q)
-    grade, branch = _closed_grade(config, RuleId.MP, p, q)
-    return LinguisticValue.true(grade), branch
+    return _closed(config, RuleId.MP, p, q)
 
 
 def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
-    config.validate_value(p)
-    config.validate_value(q)
-    grade, branch = _closed_grade(config, RuleId.MT, p, q)
-    return LinguisticValue.true(grade), branch
+    return _closed(config, RuleId.MT, p, q)
 
 
 def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], list[int]]:
-    """Closed-form grade and branch code of every row, in carrier order,
-    from one ``_mp_block`` per polarity block."""
-    n = config.n
-    s = n + 1
-    blocks = {}
-    for p_true, q_true in itertools.product((False, True), repeat=2):
-        if rule is RuleId.MP:
-            blocks[p_true, q_true] = _mp_block(config, p_true, q_true)
-        else:
-            # MT(P, Q) = MP(!Q, !P): the MP block of (!Q, !P), transposed
-            blocks[p_true, q_true] = _mp_block(config, not q_true, not p_true, _MT)
-    if rule is RuleId.MP:
-        def row(grid, i):  # grades i of e(P), 0..n of e(Q)
-            return grid[i * s:(i + 1) * s]
-    else:
-        def row(grid, i):  # column i of the (!Q, !P) block
-            return grid[i::s]
-    closed, branch = [], []
+    """Closed-form grade and branch code of every row, in carrier order."""
+    n, nc = config.n, config.noncomparable
     # carrier order: the false values from grade n down to 0, then the true
     # values from grade 0 up to n, for e(P) and, within each row, for e(Q)
-    for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
-        false_grades, false_codes = blocks[p_true, False]
-        true_grades, true_codes = blocks[p_true, True]
+    halves = ((False, range(n, -1, -1)), (True, range(n + 1)))
+    closed, branch = [], []
+    for p_true, p_grades in halves:
         for i in p_grades:
-            closed += row(false_grades, i)[::-1]
-            closed += row(true_grades, i)
-            branch += row(false_codes, i)[::-1]
-            branch += row(true_codes, i)
+            for q_true, q_grades in halves:
+                case_fn, codes = _CLOSED[rule, config.kind, p_true, q_true]
+                if rule is RuleId.MP:
+                    cells = [case_fn(n, nc, i, j) for j in q_grades]
+                else:  # MP on (!Q, !P): negation keeps the grades
+                    cells = [case_fn(n, nc, j, i) for j in q_grades]
+                closed += [grade for grade, _ in cells]
+                branch += [codes[case] for _, case in cells]
     return closed, branch
 
 
@@ -367,7 +331,8 @@ class InferenceTable(Sequence):
     len(values)], in carrier enumeration order.  ``direct[k]`` is the
     carrier index of the schema's value, ``closed[k]`` the grade of the
     closed-form value (always a true value) and ``branch[k]`` the index in
-    ``labels`` of the case that fired.  Indexing and iteration build each
+    ``labels`` of the case that fired: an MP case below 33, the MT case
+    renamed from MP case c at c + 33.  Indexing and iteration build each
     ``InferenceRow`` when it is asked for.
     """
 
@@ -407,6 +372,8 @@ class InferenceTable(Sequence):
 
 def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
+    if type(rule) is not RuleId:
+        raise DomainError(f"rule must be a RuleId, got {rule!r}")
     tables = config.tables
     negate, carrier = tables.negate, range(len(tables.values))
     atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(carrier)}

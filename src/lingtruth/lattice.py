@@ -47,6 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -171,12 +172,18 @@ class AlgebraConfig:
                     f"non-comparable index {self.noncomparable} outside 1..{self.n - 1}"
                 )
         if self.labels is not None:
+            # a bare string would be read as one label per character
+            if isinstance(self.labels, str) or not isinstance(self.labels, Iterable):
+                raise DomainError(f"hedge labels must be a sequence of str, got {self.labels!r}")
             if not isinstance(self.labels, tuple):
                 object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.n + 1:
                 raise DomainError(
                     f"need {self.n + 1} hedge labels, got {len(self.labels)}"
                 )
+            for label in self.labels:
+                if type(label) is not str:
+                    raise DomainError(f"hedge label must be a str, got {label!r}")
             if any(not label.strip() for label in self.labels):
                 raise DomainError("hedge labels must not be blank")
             lowered = [label.lower() for label in self.labels]

@@ -273,6 +273,17 @@ INFER_CSV_SHA256 = {
 }
 
 
+# sha256 of ``infer --format csv`` at the sizes the ``tables`` benchmark runs
+INFER_CSV_LARGE_SHA256 = {
+    ("mp", "96"): "008425d60358ebdf8e60c48a8cb2e811e044bb15c9aea83c93384ce5461dce72",
+    ("mt", "96"): "da0f8ee16fa82e2e89ad54096cc75279b8dea6b210ce1d0ee98826474ba35de4",
+    ("mp", "96", "7"): "c587504c869c06aba23dd37af5615e9fa4a12a7838e41cfa142785005b865add",
+    ("mt", "96", "7"): "b01ad579a16976e86b0ff1e9d2b78038d76c3213888b43bc8dc5d57e4bc163ac",
+    ("mp", "72", "30"): "b54b581c2e6ecf544ab4c4bc7b9062c997de28dff82a6fcc126395472c8a5df3",
+    ("mt", "72", "30"): "3311b91d649ce7bf3d42e593cfe214acecd5615c4adfb5c91a4db5f7df612692",
+}
+
+
 def test_criterion_11_infer_csv_is_pinned(capsys):
     changed = []
     for rule, expected in INFER_CSV_SHA256.items():
@@ -283,6 +294,11 @@ def test_criterion_11_infer_csv_is_pinned(capsys):
                 digest.update(capsys.readouterr().out.encode())
         if digest.hexdigest() != expected:
             changed.append(rule)
+    for (rule, n, *noncomp), expected in INFER_CSV_LARGE_SHA256.items():
+        kind = ["--qlia", "--noncomp", *noncomp] if noncomp else []
+        cli.main(["infer", "--rule", rule, "--n", n, "--format", "csv", *kind])
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != expected:
+            changed.append(" ".join([rule, n, *noncomp]))
     _report(11, "infer CSV output byte-identical to the pinned digests", not changed,
             "" if not changed else f" changed: {changed}")
 

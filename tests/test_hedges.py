@@ -40,6 +40,20 @@ def test_out_of_range_indices_rejected():
         HedgeChain(-1)
 
 
+@pytest.mark.parametrize("n", [True, 4.0, "3", None])
+def test_non_int_chain_length_rejected(n):
+    with pytest.raises(DomainError, match="must be an int"):
+        HedgeChain(n)
+
+
+@pytest.mark.parametrize("op, args", [
+    ("join", (1.5, 2)), ("meet", (2, "1")), ("negate", (True,)), ("implies", (1, 1.0)),
+])
+def test_non_int_indices_rejected(op, args):
+    with pytest.raises(DomainError, match="must be an int"):
+        getattr(HedgeChain(4), op)(*args)
+
+
 def test_single_hedge_chain_degenerates():
     chain = HedgeChain(0)
     assert chain.join(0, 0) == chain.meet(0, 0) == chain.negate(0) == 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
+from lingtruth.errors import DomainError
 from lingtruth.inference import (
     BranchLabel,
     RuleId,
@@ -111,6 +112,11 @@ class TestTables:
     def test_direct_matches_closed(self, config, rule):
         assert all(row.agree for row in inference_table(config, rule))
 
+    @pytest.mark.parametrize("rule", ["MP", "mt", None])
+    def test_rule_must_be_a_rule_id(self, rule):
+        with pytest.raises(DomainError, match="RuleId"):
+            inference_table(lia(1), rule)
+
     def test_row_dict_schema(self):
         row = inference_table(PLAIN, RuleId.MP)[0].to_dict()
         assert set(row) == {"p", "q", "rule", "direct", "closed", "branch", "agree"}
@@ -141,8 +147,8 @@ SCALAR_CLOSED = {RuleId.MP: mp_closed, RuleId.MT: mt_closed}
 
 
 class TestClosedColumns:
-    """The table's closed grades and branches, computed per polarity block,
-    equal the scalar closed forms row by row."""
+    """The table's closed grades and branches, computed a row half at a
+    time, equal the scalar closed forms row by row."""
 
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
     def test_every_row_up_to_n8(self, rule):

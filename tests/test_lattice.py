@@ -55,6 +55,11 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             lia(1, labels=("low", blank))
 
+    @pytest.mark.parametrize("labels", [(1, 2), ("low", None), ("low", b"high"), "ab", 5])
+    def test_labels_must_be_strings(self, labels):
+        with pytest.raises(DomainError, match="hedge label"):
+            AlgebraConfig(1, labels=labels)
+
     def test_default_labels_only_for_five_hedges(self):
         assert default_labels(4) == DEFAULT_LABELS_N4
         assert default_labels(3) is None
