@@ -11,9 +11,10 @@ Concrete syntax (loosest to tightest binding):
 Whitespace is insignificant.  ``render`` produces the canonical text with
 minimal parentheses, and ``parse(render(f)) == f`` for every formula.
 
-Truth evaluation is structural: each connective maps to the corresponding
-algebra operation of the valuation's config, and negation to the polarity
-flip.  Every atom must be assigned; evaluation never invents defaults.
+Truth evaluation is structural: each connective is the algebra operation
+of the valuation's config, run on carrier indices by the config's kernel.
+Each atom's value is checked and encoded and only the result decoded, so
+``values()`` and the tables are never built.  Every atom must be assigned.
 
 No function here recurses, so any depth that fits in memory works: ``parse``
 runs one loop over the tokens with an operand and an operator stack, and
@@ -273,7 +274,7 @@ class Valuation:
 
 
 def evaluate(node: Formula, valuation: Valuation) -> LinguisticValue:
-    config = valuation.config
-    return _fold(node, valuation.value_of, {
-        Not: config.negate, And: config.meet, Or: config.join, Implies: config.implies,
-    })
+    kernel, value_of = valuation.config._kernel, valuation.value_of
+    return kernel.decode(_fold(node, lambda name: kernel.encode(value_of(name)), {
+        Not: kernel.negate, And: kernel.meet, Or: kernel.join, Implies: kernel.implies,
+    }))

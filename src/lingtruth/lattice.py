@@ -31,15 +31,15 @@ negation is (1 - b, n - p), and x -> y is (b <= b', min(n, n - p + p')).
 The quasi kind changes one <= entry and the joins and meets around the
 removed link.
 
-``AlgebraConfig.tables`` computes every operation from the carrier index,
-once per config, as integer tables that the exhaustive checks in
-`lingtruth.axioms` and ``inference_table`` read.  The ``AlgebraConfig``
-methods stay the closed forms on ``LinguisticValue``s: they are the library
-API, what `lingtruth.formula` evaluates with, and the reference the tests
-compare the tables with entry by entry.  They raise ``DomainError`` for a
-value whose grade is outside 0..n.  `lingtruth.oracle` re-derives
-joins, meets and the order from the cover graph alone and certifies the
-tables on every pair.
+``AlgebraConfig._kernel`` holds these operations as scalar functions of
+carrier indices, built once per config on first use.  The ``AlgebraConfig``
+methods and `lingtruth.formula`'s evaluation encode values into it, raising
+``DomainError`` for anything but a ``LinguisticValue`` with grade in 0..n,
+and decode only the result.  ``AlgebraConfig.tables`` codes the algebra a
+second time, as integer tables built from chain rows for the exhaustive
+checks in `lingtruth.axioms` and ``inference_table``; the tests compare the
+two codings on every pair, and `lingtruth.oracle`, which re-derives joins,
+meets and the order from the cover graph alone, certifies the tables.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -140,6 +141,9 @@ class OpTables:
     top: int
 
 
+_Kernel = namedtuple("_Kernel", "encode decode negate join meet implies leq")
+
+
 @dataclass(frozen=True)
 class AlgebraConfig:
     """An immutable algebra over linguistic truth values.
@@ -205,9 +209,7 @@ class AlgebraConfig:
 
     def values(self) -> tuple[LinguisticValue, ...]:
         """All carrier elements: false chain bottom-up, then true chain."""
-        false_side = [LinguisticValue.false(g) for g in range(self.n, -1, -1)]
-        true_side = [LinguisticValue.true(g) for g in range(self.n + 1)]
-        return tuple(false_side + true_side)
+        return tuple(map(self._kernel.decode, range(2 * self.n + 2)))
 
     @functools.cached_property
     def tables(self) -> OpTables:
@@ -251,81 +253,78 @@ class AlgebraConfig:
             top=2 * s - 1,
         )
 
-    def validate_value(self, value: LinguisticValue) -> LinguisticValue:
-        self._check(value)
-        return value
+    @functools.cached_property
+    def _kernel(self) -> _Kernel:
+        """The product forms of the module docstring on carrier indices."""
+        n, s, true = self.n, self.n + 1, Polarity.T
+        # v_iF = (0, m) and v_(n-i)T = (1, m); in the plain kind m = -1 matches nothing
+        m = -1 if self.noncomparable is None else n - self.noncomparable
+        sm = s + m
+        negate = (2 * s - 1).__sub__  # (1 - b, n - p) is N - 1 - x
 
-    def _check(self, *values: LinguisticValue) -> None:
-        n = self.n
-        for value in values:
+        def encode(value):
+            if not isinstance(value, LinguisticValue):
+                raise DomainError(f"not a truth value: {value!r}")
             if not 0 <= value.grade <= n:
                 raise DomainError(f"grade of {value} outside 0..{n}")
+            return s + value.grade if value.polarity is true else n - value.grade
+        def decode(x):
+            return LinguisticValue(x - s, true) if x >= s else LinguisticValue(n - x, Polarity.F)
+        def join(x, y):  # (max(b, b'), max(p, p'))
+            if (x < s) is (y < s):
+                return x if x > y else y
+            f, t = (x, y) if x < s else (y, x)  # f false, t true
+            if f == m and t <= sm:  # v_iF v v_kT, k <= n-i, rises above v_(n-i)T
+                return sm + 1
+            return t if t > f + s else f + s
+        def meet(x, y):  # (min(b, b'), min(p, p'))
+            if (x < s) is (y < s):
+                return x if x < y else y
+            f, t = (x, y) if x < s else (y, x)  # f false, t true
+            if t == sm and f >= m:  # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
+                return m - 1
+            return f if f < t - s else t - s
+        def implies(x, y):  # (b <= b')·(n+1) + min(n, n - p + p')
+            p = n + y - x
+            if x < s <= y:
+                p -= s
+            elif y < s <= x:  # b > b': the false side
+                p += s
+                return p if p < n else n
+            return s + (p if p < n else n)
+        def leq(x, y):  # b <= b' and p <= p', less the removed link
+            if x < s <= y:
+                return x + s <= y and (x != m or y != sm)
+            return x <= y
+
+        return _Kernel(encode, decode, negate, join, meet, implies, leq)
+
+    def validate_value(self, value: LinguisticValue) -> LinguisticValue:
+        self._kernel.encode(value)
+        return value
 
     # ------------------------------------------------------------------
     # Operations (each raises DomainError for a value outside the carrier)
 
     def negate(self, a: LinguisticValue) -> LinguisticValue:
-        self._check(a)
-        return a.negated()
+        k = self._kernel
+        return k.decode(k.negate(k.encode(a)))
 
     def join(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
-        self._check(a, b)
-        if a.polarity is b.polarity:
-            grade = max(a.grade, b.grade) if a.is_true else min(a.grade, b.grade)
-            return LinguisticValue(grade, a.polarity)
-        t, f = (a, b) if a.is_true else (b, a)
-        return self._mixed_join(t.grade, f.grade)
+        k = self._kernel
+        return k.decode(k.join(k.encode(a), k.encode(b)))
 
     def meet(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
-        self._check(a, b)
-        if a.polarity is b.polarity:
-            grade = min(a.grade, b.grade) if a.is_true else max(a.grade, b.grade)
-            return LinguisticValue(grade, a.polarity)
-        t, f = (a, b) if a.is_true else (b, a)
-        return self._mixed_meet(t.grade, f.grade)
-
-    def _mixed_join(self, k: int, l: int) -> LinguisticValue:
-        """Least upper bound of v_kT and v_lF."""
-        n, nc = self.n, self.noncomparable
-        if nc is not None and l == nc and k <= n - nc:
-            # v_lF sits just under v_(n-nc+1)T once its own cross link is gone.
-            return LinguisticValue.true(n - nc + 1)
-        if k + l >= n:
-            return LinguisticValue.true(k)
-        return LinguisticValue.true(n - l)
-
-    def _mixed_meet(self, k: int, l: int) -> LinguisticValue:
-        """Greatest lower bound of v_kT and v_lF."""
-        n, nc = self.n, self.noncomparable
-        if nc is not None and k == n - nc and l <= nc:
-            # Dual special case: v_kT reaches the false chain only at v_(nc+1)F.
-            return LinguisticValue.false(nc + 1)
-        if k + l >= n:
-            return LinguisticValue.false(l)
-        return LinguisticValue.false(n - k)
+        k = self._kernel
+        return k.decode(k.meet(k.encode(a), k.encode(b)))
 
     def implies(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue:
-        self._check(a, b)
-        n = self.n
-        i, j = a.grade, b.grade
-        if a.is_true:
-            if b.is_true:
-                return LinguisticValue.true(min(n, n - i + j))
-            return LinguisticValue.false(max(0, i + j - n))
-        if b.is_true:
-            return LinguisticValue.true(min(n, i + j))
-        return LinguisticValue.true(min(n, n - j + i))
+        k = self._kernel
+        return k.decode(k.implies(k.encode(a), k.encode(b)))
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
-        self._check(a, b)
-        if a.polarity is b.polarity:
-            return a.grade <= b.grade if a.is_true else a.grade >= b.grade
-        if a.is_true:
-            return False
-        # a false, b true: a reaches b through its lowest available cross link.
-        if self.noncomparable is not None and a.grade == self.noncomparable:
-            return b.grade >= self.n - a.grade + 1
-        return b.grade >= self.n - a.grade
+        k = self._kernel
+        return k.leq(k.encode(a), k.encode(b))
 
     # ------------------------------------------------------------------
     # Text forms

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lingtruth.errors import ParseError, UnboundAtomError
+from lingtruth.errors import DomainError, ParseError, UnboundAtomError
 from lingtruth.formula import (
     And,
     Atom,
@@ -18,7 +18,7 @@ from lingtruth.formula import (
     parse,
     render,
 )
-from lingtruth.lattice import LinguisticValue, lia, qlia
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, Polarity, lia, qlia
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -235,6 +235,29 @@ def test_atom_names():
     assert atom_names(parse("(P & !Q) -> P | R")) == {"P", "Q", "R"}
 
 
+# MP and MT schema values at n = 10**6, LIA and QLIA with i = 3
+_SHARED_HUGE = {
+    ("v3F", "v500000T"): ("v999997T", "v500003T"),
+    ("v500000F", "v3T"): ("v500003T", "v999997T"),
+    ("v999999T", "v3F"): ("v999999T", "v999998T"),
+    ("v999997F", "v4T"): ("v1000000T", "v1000000T"),
+}
+HUGE_SCHEMA_VALUES = {
+    "LIA": {
+        ("v1F", "v4F"): ("v999999T", "v999997T"),
+        ("v4T", "v1T"): ("v999997T", "v999999T"),
+        ("v999997T", "v4F"): ("v999999T", "v999999T"),
+        **_SHARED_HUGE,
+    },
+    "QLIA": {  # the removed link between v3F and v999997T lifts these
+        ("v1F", "v4F"): ("v1000000T", "v999997T"),
+        ("v4T", "v1T"): ("v999997T", "v1000000T"),
+        ("v999997T", "v4F"): ("v1000000T", "v999999T"),
+        **_SHARED_HUGE,
+    },
+}
+
+
 class TestEvaluation:
     def test_modus_ponens_schema(self):
         val = Valuation(lia(4), {"P": T(3), "Q": T(2)})
@@ -258,6 +281,29 @@ class TestEvaluation:
         val = Valuation(config, {"P": T(250), "Q": F(7)})
         assert evaluate(parse("(!Q & (P -> Q)) -> !P | P"), val) == T(300)
         assert "tables" not in vars(config)
+
+    @pytest.mark.parametrize("config", [lia(10**6), qlia(10**6, 3)], ids=["LIA", "QLIA"])
+    def test_schemas_at_a_million_grades_build_neither_carrier_nor_tables(
+            self, monkeypatch, config):
+        def refuse(*args):
+            raise AssertionError("evaluate built the carrier or the operation tables")
+
+        monkeypatch.setattr(AlgebraConfig, "values", refuse)
+        monkeypatch.setattr(AlgebraConfig, "tables", property(refuse))
+        mp, mt = parse("(P & (P -> Q)) -> Q"), parse("(!Q & (P -> Q)) -> !P")
+        # (e(P), e(Q)): MP and MT values, recorded from the closed-form
+        # evaluator that preceded the index kernel
+        expected = HUGE_SCHEMA_VALUES[config.kind]
+        for (p, q), values in expected.items():
+            val = Valuation(config, {"P": config.parse_value(p), "Q": config.parse_value(q)})
+            assert (str(evaluate(mp, val)), str(evaluate(mt, val))) == values
+
+    def test_every_atom_value_is_checked(self):
+        val = Valuation(lia(4), {"P": lia(4).top()})
+        val.assignment["P"] = LinguisticValue(9, Polarity.T)  # after the Valuation's check
+        for text in ("P", "P & P"):
+            with pytest.raises(DomainError):
+                evaluate(parse(text), val)
 
     def test_self_implication_lifts_to_formulas(self):
         alg = lia(4)

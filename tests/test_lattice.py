@@ -6,6 +6,7 @@ from strategies import algebra_pairs
 
 from lingtruth import inference
 from lingtruth.errors import DomainError, ParseError
+from lingtruth.formula import Valuation, evaluate, parse
 from lingtruth.lattice import (
     DEFAULT_LABELS_N4,
     AlgebraConfig,
@@ -104,6 +105,32 @@ class TestCarrier:
                     fn(*args)
 
 
+    @pytest.mark.parametrize("call", [
+        lambda: inference.mp_closed(lia(2), "v1T", "v2T"),
+        lambda: lia(4).join("v1T", lia(4).top()),
+        lambda: lia(4).validate_value(3),
+        lambda: Valuation(lia(4), {"P": "v1T"}),
+    ], ids=["mp_closed", "join", "validate_value", "Valuation"])
+    def test_non_values_rejected(self, call):
+        # each used to fail with an AttributeError on .grade
+        with pytest.raises(DomainError, match="not a truth value"):
+            call()
+
+    @pytest.mark.parametrize("op", ["negate", "join", "meet", "implies", "leq", "mt_closed"])
+    @pytest.mark.parametrize("bad", ["v1T", 3, None, (2, Polarity.T)],
+                             ids=["str", "int", "None", "tuple"])
+    def test_operations_reject_non_values(self, bad, op):
+        config = qlia(4, 2)
+        if op == "mt_closed":
+            fn = functools.partial(inference.mt_closed, config)
+        else:
+            fn = getattr(config, op)
+        calls = [(bad,)] if op == "negate" else [(bad, T(2)), (F(1), bad)]
+        for args in calls:
+            with pytest.raises(DomainError):
+                fn(*args)
+
+
 class TestValueConstruction:
     @pytest.mark.parametrize("raw, polarity", [(1, Polarity.T), (0, Polarity.F),
                                                 (True, Polarity.T), (False, Polarity.F)])
@@ -158,6 +185,42 @@ class TestOpTables:
         config = qlia(5, 2)
         assert config.tables is config.tables
         assert qlia(5, 2).tables is not config.tables
+
+
+def paper_implies(n, a, b):
+    """a -> b by the four cases of the paper, as the lattice module docstring
+    states them; a test-only reference that shares no code with the kernel
+    or the tables."""
+    i, j = a.grade, b.grade
+    if a.polarity is Polarity.T:
+        if b.polarity is Polarity.T:
+            return LinguisticValue(min(n, n - i + j), Polarity.T)
+        return LinguisticValue(max(0, i + j - n), Polarity.F)
+    if b.polarity is Polarity.T:
+        return LinguisticValue(min(n, i + j), Polarity.T)
+    return LinguisticValue(min(n, n - j + i), Polarity.T)
+
+
+class TestImplicationReference:
+    @pytest.mark.parametrize("n", range(17))
+    def test_every_pair_up_to_n16(self, n):
+        schema = parse("P -> Q")
+        for config in [lia(n)] + [qlia(n, i) for i in range(1, n)]:
+            values, implies = config.values(), config.tables.implies
+            for x, a in enumerate(values):
+                for y, b in enumerate(values):
+                    expected = paper_implies(n, a, b)
+                    assert config.implies(a, b) == expected
+                    assert values[implies[x][y]] == expected
+                    assert evaluate(schema, Valuation(config, {"P": a, "Q": b})) == expected
+
+    @settings(max_examples=300)
+    @given(algebra_pairs())
+    def test_large_chains(self, drawn):
+        config, a, b = drawn
+        expected = paper_implies(config.n, a, b)
+        assert config.implies(a, b) == expected
+        assert evaluate(parse("P -> Q"), Valuation(config, {"P": a, "Q": b})) == expected
 
 
 class TestNegation:
