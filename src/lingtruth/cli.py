@@ -10,8 +10,9 @@ Subcommands:
     discrepancies    print the case-table correction notes as JSON
 
 Exit codes: 0 success, 1 verification failure, 2 usage, config or output
-error (a closed stdout is an output error).  All output goes to stdout,
-diagnostics to stderr.
+error (a closed stdout is an output error) or running out of memory, which
+prints ``error: out of memory``.  All output goes to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -294,16 +295,15 @@ def _row_chunks(table, keys, quote, seps, agree, between="") -> list[str]:
     row."""
     values = [quote(canonical(v)) for v in table.values]
     size = len(values)
-    true_base = size // 2  # v_gT sits at carrier index n + 1 + g
     first = [seps[0] + v + seps[1] for v in values]
     second = [v + seps[2] for v in values]
     direct_text = [v + seps[3] for v in values]
-    closed_text = [v + seps[4] for v in values[true_base:]]
+    closed_text = [v + seps[4] for v in values]
     branch_text = [quote(str(label)) + seps[5] for label in table.labels]
     direct, closed, branch = table.direct, table.closed, table.branch
     return [between.join([f"{first[k // size]}{second[k % size]}{direct_text[direct[k]]}"
                           f"{closed_text[closed[k]]}{branch_text[branch[k]]}"
-                          f"{agree[direct[k] == true_base + closed[k]]}"
+                          f"{agree[direct[k] == closed[k]]}"
                           for k in keys[start:start + _CHUNK_ROWS]])
             for start in range(0, len(keys), _CHUNK_ROWS)]
 
@@ -328,21 +328,21 @@ def _rows_json(table, keys) -> str:
 
 
 def _rows_grid(table) -> str:
-    config, values = table.config, table.values
-    size = len(values)
-    width = max(len(canonical(v)) for v in values) + 2
+    config = table.config
+    names = [canonical(v) for v in table.values]
+    size = len(names)
+    width = max(map(len, names)) + 2
     lines = [f"{table.rule.value} table, {config.kind} n={config.n}"
              f"{'' if config.noncomparable is None else f' i={config.noncomparable}'}"
              " (rows e(P), columns e(Q))"]
-    header = " " * width + "".join(canonical(q).rjust(width) for q in values)
+    header = " " * width + "".join(name.rjust(width) for name in names)
     lines.append(header)
-    true_values = [canonical(v) for v in values[size // 2:]]
     disagreements = set(table.disagreements())
-    cells = [(true_values[g] + ("*" if k in disagreements else "")).rjust(width)
-             for k, g in enumerate(table.closed)]
+    cells = [(names[c] + ("*" if k in disagreements else "")).rjust(width)
+             for k, c in enumerate(table.closed)]
     # the rows are in carrier order: e(P) = values[k] for rows k*size ... (k+1)*size - 1
-    for k, p in enumerate(values):
-        lines.append(canonical(p).rjust(width) + "".join(cells[k * size:(k + 1) * size]))
+    for k, name in enumerate(names):
+        lines.append(name.rjust(width) + "".join(cells[k * size:(k + 1) * size]))
     lines.append(
         "all rows: direct evaluation matches the closed form"
         if not disagreements
@@ -425,6 +425,8 @@ def main(argv=None) -> int:
         return code
     except (DomainError, ParseError, UnboundAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
     except BrokenPipeError:
         # the reader went away; send the unwritten rest to devnull so the
         # flush at interpreter exit is silent

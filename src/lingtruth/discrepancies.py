@@ -11,7 +11,7 @@ confirmed pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .lattice import lia, qlia
 from .oracle import build_covers, cross_check_ops
@@ -27,14 +27,7 @@ class StatementNote:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "table": self.table,
-            "subject": self.subject,
-            "stated": self.stated,
-            "used": self.used,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 STATEMENT_NOTES: tuple[StatementNote, ...] = (

@@ -273,8 +273,13 @@ class Valuation:
             raise UnboundAtomError(name) from None
 
 
+def _operations(kernel) -> dict:
+    """Each connective's operation in a config's kernel, on carrier indices:
+    ``evaluate`` folds it over scalars, `lingtruth.inference` over columns."""
+    return {Not: kernel.negate, And: kernel.meet, Or: kernel.join, Implies: kernel.implies}
+
+
 def evaluate(node: Formula, valuation: Valuation) -> LinguisticValue:
     kernel, value_of = valuation.config._kernel, valuation.value_of
-    return kernel.decode(_fold(node, lambda name: kernel.encode(value_of(name)), {
-        Not: kernel.negate, And: kernel.meet, Or: kernel.join, Implies: kernel.implies,
-    }))
+    return kernel.decode(_fold(node, lambda name: kernel.encode(value_of(name)),
+                               _operations(kernel)))

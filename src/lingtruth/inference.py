@@ -26,32 +26,35 @@ Half-grade comparisons such as n <= i + j/2 are evaluated in exact integer
 arithmetic (2n <= 2i + j).
 
 ``inference_table`` returns an ``InferenceTable``: one row per ordered
-carrier pair, held as three columns.  The direct column holds carrier
-indices from one walk of the schema's formula tree over the config's integer
-operation tables (``AlgebraConfig.tables``), each node a column with one
-entry per row, so it never calls ``mp_direct`` or ``mt_direct``; the test
-suite checks it against them.  The closed grade and branch columns come from
-the same dispatch table as ``mp_closed`` and ``mt_closed``: one entry per
-rule, kind and polarity pair, holding the case function and the branch code
-of each case it reports (an MT entry is the MP entry of (!Q, !P)).  The
-columns are filled row by row in carrier order, one call per cell.  Neither
-column is derived from the other, so a row's ``agree`` compares two
-independent computations; they must agree everywhere, and the test suite
-checks this exhaustively for every verified algebra size.  An
-``InferenceRow`` is built only when a row is indexed or iterated; the CLI
-writers read the columns.  A rule that is not a ``RuleId`` raises
-``DomainError``.
+carrier pair, held as three columns, the two value columns as carrier
+indices.  The direct column comes from one walk of the schema's formula
+tree, each node a column with one entry per row, mapping the config's kernel
+operations over its operands' columns; `lingtruth.formula` states which
+operation each connective runs, once for this walk and for ``evaluate``.  It
+never calls ``mp_direct`` or ``mt_direct`` (the test suite checks it against
+them) and builds no operation table (``AlgebraConfig.tables``).  The closed
+and branch columns come from the same dispatch table as ``mp_closed`` and
+``mt_closed``: one entry per rule, kind and polarity pair, holding the case
+function and the branch code of each case it reports (an MT entry is the MP
+entry of (!Q, !P)).  They are filled row by row in carrier order, one call
+per cell.  Neither value column is derived from the other, so a row's
+``agree`` compares two independent computations; they must agree
+everywhere, and the test suite checks this exhaustively for every verified
+algebra size.  An ``InferenceRow`` is built only when a row is indexed or
+iterated; the CLI writers read the columns.  A rule that is not a
+``RuleId`` raises ``DomainError``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
 from .errors import DomainError
-from .formula import And, Implies, Not, Or, Valuation, _fold, evaluate, parse
+from .formula import Valuation, _fold, _operations, evaluate, parse
 from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
@@ -304,11 +307,12 @@ def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
 
 
 def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], list[int]]:
-    """Closed-form grade and branch code of every row, in carrier order."""
-    n, nc = config.n, config.noncomparable
+    """Carrier index of the closed-form value and branch code of every row,
+    in carrier order."""
+    n, nc, s = config.n, config.noncomparable, config.n + 1
     # carrier order: the false values from grade n down to 0, then the true
     # values from grade 0 up to n, for e(P) and, within each row, for e(Q)
-    halves = ((False, range(n, -1, -1)), (True, range(n + 1)))
+    halves = ((False, range(n, -1, -1)), (True, range(s)))
     closed, branch = [], []
     for p_true, p_grades in halves:
         for i in p_grades:
@@ -318,7 +322,7 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], lis
                     cells = [case_fn(n, nc, i, j) for j in q_grades]
                 else:  # MP on (!Q, !P): negation keeps the grades
                     cells = [case_fn(n, nc, j, i) for j in q_grades]
-                closed += [grade for grade, _ in cells]
+                closed += [s + grade for grade, _ in cells]  # v_gT, at index s + g
                 branch += [codes[case] for _, case in cells]
     return closed, branch
 
@@ -328,12 +332,12 @@ class InferenceTable(Sequence):
     """The MP or MT table of one algebra, held as columns.
 
     Row k pairs e(P) = values[k // len(values)] with e(Q) = values[k %
-    len(values)], in carrier enumeration order.  ``direct[k]`` is the
-    carrier index of the schema's value, ``closed[k]`` the grade of the
-    closed-form value (always a true value) and ``branch[k]`` the index in
-    ``labels`` of the case that fired: an MP case below 33, the MT case
-    renamed from MP case c at c + 33.  Indexing and iteration build each
-    ``InferenceRow`` when it is asked for.
+    len(values)], in carrier enumeration order.  ``direct[k]`` and
+    ``closed[k]`` are the carrier indices of the schema's value and of the
+    closed-form value, and ``branch[k]`` the index in ``labels`` of the case
+    that fired: an MP case below 33, the MT case renamed from MP case c at
+    c + 33.  Indexing and iteration build each ``InferenceRow`` when it is
+    asked for.
     """
 
     config: AlgebraConfig
@@ -345,7 +349,7 @@ class InferenceTable(Sequence):
 
     @property
     def values(self) -> tuple[LinguisticValue, ...]:
-        return self.config.tables.values
+        return self.config.values()
 
     def __len__(self) -> int:
         return len(self.direct)
@@ -354,38 +358,29 @@ class InferenceTable(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]  # a negative k counts from the end; IndexError past it
-        values = self.values
-        p, q = divmod(k, len(values))
-        return InferenceRow(values[p], values[q], self.rule, values[self.direct[k]],
-                            values[self.config.n + 1 + self.closed[k]],
-                            self.labels[self.branch[k]])
+        decode = self.config._kernel.decode
+        p, q = divmod(k, 2 * self.config.n + 2)
+        return InferenceRow(decode(p), decode(q), self.rule, decode(self.direct[k]),
+                            decode(self.closed[k]), self.labels[self.branch[k]])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def disagreements(self) -> list[int]:
         """The rows whose direct and closed-form values differ."""
-        true_base = self.config.n + 1  # v_gT sits at carrier index n + 1 + g
-        return [k for k, (d, g) in enumerate(zip(self.direct, self.closed))
-                if d != true_base + g]
+        return [k for k, (d, c) in enumerate(zip(self.direct, self.closed)) if d != c]
 
 
 def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
     if type(rule) is not RuleId:
         raise DomainError(f"rule must be a RuleId, got {rule!r}")
-    tables = config.tables
-    negate, carrier = tables.negate, range(len(tables.values))
+    carrier = range(2 * config.n + 2)
     atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(carrier)}
-
-    def lookup(op):  # a binary connective, one table lookup per row
-        return lambda left, right: [op[x][y] for x, y in zip(left, right)]
-
-    # the schema folded as in ``evaluate``, over whole columns of indices
-    direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, {
-        Not: lambda column: [negate[x] for x in column],
-        And: lookup(tables.meet), Or: lookup(tables.join), Implies: lookup(tables.implies),
-    })
+    # the schema folded as in ``evaluate``, over whole columns of indices:
+    # each connective maps its kernel operation over its operands' columns
+    ops = {kind: functools.partial(map, op) for kind, op in _operations(config._kernel).items()}
+    direct = list(_fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops))
     return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
 
 

@@ -33,13 +33,14 @@ removed link.
 
 ``AlgebraConfig._kernel`` holds these operations as scalar functions of
 carrier indices, built once per config on first use.  The ``AlgebraConfig``
-methods and `lingtruth.formula`'s evaluation encode values into it, raising
-``DomainError`` for anything but a ``LinguisticValue`` with grade in 0..n,
-and decode only the result.  ``AlgebraConfig.tables`` codes the algebra a
-second time, as integer tables built from chain rows for the exhaustive
-checks in `lingtruth.axioms` and ``inference_table``; the tests compare the
-two codings on every pair, and `lingtruth.oracle`, which re-derives joins,
-meets and the order from the cover graph alone, certifies the tables.
+methods, `lingtruth.formula`'s evaluation and `lingtruth.inference`'s tables
+run on it; values are encoded into it, raising ``DomainError`` for anything
+but a ``LinguisticValue`` with grade in 0..n, and only results are decoded.
+``AlgebraConfig.tables`` codes the algebra a second time, as integer tables
+built from chain rows, and serves ``check`` only: the exhaustive checks in
+`lingtruth.axioms` and the cross-check in `lingtruth.oracle`, which
+re-derives joins, meets and the order from the cover graph alone and so
+certifies the tables.  The tests compare the two codings on every pair.
 """
 
 from __future__ import annotations

@@ -318,7 +318,9 @@ def to_dot(graph: CoverGraph) -> str:
     for value in graph.elements:
         name = canonical(value)
         if config.labels is not None:
-            lines.append(f'  "{name}" [label="{config.label(value)}"];')
+            # a DOT string ends at '"', and a backslash starts \n, \l and the like
+            label = config.label(value).replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  "{name}" [label="{label}"];')
         else:
             lines.append(f'  "{name}";')
     for lower, upper in sorted(graph.covers, key=lambda e: (canonical(e[0]), canonical(e[1]))):

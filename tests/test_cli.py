@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -24,6 +25,10 @@ DEEP_FORMULAS = {
 }
 # each shape's value at P = v1T with --n 4 (the depth is even)
 DEEP_VALUES = {"not": "v1T", "parens": "v1T", "implies": "v4T", "and": "v1T"}
+
+
+# sha256 of ``lingtruth discrepancies`` stdout
+DISCREPANCIES_SHA256 = "2edfbf8d6126ca17786dd3242b15a91b8596b3fd8a63b026ef3fd09846a2716b"
 
 
 def run(capsys, *argv):
@@ -178,13 +183,15 @@ class TestInfer:
         assert code == 0
         assert "0 disagreements" in out
 
-    @pytest.fixture
-    def disagreement(self, monkeypatch):
-        """The lia(1) MP table with a wrong direct value at (v0F, v0F)."""
+    @pytest.fixture(params=["direct", "closed"])
+    def disagreement(self, request, monkeypatch):
+        """The lia(1) MP table with v1F for v1T at (v0F, v0F) in one column."""
         table = inference_table(lia(1), RuleId.MP)
-        table.direct[5] = table.values.index(LinguisticValue.false(1))
+        getattr(table, request.param)[5] = table.values.index(LinguisticValue.false(1))
         monkeypatch.setattr(cli, "inference_table", lambda config, rule: table)
-        return table[5].to_dict()
+        row = table[5].to_dict()
+        assert row[request.param] == "v1F" and row["agree"] is False
+        return row
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_diff_only_prints_disagreement(self, capsys, disagreement, fmt):
@@ -197,15 +204,30 @@ class TestInfer:
         elif fmt == "csv":
             assert list(csv.DictReader(io.StringIO(out))) == [{**row, "agree": "false"}]
         else:
-            assert out == (f"v0F v0F MP direct=v1F closed={row['closed']} "
+            assert out == (f"v0F v0F MP direct={row['direct']} closed={row['closed']} "
                            f"branch={row['branch']}\n1 disagreements\n")
 
     def test_grid_marks_disagreement(self, capsys, disagreement):
         code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "1")
         assert code == 0
         lines = out.splitlines()
-        assert lines[3].split() == ["v0F", "v1T", "v1T*", "v1T", "v1T"]
+        assert lines[3].split() == ["v0F", "v1T", disagreement["closed"] + "*", "v1T", "v1T"]
         assert lines[-1] == "*1 rows disagree with direct evaluation"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("diff_only", [False, True])
+    def test_builds_no_operation_tables(self, capsys, monkeypatch, fmt, diff_only):
+        configs = []
+
+        def recording(config, rule):
+            configs.append(config)
+            return inference_table(config, rule)
+
+        monkeypatch.setattr(cli, "inference_table", recording)
+        code, _, _ = run(capsys, "infer", "--rule", "mt", "--n", "4", "--qlia", "--noncomp", "2",
+                         "--format", fmt, *["--diff-only"] * diff_only)
+        assert code == 0 and len(configs) == 1
+        assert "tables" not in vars(configs[0])
 
     def test_grid_output(self, capsys):
         code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "4")
@@ -291,6 +313,12 @@ class TestDiscrepancies:
         assert "3.2-mt-vl1" in ids
         assert "2.4-item3-scope" in ids
 
+    def test_output_is_pinned(self, capsys):
+        """Every note, field and byte of the output, as first recorded."""
+        code, out, _ = run(capsys, "discrepancies")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DISCREPANCIES_SHA256
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -311,6 +339,15 @@ def test_closed_stdout_is_output_error(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+def test_out_of_memory_is_exit_2(capsys, monkeypatch):
+    """A MemoryError becomes one line on stderr and exit 2, not a traceback;
+    the command raises it without allocating anything."""
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._COMMANDS, "infer", exhausted)
+    assert run(capsys, "infer", "--rule", "mp") == (2, "", "error: out of memory\n")
 
 
 def test_unknown_command_is_usage_error():

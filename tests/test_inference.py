@@ -15,7 +15,7 @@ from lingtruth.inference import (
     mt_direct,
     verify_examples,
 )
-from lingtruth.lattice import LinguisticValue, lia, qlia
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -139,6 +139,18 @@ class TestTables:
         assert rows[5].p == rows[5].q == F(0)
         with pytest.raises(IndexError):
             table[16]
+
+    @pytest.mark.parametrize("noncomparable", [None, 2])
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_kernel_alone_makes_the_table(self, noncomparable, rule):
+        """A table and its rows come from the config's kernel; the operation
+        tables, left to the axiom checker and the oracle, are never built.
+        Both value columns hold carrier indices, so they agree entry by entry."""
+        config = AlgebraConfig(4, noncomparable)
+        table = inference_table(config, rule)
+        assert [table.values.index(row.closed) for row in table] == table.closed == table.direct
+        assert table.disagreements() == [] and table[-1] == table[len(table) - 1]
+        assert "tables" not in vars(config)
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

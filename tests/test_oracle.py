@@ -375,6 +375,13 @@ class TestExports:
         dot = to_dot(build_covers(lia(4, labels=("a", "b", "c", "d", "e"))))
         assert '[label="d True"]' in dot
 
+    def test_dot_escapes_labels(self):
+        """A quote or backslash in a label stays inside its DOT string as
+        itself, not as the string's end or a DOT escape such as \\n."""
+        dot = to_dot(build_covers(lia(1, labels=('say "hi"', "a\\nb"))))
+        assert '"v0T" [label="say \\"hi\\" True"];' in dot
+        assert '"v1F" [label="a\\\\nb False"];' in dot
+
     def test_json_export(self):
         d = to_json_dict(build_covers(lia(0)))
         assert d["nodes"] == ["v0F", "v0T"]
