@@ -154,11 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hasse.add_argument("--format", choices=["dot", "json"], default="dot")
 
-    p_notes = sub.add_parser(
+    sub.add_parser(
         "discrepancies",
         help="print the machine-readable case-table correction notes",
     )
-    p_notes.set_defaults(format="json")
 
     return parser
 
@@ -167,12 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 # Commands
 
 
-_AXIOM_ORDER = [Axiom.I1, Axiom.I2, Axiom.I3, Axiom.I4, Axiom.I5, Axiom.I6, Axiom.I7]
-
-
 def _axiom_headline(kind: str, results) -> str:
-    held = [a.value for a in _AXIOM_ORDER if results[a].holds]
-    failed = [a.value for a in _AXIOM_ORDER if not results[a].holds]
+    held = [a.value for a in Axiom if results[a].holds]
+    failed = [a.value for a in Axiom if not results[a].holds]
     if not failed:
         return f"{kind}: I1..I7 hold"
     if held == [f"I{i}" for i in range(1, len(held) + 1)]:
@@ -192,16 +188,15 @@ def cmd_check(args) -> int:
     graph = build_covers(config)
     lattice_report = verify_lattice(graph)
     oracle_report = cross_check_ops(graph)
-    requested = "QLIA" if args.qlia else "LIA"
-    ok = classification.value == requested and oracle_report.clean
+    ok = classification.value == config.kind and oracle_report.clean
 
     if args.format == "json":
         payload = {
             "n": config.n,
             "noncomparable": config.noncomparable,
-            "requested": requested,
+            "requested": config.kind,
             "classification": classification.value,
-            "axioms": [axioms[a].to_dict() for a in _AXIOM_ORDER],
+            "axioms": [axioms[a].to_dict() for a in Axiom],
             "laws": [law.to_dict() for law in laws],
             "involution": involution.to_dict(),
             "lattice": lattice_report.to_dict(),
@@ -234,7 +229,7 @@ def cmd_check(args) -> int:
                 f"stated-form deviations vs oracle: {len(oracle_report.stated)} "
                 "pairs (see discrepancies)"
             )
-        print(f"classification: {classification.value} (requested {requested})")
+        print(f"classification: {classification.value} (requested {config.kind})")
     return 0 if ok else 1
 
 

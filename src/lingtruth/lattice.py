@@ -28,8 +28,8 @@ value; this is the order of ``AlgebraConfig.values()``.  On the pairs
 (b, p) the plain kind is the product of the two-element chain and the
 chain 0..n: join, meet and <= are coordinate-wise max, min and <=,
 negation is (1 - b, n - p), and x -> y is (b <= b', min(n, n - p + p')).
-The quasi kind changes one <= entry and the joins and meets around the
-removed link.
+The quasi kind drops the cover edge v_iF <= v_(n-i)T, which moves only the
+joins and meets around it: both codings below read x <= y as x v y = y.
 
 ``AlgebraConfig._kernel`` holds these operations as scalar functions of
 carrier indices, built once per config on first use.  The ``AlgebraConfig``
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable
@@ -129,8 +130,8 @@ class OpTables:
     Elements are the indices of ``values`` (the order of
     ``AlgebraConfig.values()``): ``implies[a][b]`` is the index of
     values[a] -> values[b], likewise ``join`` and ``meet``; ``negate[a]``
-    is the index of values[a]'; ``leq[a][b]`` is values[a] <= values[b];
-    ``top`` is the index of the top element.
+    is the index of values[a]' = values[a] -> bottom; ``leq[a][b]`` is
+    values[a] <= values[b] (join[a][b] == b); ``top`` is the index of top.
     """
 
     values: tuple[LinguisticValue, ...]
@@ -142,7 +143,7 @@ class OpTables:
     top: int
 
 
-_Kernel = namedtuple("_Kernel", "encode decode negate join meet implies leq")
+_Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class AlgebraConfig:
         """The operations tabulated over ``values()``, built on first use.
 
         Index x = b·(n+1) + p is the pair (b, p) of the module docstring.
-        Each table row is a chain row over p, once per polarity half.
+        Join, meet and implication rows are chain rows over p, once per half.
         """
         n = self.n
         s = n + 1
@@ -225,7 +226,6 @@ class AlgebraConfig:
         join_c = [[max(p, q) for q in chain] for p in chain]
         meet_c = [[min(p, q) for q in chain] for p in chain]
         implies_c = [[min(n, n - p + q) for q in chain] for p in chain]
-        leq_c = [[p <= q for q in chain] for p in chain]
 
         def lift(row):  # the same grades in the half with polarity bit 1
             return [s + q for q in row]
@@ -234,11 +234,9 @@ class AlgebraConfig:
         join = [r + lift(r) for r in join_c] + [lift(r) * 2 for r in join_c]
         meet = [r * 2 for r in meet_c] + [r + lift(r) for r in meet_c]
         implies = [lift(r) * 2 for r in implies_c] + [r + lift(r) for r in implies_c]
-        leq = [r * 2 for r in leq_c] + [[False] * s + r for r in leq_c]
         if self.noncomparable is not None:
             # v_iF = (0, m) and v_(n-i)T = (1, m) lose their cross link
             m = n - self.noncomparable
-            leq[m][s + m] = False
             for k in range(m + 1):  # v_iF v v_kT, k <= n-i, rises above v_(n-i)T
                 join[m][s + k] = join[s + k][m] = s + m + 1
             for p in range(m, s):  # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
@@ -249,8 +247,8 @@ class AlgebraConfig:
             implies=tuple(map(tuple, implies)),
             join=tuple(map(tuple, join)),
             meet=tuple(map(tuple, meet)),
-            negate=tuple(range(2 * s - 1, -1, -1)),  # (1 - b, n - p)
-            leq=tuple(map(tuple, leq)),
+            negate=tuple(row[0] for row in implies),  # x -> v_nF, the bottom
+            leq=tuple(tuple(map(operator.eq, row, range(2 * s))) for row in join),
             top=2 * s - 1,
         )
 
@@ -293,12 +291,8 @@ class AlgebraConfig:
                 p += s
                 return p if p < n else n
             return s + (p if p < n else n)
-        def leq(x, y):  # b <= b' and p <= p', less the removed link
-            if x < s <= y:
-                return x + s <= y and (x != m or y != sm)
-            return x <= y
 
-        return _Kernel(encode, decode, negate, join, meet, implies, leq)
+        return _Kernel(encode, decode, negate, join, meet, implies)
 
     def validate_value(self, value: LinguisticValue) -> LinguisticValue:
         self._kernel.encode(value)
@@ -325,7 +319,8 @@ class AlgebraConfig:
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
         k = self._kernel
-        return k.leq(k.encode(a), k.encode(b))
+        x, y = k.encode(a), k.encode(b)
+        return k.join(x, y) == y  # the lattice order: a v b = b
 
     # ------------------------------------------------------------------
     # Text forms

@@ -19,9 +19,9 @@ uses the closed forms or the operation tables.
 ``check`` builds the graph and its tables once.  `cross_check_ops` compares
 three things against the oracle on every pair:
 
-* the operation tables the axiom checker and the inference tables read
-  (``AlgebraConfig.tables``, computed from the carrier index); they must
-  always agree;
+* the operation tables the axiom checker reads (``AlgebraConfig.tables``,
+  computed from the carrier index, the order read off their join); they
+  must always agree;
 * the join/meet branch tables exactly as stated in the source case lists,
   before the corrections documented in `lingtruth.discrepancies` (the
   quasi-kind join rule for grade pairs around the missing cross link
@@ -58,6 +58,11 @@ class CoverGraph:
     def _index(self) -> dict[LinguisticValue, int]:
         return {e: k for k, e in enumerate(self.elements)}
 
+    def _position(self, value: LinguisticValue) -> int:
+        if isinstance(value, LinguisticValue) and value in self._index:
+            return self._index[value]
+        raise DomainError(f"{value!r} is not an element of the graph")
+
     @functools.cached_property
     def up(self) -> list[int]:
         """up[a]: the positions at or above position a, as a bitmask."""
@@ -89,16 +94,16 @@ class CoverGraph:
         return _bounds([sum(1 << k for k in positions if up[k] >> j & 1) for j in positions])
 
     def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
-        return bool(self.up[self._index[a]] >> self._index[b] & 1)
+        return bool(self.up[self._position(a)] >> self._position(b) & 1)
 
     def lub(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Least common upper bound, or None if there is none."""
-        k = self.joins[self._index[a]][self._index[b]]
+        k = self.joins[self._position(a)][self._position(b)]
         return None if k is None else self.elements[k]
 
     def glb(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
         """Greatest common lower bound, or None if there is none."""
-        k = self.meets[self._index[a]][self._index[b]]
+        k = self.meets[self._position(a)][self._position(b)]
         return None if k is None else self.elements[k]
 
 

@@ -91,13 +91,23 @@ class TestReporting:
         assert not result.holds
 
     @pytest.mark.parametrize("check", [
-        lambda cap: check_axiom(qlia(4, 2), Axiom.I6, max_witnesses=cap),
-        lambda cap: check_lattice_laws(lia(2), max_witnesses=cap),
-        lambda cap: check_involution(lia(2), max_witnesses=cap),
+        lambda config, cap: check_axiom(config, Axiom.I6, max_witnesses=cap),
+        lambda config, cap: check_lattice_laws(config, max_witnesses=cap),
+        lambda config, cap: check_involution(config, max_witnesses=cap),
     ], ids=["axiom", "laws", "involution"])
     def test_negative_cap_is_rejected(self, check):
-        with pytest.raises(DomainError):
-            check(-1)
+        for cap in (-1, 1.5, 2.0, "3", True, [1]):
+            config = qlia(4, 2)
+            with pytest.raises(DomainError, match="max_witnesses"):
+                check(config, cap)
+            assert "tables" not in vars(config)  # rejected before any work
+
+    @pytest.mark.parametrize("axiom", ["I1", 1, None, Classification.LIA])
+    def test_axiom_must_be_an_axiom(self, axiom):
+        config = lia(2)
+        with pytest.raises(DomainError, match="not an axiom"):
+            check_axiom(config, axiom)
+        assert "tables" not in vars(config)
 
     def test_uncapped(self):
         result = check_axiom(qlia(4, 2), Axiom.I6, max_witnesses=None)

@@ -181,6 +181,14 @@ class TestOpTables:
                 assert values[tables.meet[i][j]] == config.meet(a, b)
                 assert tables.leq[i][j] == config.leq(a, b)
 
+    @pytest.mark.parametrize("config", SMALL_CONFIGS)
+    def test_order_is_the_paper_order(self, config):
+        # both codings read <= off their join; the reference shares no code with either
+        n, i, leq = config.n, config.noncomparable, config.tables.leq
+        for x, a in enumerate(config.values()):
+            for y, b in enumerate(config.values()):
+                assert leq[x][y] == config.leq(a, b) == paper_leq(n, i, a, b)
+
     def test_tables_are_built_once_per_config(self):
         config = qlia(5, 2)
         assert config.tables is config.tables
@@ -199,6 +207,19 @@ def paper_implies(n, a, b):
     if b.polarity is Polarity.T:
         return LinguisticValue(min(n, i + j), Polarity.T)
     return LinguisticValue(min(n, n - j + i), Polarity.T)
+
+
+def paper_leq(n, i, a, b):
+    """a <= b as the product order of the lattice module docstring on pairs
+    (b, p), polarity bit and grade counted up the chain, less the removed
+    link (v_iF, v_(n-i)T) when i is not None; a test-only reference that
+    shares no code with the kernel or the tables."""
+    def pair(v):
+        return (1, v.grade) if v.is_true else (0, n - v.grade)
+
+    (ba, pa), (bb, pb) = pair(a), pair(b)
+    removed = i is not None and ((ba, pa), (bb, pb)) == ((0, n - i), (1, n - i))
+    return ba <= bb and pa <= pb and not removed
 
 
 class TestImplicationReference:
@@ -316,16 +337,8 @@ class TestOrder:
     @settings(max_examples=300)
     @given(algebra_pairs())
     def test_leq_is_the_product_order_less_one_link(self, drawn):
-        # a value is the pair (b, p): polarity bit, and grade counted up the chain
         config, a, b = drawn
-        n, i = config.n, config.noncomparable
-
-        def pair(v):
-            return (1, v.grade) if v.is_true else (0, n - v.grade)
-
-        (ba, pa), (bb, pb) = pair(a), pair(b)
-        removed = i is not None and ((ba, pa), (bb, pb)) == ((0, n - i), (1, n - i))
-        assert config.leq(a, b) == (ba <= bb and pa <= pb and not removed)
+        assert config.leq(a, b) == paper_leq(config.n, config.noncomparable, a, b)
 
 
 class TestTextForms:

@@ -157,6 +157,15 @@ class TestBounds:
                             assert graph.leq(graph.glb(a, c), graph.glb(b, c))
 
 
+@pytest.mark.parametrize("op", ["leq", "lub", "glb"])
+@pytest.mark.parametrize("bad", [T(9), F(5), "v1T", None, [1]], ids=repr)
+def test_value_outside_the_graph_is_rejected(op, bad):
+    graph = build_covers(lia(4))
+    for args in ((bad, T(1)), (T(1), bad)):
+        with pytest.raises(DomainError, match="not an element of the graph"):
+            getattr(graph, op)(*args)
+
+
 def _unique_extreme_bound(graph, a, b, below):
     """The unique minimal common upper bound of a and b (below=False) or
     unique maximal common lower bound (below=True), by exhaustive search
