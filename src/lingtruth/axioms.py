@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 
@@ -119,7 +119,7 @@ def _tables(config, max_witnesses):
     """``config.tables``, once the cap is None or exactly an int >= 0 (as for a grade)."""
     if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 0):
         raise DomainError(f"max_witnesses must be an int >= 0 or None, got {max_witnesses!r}")
-    return config.tables
+    return require(config, AlgebraConfig).tables
 
 
 def _byte_rows(table):

@@ -6,6 +6,13 @@ class DomainError(ValueError):
     non-comparable index out of range, malformed labels."""
 
 
+def require(value, kind):
+    """``value``, once it is a ``kind``; entry points check their arguments first."""
+    if not isinstance(value, kind):
+        raise DomainError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 class ParseError(ValueError):
     """Malformed formula or truth-value text.
 

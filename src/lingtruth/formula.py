@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ParseError, UnboundAtomError
+from .errors import ParseError, UnboundAtomError, require
 from .lattice import AlgebraConfig, LinguisticValue
 
 
@@ -263,6 +263,7 @@ class Valuation:
     assignment: Mapping[str, LinguisticValue]
 
     def __post_init__(self):
+        require(self.config, AlgebraConfig)
         for name, value in self.assignment.items():
             self.config.validate_value(value)
 
@@ -274,8 +275,8 @@ class Valuation:
 
 
 def _operations(kernel) -> dict:
-    """Each connective's operation in a config's kernel, on carrier indices:
-    ``evaluate`` folds it over scalars, `lingtruth.inference` over columns."""
+    """Each connective's operation in a config's kernel or its rows (same field
+    names): ``evaluate`` folds the kernel's, `lingtruth.inference` the rows."""
     return {Not: kernel.negate, And: kernel.meet, Or: kernel.join, Implies: kernel.implies}
 
 

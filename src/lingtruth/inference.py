@@ -28,33 +28,36 @@ arithmetic (2n <= 2i + j).
 ``inference_table`` returns an ``InferenceTable``: one row per ordered
 carrier pair, held as three columns, the two value columns as carrier
 indices.  The direct column comes from one walk of the schema's formula
-tree, each node a column with one entry per row, mapping the config's kernel
-operations over its operands' columns; `lingtruth.formula` states which
-operation each connective runs, once for this walk and for ``evaluate``.  It
-never calls ``mp_direct`` or ``mt_direct`` (the test suite checks it against
-them) and builds no operation table (``AlgebraConfig.tables``).  The closed
-and branch columns come from the same dispatch table as ``mp_closed`` and
-``mt_closed``: one entry per rule, kind and polarity pair, holding the case
-function and the branch code of each case it reports (an MT entry is the MP
-entry of (!Q, !P)).  They are filled row by row in carrier order, one call
-per cell.  Neither value column is derived from the other, so a row's
-``agree`` compares two independent computations; they must agree
-everywhere, and the test suite checks this exhaustively for every verified
-algebra size.  An ``InferenceRow`` is built only when a row is indexed or
-iterated; the CLI writers read the columns.  A rule that is not a
-``RuleId`` raises ``DomainError``.
+tree over the config's operation rows (``AlgebraConfig._rows``), each node a
+vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
+operand a connective maps one row or column of its operation over a block
+or a strided column, O(N) steps in Python per table.  `lingtruth.formula`
+states which operation each connective runs, for this walk and for
+``evaluate``.  It never calls ``mp_direct``, ``mt_direct`` or the kernel
+(the tests check it against them) and builds no ``AlgebraConfig.tables``.
+The closed and branch columns come from the same dispatch table as
+``mp_closed`` and ``mt_closed``: one entry per rule, kind and polarity pair,
+holding the case function and the branch code of each case it reports (an
+MT entry is the MP entry of (!Q, !P)).  They are filled row by row in
+carrier order, one call per cell.  Neither value column is derived from the
+other, so a row's ``agree`` compares two independent computations; they
+must agree everywhere, and the test suite checks this exhaustively for
+every verified algebra size.  An ``InferenceRow`` is built only when a row
+is indexed or iterated; the CLI writers read the columns.  A rule that is
+not a ``RuleId``, or a config that is not an ``AlgebraConfig``, raises
+``DomainError``.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import ClassVar
 
-from .errors import DomainError
-from .formula import Valuation, _fold, _operations, evaluate, parse
+from .errors import DomainError, require
+from .formula import Not, Valuation, _fold, _operations, evaluate, parse
 from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
@@ -290,7 +293,7 @@ _CLOSED = _dispatch()
 
 def _closed(config, rule, p, q) -> tuple[LinguisticValue, BranchLabel]:
     """The closed-form value of ``rule`` at (p, q) and the branch that fired."""
-    config.validate_value(p)
+    require(config, AlgebraConfig).validate_value(p)
     config.validate_value(q)
     case_fn, codes = _CLOSED[rule, config.kind, p.is_true, q.is_true]
     i, j = (p.grade, q.grade) if rule is RuleId.MP else (q.grade, p.grade)
@@ -371,16 +374,40 @@ class InferenceTable(Sequence):
         return [k for k, (d, c) in enumerate(zip(self.direct, self.closed)) if d != c]
 
 
+def _shaped(size: int, kind, op):
+    """``kind``'s operation (``op``: a negation vector or rows) on operands
+    (axis, entries): a vector over e(P) or e(Q) (axis "P", "Q") or the matrix
+    of all rows, entry p·size + q (axis None)."""
+    if kind is Not:
+        return lambda x: (x[0], list(map(op.__getitem__, x[1])))
+    # the matrix cells of entry k of a vector: a block over P, a stride over Q
+    cells = {"P": lambda k: slice(k * size, (k + 1) * size), "Q": lambda k: slice(k, None, size)}
+
+    def apply(x, y):
+        # entry v of the vector operand maps its cells by row v of op (vector on
+        # the left) or column v (on the right); no schema combines two matrices
+        (axis, vector), (other_axis, other), maps = (
+            (x, y, op) if x[0] is not None else (y, x, list(zip(*op))))
+        if other_axis == axis:  # both over one atom: a vector again
+            return axis, [maps[v][w] for v, w in zip(vector, other)]
+        out = [0] * (size * size)
+        for k, v in enumerate(vector):
+            at = cells[axis](k)  # size >= 2 cells, so the itemgetter returns a tuple
+            out[at] = itemgetter(*(other if other_axis else other[at]))(maps[v])
+        return None, out
+    return apply
+
+
 def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     """One row per ordered (e(P), e(Q)) pair, in carrier enumeration order."""
     if type(rule) is not RuleId:
         raise DomainError(f"rule must be a RuleId, got {rule!r}")
-    carrier = range(2 * config.n + 2)
-    atoms = {"P": [p for p in carrier for _ in carrier], "Q": [*carrier] * len(carrier)}
-    # the schema folded as in ``evaluate``, over whole columns of indices:
-    # each connective maps its kernel operation over its operands' columns
-    ops = {kind: functools.partial(map, op) for kind, op in _operations(config._kernel).items()}
-    direct = list(_fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops))
+    size = 2 * require(config, AlgebraConfig).n + 2
+    # the schema folded as in ``evaluate``, over shaped operands: O(size)
+    # maps of whole rows or columns of the operations, not one call per cell
+    ops = {kind: _shaped(size, kind, op) for kind, op in _operations(config._rows()).items()}
+    atoms = {name: (name, range(size)) for name in "PQ"}
+    _, direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops)
     return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
 
 

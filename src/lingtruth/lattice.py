@@ -33,14 +33,15 @@ joins and meets around it: both codings below read x <= y as x v y = y.
 
 ``AlgebraConfig._kernel`` holds these operations as scalar functions of
 carrier indices, built once per config on first use.  The ``AlgebraConfig``
-methods, `lingtruth.formula`'s evaluation and `lingtruth.inference`'s tables
-run on it; values are encoded into it, raising ``DomainError`` for anything
-but a ``LinguisticValue`` with grade in 0..n, and only results are decoded.
-``AlgebraConfig.tables`` codes the algebra a second time, as integer tables
-built from chain rows, and serves ``check`` only: the exhaustive checks in
-`lingtruth.axioms` and the cross-check in `lingtruth.oracle`, which
-re-derives joins, meets and the order from the cover graph alone and so
-certifies the tables.  The tests compare the two codings on every pair.
+methods and `lingtruth.formula`'s evaluation run on it; values are encoded
+into it, raising ``DomainError`` for anything but a ``LinguisticValue`` with
+grade in 0..n, and only results are decoded.  ``AlgebraConfig._rows`` codes
+the algebra a second time, as whole rows sliced from per-config chain
+ramps.  `lingtruth.inference` folds the MP/MT schemas over these shared
+sliced rows, and ``AlgebraConfig.tables`` holds them as tuples for the
+checks in `lingtruth.axioms` and `lingtruth.oracle`, which re-derives joins,
+meets and the order from the cover graph alone and so certifies the rows.
+The tests compare the two codings.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ _CANONICAL_RE = re.compile(r"v(0|[1-9]\d*)([TF])\Z")
 
 @dataclass(frozen=True)
 class OpTables:
-    """The operations of one algebra as integer tables.
+    """The operations of one algebra as integer tables, ``AlgebraConfig._rows`` as tuples.
 
     Elements are the indices of ``values`` (the order of
     ``AlgebraConfig.values()``): ``implies[a][b]`` is the index of
@@ -144,6 +145,8 @@ class OpTables:
 
 
 _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
+# the kernel's field names, so that ``formula._operations`` reads either
+_Rows = namedtuple("_Rows", "negate join meet implies")
 
 
 @dataclass(frozen=True)
@@ -215,25 +218,36 @@ class AlgebraConfig:
 
     @functools.cached_property
     def tables(self) -> OpTables:
-        """The operations tabulated over ``values()``, built on first use.
+        """The operations tabulated over ``values()``, built on first use:
+        the rows of ``_rows`` as tuples, with the order read off the join."""
+        rows, size = self._rows(), 2 * self.n + 2
+        return OpTables(
+            values=self.values(),
+            implies=tuple(map(tuple, rows.implies)),
+            join=tuple(map(tuple, rows.join)),
+            meet=tuple(map(tuple, rows.meet)),
+            negate=tuple(rows.negate),
+            leq=tuple(tuple(map(operator.eq, row, range(size))) for row in rows.join),
+            top=size - 1,
+        )
 
-        Index x = b·(n+1) + p is the pair (b, p) of the module docstring.
-        Join, meet and implication rows are chain rows over p, once per half.
-        """
-        n = self.n
-        s = n + 1
-        chain = range(s)
-        join_c = [[max(p, q) for q in chain] for p in chain]
-        meet_c = [[min(p, q) for q in chain] for p in chain]
-        implies_c = [[min(n, n - p + q) for q in chain] for p in chain]
-
-        def lift(row):  # the same grades in the half with polarity bit 1
-            return [s + q for q in row]
-
-        # rows b = 0, then b = 1; the halves of a row are b' = 0 and b' = 1
-        join = [r + lift(r) for r in join_c] + [lift(r) * 2 for r in join_c]
-        meet = [r * 2 for r in meet_c] + [r + lift(r) for r in meet_c]
-        implies = [lift(r) * 2 for r in implies_c] + [r + lift(r) for r in implies_c]
+    def _rows(self) -> _Rows:
+        """The operations as lists of rows, built afresh, with ``negate`` read
+        off column 0 of ``implies``.  Row x = (b, p) has halves b' = 0, 1 over
+        p': max(p, p') is a plateau and a range, min(p, p') a range and a
+        plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit 1."""
+        n, s = self.n, self.n + 1
+        up = [*range(2 * s)]
+        ramp = [min(n, t) for t in range(2 * n + 1)]  # min(n, t); row p reads t = n-p..2n-p
+        lifted = [s + t for t in ramp]
+        join, meet, implies = [None] * 2 * s, [None] * 2 * s, [None] * 2 * s
+        for p in range(s):  # rows x = p (b = 0) and x = s + p (b = 1)
+            low, high = [p] * (p + 1) + up[p + 1:s], [s + p] * (p + 1) + up[s + p + 1:]
+            join[p], join[s + p] = low + high, high + high
+            low, high = up[:p] + [p] * (s - p), up[s:s + p] + [s + p] * (s - p)
+            meet[p], meet[s + p] = low + low, low + high
+            low, high = ramp[n - p:2 * n - p + 1], lifted[n - p:2 * n - p + 1]
+            implies[p], implies[s + p] = high + high, low + high
         if self.noncomparable is not None:
             # v_iF = (0, m) and v_(n-i)T = (1, m) lose their cross link
             m = n - self.noncomparable
@@ -241,16 +255,7 @@ class AlgebraConfig:
                 join[m][s + k] = join[s + k][m] = s + m + 1
             for p in range(m, s):  # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
                 meet[s + m][p] = meet[p][s + m] = m - 1
-
-        return OpTables(
-            values=self.values(),
-            implies=tuple(map(tuple, implies)),
-            join=tuple(map(tuple, join)),
-            meet=tuple(map(tuple, meet)),
-            negate=tuple(row[0] for row in implies),  # x -> v_nF, the bottom
-            leq=tuple(tuple(map(operator.eq, row, range(2 * s))) for row in join),
-            top=2 * s - 1,
-        )
+        return _Rows([row[0] for row in implies], join, meet, implies)
 
     @functools.cached_property
     def _kernel(self) -> _Kernel:

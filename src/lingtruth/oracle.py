@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, require
 from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 
@@ -117,7 +117,7 @@ def _bounds(sets: list[int]) -> list[list[int | None]]:
 def build_covers(config: AlgebraConfig) -> CoverGraph:
     """Cover edges: the two hedge chains plus one cross link per false grade
     (minus the configured non-comparable one)."""
-    n = config.n
+    n = require(config, AlgebraConfig).n
     covers = set()
     for g in range(n, 0, -1):
         covers.add((LinguisticValue.false(g), LinguisticValue.false(g - 1)))
@@ -154,7 +154,7 @@ class LatticeReport:
 
 def verify_lattice(graph: CoverGraph) -> LatticeReport:
     """Every pair of the graph's carrier lacking a unique LUB or GLB."""
-    report = LatticeReport(graph.config)
+    report = LatticeReport(require(graph, CoverGraph).config)
     values = graph.elements
     for a, joins, meets in zip(values, graph.joins, graph.meets):
         if None not in joins and None not in meets:
@@ -269,7 +269,7 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     """Exhaustively compare the join/meet/leq tables of the graph's config
     with the oracle.  The graph must list the carrier in the order of
     ``config.values()``, so that its positions are the table indices."""
-    config = graph.config
+    config = require(graph, CoverGraph).config
     tables = config.tables
     values = tables.values
     if graph.elements != values:

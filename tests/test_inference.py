@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -143,14 +144,35 @@ class TestTables:
     @pytest.mark.parametrize("noncomparable", [None, 2])
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
     def test_kernel_alone_makes_the_table(self, noncomparable, rule):
-        """A table and its rows come from the config's kernel; the operation
-        tables, left to the axiom checker and the oracle, are never built.
-        Both value columns hold carrier indices, so they agree entry by entry."""
+        """A table comes from the config's operation rows, built afresh, and
+        its rows are decoded by the kernel; the operation tables, left to
+        the axiom checker and the oracle, are never built.  Both value
+        columns hold carrier indices, so they agree entry by entry."""
         config = AlgebraConfig(4, noncomparable)
         table = inference_table(config, rule)
         assert [table.values.index(row.closed) for row in table] == table.closed == table.direct
         assert table.disagreements() == [] and table[-1] == table[len(table) - 1]
         assert "tables" not in vars(config)
+
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_schema_folds_over_rows_not_cells(self, rule):
+        """The direct column maps whole rows and columns of the operations,
+        so the scalar kernel's operations run at most once per carrier
+        element; a fold over cells calls them 3N^2 times for MP, 5N^2 for MT."""
+        config = lia(40)
+        kernel, calls = config._kernel, collections.Counter()
+
+        def counted(name):
+            def op(*args):
+                calls[name] += 1
+                return getattr(kernel, name)(*args)
+            return op
+
+        names = ("negate", "join", "meet", "implies")
+        vars(config)["_kernel"] = kernel._replace(**{name: counted(name) for name in names})
+        table = inference_table(config, rule)
+        assert table.disagreements() == []
+        assert sum(calls.values()) <= 2 * config.n + 2, calls
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

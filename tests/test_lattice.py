@@ -1,10 +1,11 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
-from lingtruth import inference
+from lingtruth import axioms, inference, oracle
 from lingtruth.errors import DomainError, ParseError
 from lingtruth.formula import Valuation, evaluate, parse
 from lingtruth.lattice import (
@@ -60,6 +61,28 @@ class TestConfigValidation:
     def test_labels_must_be_strings(self, labels):
         with pytest.raises(DomainError, match="hedge label"):
             AlgebraConfig(1, labels=labels)
+
+    @pytest.mark.parametrize("call", [
+        lambda: axioms.check_axiom("lia(2)", axioms.Axiom.I1),
+        lambda: axioms.check_lattice_laws(3),
+        lambda: axioms.check_involution(None),
+        lambda: oracle.build_covers(4),
+        lambda: oracle.verify_lattice(None),
+        lambda: oracle.cross_check_ops("x"),
+        lambda: oracle.verify_lattice(lia(2)),
+        lambda: inference.inference_table("lia(2)", inference.RuleId.MP),
+        lambda: inference.mp_closed("lia(2)", T(1), T(2)),
+        lambda: inference.mt_closed(None, T(1), T(2)),
+        lambda: inference.mp_direct(2, T(1), T(2)),
+        lambda: inference.mt_direct("x", T(1), T(2)),
+        lambda: Valuation("x", {}),
+    ], ids=["check_axiom", "check_lattice_laws", "check_involution", "build_covers",
+            "verify_lattice", "cross_check_ops", "verify_lattice-config", "inference_table",
+            "mp_closed", "mt_closed", "mp_direct", "mt_direct", "Valuation"])
+    def test_non_configs_rejected(self, call):
+        # each used to fail with an AttributeError, or (Valuation) only later
+        with pytest.raises(DomainError, match="expected (AlgebraConfig|CoverGraph), got"):
+            call()
 
     def test_default_labels_only_for_five_hedges(self):
         assert default_labels(4) == DEFAULT_LABELS_N4
@@ -188,6 +211,27 @@ class TestOpTables:
         for x, a in enumerate(config.values()):
             for y, b in enumerate(config.values()):
                 assert leq[x][y] == config.leq(a, b) == paper_leq(n, i, a, b)
+
+    @pytest.mark.parametrize("config", [
+        lia(127), qlia(127, 60), lia(128), qlia(128, 60), lia(200), qlia(200, 100),
+    ], ids=lambda c: f"{c.kind}-{c.n}")
+    def test_tables_match_the_kernel_above_the_exhaustive_range(self, config):
+        """Seeded whole rows and columns, with those through both ends of
+        the removed link (v_iF, v_(n-i)T; v_0F and v_nT for LIA), against
+        the scalar kernel; the tests above stop at n = 16."""
+        kernel, tables = config._kernel, config.tables
+        size, i = 2 * config.n + 2, config.noncomparable or 0
+        ends = [kernel.encode(F(i)), kernel.encode(T(config.n - i))]
+        pairs = {(x, y) for x in random.Random(config.n).sample(range(size), 24) + ends
+                 for y in range(size)}
+        pairs |= {(y, x) for x, y in pairs}
+        assert len(tables.values) == size and tables.top == size - 1
+        assert list(tables.negate) == [kernel.negate(x) for x in range(size)]
+        for x, y in pairs:
+            assert tables.join[x][y] == kernel.join(x, y)
+            assert tables.meet[x][y] == kernel.meet(x, y)
+            assert tables.implies[x][y] == kernel.implies(x, y)
+            assert tables.leq[x][y] == (kernel.join(x, y) == y)
 
     def test_tables_are_built_once_per_config(self):
         config = qlia(5, 2)
