@@ -10,9 +10,9 @@ Subcommands:
     discrepancies    print the case-table correction notes as JSON
 
 Exit codes: 0 success, 1 verification failure, 2 usage, config or output
-error (a closed stdout is an output error) or running out of memory, which
-prints ``error: out of memory``.  All output goes to stdout, diagnostics to
-stderr.
+error (a closed stdout is an output error), running out of memory
+(``error: out of memory``) or an n too large for a list (``error: too
+large: ...``).  All output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -422,6 +422,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+    except OverflowError as exc:  # a size past what a Python list can index
+        print(f"error: too large: {exc}", file=sys.stderr)
     except BrokenPipeError:
         # the reader went away; send the unwritten rest to devnull so the
         # flush at interpreter exit is silent

@@ -18,12 +18,10 @@ MT(P, Q) = MP(!Q, !P).  It evaluates MP on (!Q, !P) and renames the MP
 branch that fired to the MT case covering the same region, so its labels
 still name the MT case lists, keyed on the polarity pair of (e(P), e(Q)).
 Like the direct forms, both closed forms reject a value outside the carrier
-with ``DomainError``.
-The tables follow the case derivations rather than the published case
-lists, which contain a few symbol and scope errors;
-`lingtruth.discrepancies` documents each one.
-Half-grade comparisons such as n <= i + j/2 are evaluated in exact integer
-arithmetic (2n <= 2i + j).
+with ``DomainError``.  The tables follow the case derivations rather than
+the published case lists, which contain a few symbol and scope errors;
+`lingtruth.discrepancies` documents each one.  Half-grade comparisons such
+as n <= i + j/2 are evaluated in exact integer arithmetic (2n <= 2i + j).
 
 ``inference_table`` returns an ``InferenceTable``: one row per ordered
 carrier pair, held as three columns, the two value columns as carrier
@@ -35,11 +33,10 @@ or a strided column, O(N) steps in Python per table.  `lingtruth.formula`
 states which operation each connective runs, for this walk and for
 ``evaluate``.  It never calls ``mp_direct``, ``mt_direct`` or the kernel
 (the tests check it against them) and builds no ``AlgebraConfig.tables``.
-The closed and branch columns come from the same dispatch table as
-``mp_closed`` and ``mt_closed``: one entry per rule, kind and polarity pair,
-holding the case function and the branch code of each case it reports (an
-MT entry is the MP entry of (!Q, !P)).  They are filled row by row in
-carrier order, one call per cell.  Neither value column is derived from the
+The closed and branch columns read the case tables that ``mp_closed`` and
+``mt_closed`` read, held as data: within a row half each case covers a few
+runs of the column, each filled as one slice or repeat, so a table takes
+O(N · cases) steps in Python.  Neither value column is derived from the
 other, so a row's ``agree`` compares two independent computations; they
 must agree everywhere, and the test suite checks this exhaustively for
 every verified algebra size.  An ``InferenceRow`` is built only when a row
@@ -51,9 +48,11 @@ not a ``RuleId``, or a config that is not an ``AlgebraConfig``, raises
 from __future__ import annotations
 
 import enum
+import functools
+import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import ClassVar
 
 from .errors import DomainError, require
@@ -118,103 +117,53 @@ def mt_direct(config: AlgebraConfig, p: LinguisticValue, q: LinguisticValue) -> 
 
 
 # ----------------------------------------------------------------------
-# MP closed forms, plain kind (3.1 - 3.4; grades i = e(P), j = e(Q)).
-# Every case function takes (n, nc, grade of P, grade of Q); the plain
-# tables ignore the non-comparable index nc.
-
-
-def _mp_31(n, nc, i, j):
-    if i <= j:
-        return n, "i<=j"
-    if 2 * i <= n + j:
-        return n - i + j, "i>=j,2i<=n+j"
-    return i, "i>=j,2i>=n+j"
-
-
-def _mp_32(n, nc, i, j):
-    if i >= j:
-        return n, "i>=j"
-    if j <= 2 * i:
-        return n - j + i, "i<=j<=2i"
-    return n - i, "j>=2i"
-
-
-def _mp_33(n, nc, i, j):
-    if i + j <= n:
-        return n, "i+j<=n"
-    if 2 * n <= 2 * i + j:
-        return i, "i+j>=n,n<=i+j/2"
-    return 2 * n - i - j, "i+j>=n,n>=i+j/2"
-
-
-def _mp_34(n, nc, i, j):
-    if i + j >= n:
-        return n, "i+j>=n"
-    if n <= 2 * i + j:
-        return i + j, "i+j<=n,n<=2i+j"
-    return n - i, "i+j<=n,n>=2i+j"
-
-
-# ----------------------------------------------------------------------
-# MP closed forms, quasi kind (4.2 - 4.4; grades k = e(P), l = e(Q),
-# non-comparable index i).  Table 4.1 is table 3.1: two true values never
-# meet the missing cross link.
-
-
-def _mp_42(n, nc, k, l):
-    if k >= l:
-        return n, "k>=l"
-    if l - k != nc:
-        if l <= 2 * k:
-            return n - l + k, "k<l<=2k,l-k!=i"
-        return n - k, "l>=2k,l-k!=i"
-    if 2 * k > l + 1:
-        return n - l + k, "k<l,2k>l+1,l-k=i"
-    return min(n, n - k + 1), "k<l,2k<=l+1,l-k=i"
-
-
-def _mp_43(n, nc, k, l):
-    if k + l <= n:
-        if k != n - nc:
-            return n, "k+l<=n,k!=n-i"
-        return n, "k+l<=n,k=n-i"
-    if k != n - nc:
-        if 2 * n <= 2 * k + l:
-            return k, "k+l>n,k!=n-i,n<=k+l/2"
-        return 2 * n - k - l, "k+l>n,k!=n-i,n>=k+l/2"
-    if l <= 2 * nc:
-        if k + l == n + 1:
-            return n, "k+l=n+1,k=n-i"
-        return 2 * n - k - l + 1, "k+l>n+1,k=n-i,2(n-k)>=l-1"
-    return k, "k+l>n,k=n-i,2(n-k)<=l-1"
-
-
-def _mp_44(n, nc, k, l):
-    if k + l >= n:
-        return n, "k+l>=n"
-    if k + l != n - nc:
-        if n <= 2 * k + l:
-            return k + l, "k+l<n,k+l!=n-i,n<=2k+l"
-        return n - k, "k+l<n,k+l!=n-i,n>=2k+l"
-    # the implication value is v_(n-i)T, the top of the missing link
-    if 2 * k + l > n:
-        return k + l, "k+l=n-i,n<2k+l"
-    if k <= 1:
-        return n, "k+l=n-i,n>=2k+l,k<=1"
-    return n - k + 1, "k+l=n-i,n>=2k+l,k>=2"
-
-
-# (algebra kind, e(P) is true, e(Q) is true) -> (table, case function)
-_MP_TABLES = {
-    (LIA, True, True): ("3.1", _mp_31),
-    (LIA, False, False): ("3.2", _mp_32),
-    (LIA, True, False): ("3.3", _mp_33),
-    (LIA, False, True): ("3.4", _mp_34),
-    (QLIA, True, True): ("4.1", _mp_31),
-    (QLIA, False, False): ("4.2", _mp_42),
-    (QLIA, True, False): ("4.3", _mp_43),
-    (QLIA, False, True): ("4.4", _mp_44),
-}
+# MP closed forms: the eight case tables as data, one line per case: table |
+# guard | value | case text.  Grades i = e(P), j = e(Q) in the plain kind
+# (3.x); k = e(P), l = e(Q) and non-comparable index i in the quasi kind
+# (4.x; 4.1 is 3.1 renamed: two true values never meet the missing link).
+# The first case whose guard holds fires.  A guard lists integer-linear
+# terms, the conditions of the case derivations; they part from the case
+# texts on some boundaries (4.3 reports its last case at l = 2i + 1).  A
+# value is an integer-linear grade; 4.2's last case text, min(n, n - k + 1),
+# takes two lines.  In 4.4's last three cases P -> Q is v_(n-i)T.  Compiled,
+# a linear form is the coefficients of (first grade, second grade, n, index,
+# 1) and a guard term a form and its relation to 0 (``_case_tables``).
+_TABLES = """
+3.1 | i<=j               | n        | i<=j
+3.1 | 2i<=n+j            | n-i+j    | i>=j,2i<=n+j
+3.1 |                    | i        | i>=j,2i>=n+j
+3.2 | i>=j               | n        | i>=j
+3.2 | j<=2i              | n-j+i    | i<=j<=2i
+3.2 |                    | n-i      | j>=2i
+3.3 | i+j<=n             | n        | i+j<=n
+3.3 | 2n<=2i+j           | i        | i+j>=n,n<=i+j/2
+3.3 |                    | 2n-i-j   | i+j>=n,n>=i+j/2
+3.4 | i+j>=n             | n        | i+j>=n
+3.4 | n<=2i+j            | i+j      | i+j<=n,n<=2i+j
+3.4 |                    | n-i      | i+j<=n,n>=2i+j
+4.1 | k<=l               | n        | k<=l
+4.1 | 2k<=n+l            | n-k+l    | k>=l,2k<=n+l
+4.1 |                    | k        | k>=l,2k>=n+l
+4.2 | k>=l               | n        | k>=l
+4.2 | l-k!=i, l<=2k      | n-l+k    | k<l<=2k,l-k!=i
+4.2 | l-k!=i             | n-k      | l>=2k,l-k!=i
+4.2 | 2k>=l+2            | n-l+k    | k<l,2k>l+1,l-k=i
+4.2 | k<=0               | n        | k<l,2k<=l+1,l-k=i
+4.2 |                    | n-k+1    | k<l,2k<=l+1,l-k=i
+4.3 | k+l<=n, k!=n-i     | n        | k+l<=n,k!=n-i
+4.3 | k+l<=n             | n        | k+l<=n,k=n-i
+4.3 | k!=n-i, 2n<=2k+l   | k        | k+l>n,k!=n-i,n<=k+l/2
+4.3 | k!=n-i             | 2n-k-l   | k+l>n,k!=n-i,n>=k+l/2
+4.3 | l<=2i, k+l==n+1    | n        | k+l=n+1,k=n-i
+4.3 | l<=2i              | 2n-k-l+1 | k+l>n+1,k=n-i,2(n-k)>=l-1
+4.3 |                    | k        | k+l>n,k=n-i,2(n-k)<=l-1
+4.4 | k+l>=n             | n        | k+l>=n
+4.4 | k+l!=n-i, n<=2k+l  | k+l      | k+l<n,k+l!=n-i,n<=2k+l
+4.4 | k+l!=n-i           | n-k      | k+l<n,k+l!=n-i,n>=2k+l
+4.4 | 2k+l>=n+1          | k+l      | k+l=n-i,n<2k+l
+4.4 | k<=1               | n        | k+l=n-i,n>=2k+l,k<=1
+4.4 |                    | n-k+1    | k+l=n-i,n>=2k+l,k>=2
+"""
 
 # ----------------------------------------------------------------------
 # MT closed forms.  By I3, P -> Q = !Q -> !P in both kinds, so
@@ -269,36 +218,55 @@ _BRANCHES = (*(BranchLabel(*key) for key in _MT_BRANCHES), *_MT_BRANCHES.values(
 _MT = len(_MT_BRANCHES)  # MT code = code of the MP case on (!Q, !P) + _MT
 
 
-def _dispatch():
-    """(rule, kind, e(P) is true, e(Q) is true) -> (case function, code of
-    each case text it returns).  An MT entry is the MP entry of (!Q, !P),
-    its codes offset by ``_MT``; MT callers pass the grade of Q first, since
-    negation keeps the grade."""
-    codes = {}  # table -> {case text: MP code}
-    for code, (table, case) in enumerate(_MT_BRANCHES):
-        codes.setdefault(table, {})[case] = code
-    # table 4.1 runs table 3.1's case function, which reports 3.1's case
-    # texts (grades named i, j); both tables list their cases in one order
-    codes["4.1"] = dict(zip(codes["3.1"], codes["4.1"].values()))
-    entries = {}
-    for (kind, p_true, q_true), (table, case_fn) in _MP_TABLES.items():
-        entries[RuleId.MP, kind, p_true, q_true] = case_fn, codes[table]
-        entries[RuleId.MT, kind, not q_true, not p_true] = case_fn, {
-            case: code + _MT for case, code in codes[table].items()}
+_RELATIONS = {"<=": operator.le, ">=": operator.le, "==": operator.eq, "!=": operator.ne}
+
+
+def _form(text, less, names):
+    """The coefficients of an integer-linear form like "2n-k-l+1", less
+    ``less``, over ``names`` (first grade, second grade, n, index) and 1."""
+    form = [0] * 5
+    for side, part in ((1, text), (-1, less)):
+        for sign, digits, name in re.findall(r"([+-]?)(\d*)([a-z]?)", part):
+            if digits or name:
+                form[names.index(name) if name else 4] += side * int(sign + (digits or "1"))
+    return form
+
+
+@functools.cache
+def _case_tables():
+    """(rule, kind, e(P) is true, e(Q) is true) -> [(guard terms, value form, code)],
+    parsed on first use.  MT is MP on (!Q, !P), grade of Q first, with MT codes."""
+    codes, entries = {key: code for code, key in enumerate(_MT_BRANCHES)}, {}
+    for line in _TABLES.strip().splitlines():
+        table, guard, value, case = (field.strip() for field in line.split("|"))
+        kind, names = (LIA, "ijn") if table[0] == "3" else (QLIA, "klni")
+        p_true, q_true = table[2] in "13", table[2] in "14"  # x.1 true, true ... x.4 false, true
+        terms = [(_form(*((rhs, lhs) if rel == ">=" else (lhs, rhs)), names), _RELATIONS[rel])
+                 for lhs, rel, rhs in re.findall(r"([^,<>=!]+)([<>=!]=)([^,]+)", guard)]
+        for key, code in (((RuleId.MP, kind, p_true, q_true), codes[table, case]),
+                          ((RuleId.MT, kind, not q_true, not p_true), codes[table, case] + _MT)):
+            entries.setdefault(key, []).append((terms, _form(value, "", names), code))
     return entries
 
 
-_CLOSED = _dispatch()
+def _case(cases, u, w, n, nc) -> tuple[int, int]:
+    """The grade and branch code of the first of ``cases`` whose guard holds."""
+    for terms, (a, b, c, d, e), code in cases:
+        for (ta, tb, tc, td, te), relation in terms:
+            if not relation(ta * u + tb * w + tc * n + td * nc + te, 0):
+                break
+        else:
+            return a * u + b * w + c * n + d * nc + e, code
 
 
 def _closed(config, rule, p, q) -> tuple[LinguisticValue, BranchLabel]:
     """The closed-form value of ``rule`` at (p, q) and the branch that fired."""
     require(config, AlgebraConfig).validate_value(p)
     config.validate_value(q)
-    case_fn, codes = _CLOSED[rule, config.kind, p.is_true, q.is_true]
-    i, j = (p.grade, q.grade) if rule is RuleId.MP else (q.grade, p.grade)
-    grade, case = case_fn(config.n, config.noncomparable, i, j)
-    return LinguisticValue.true(grade), _BRANCHES[codes[case]]
+    cases = _case_tables()[rule, config.kind, p.is_true, q.is_true]
+    u, w = (p.grade, q.grade) if rule is RuleId.MP else (q.grade, p.grade)
+    grade, code = _case(cases, u, w, config.n, config.noncomparable or 0)
+    return LinguisticValue.true(grade), _BRANCHES[code]
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
@@ -309,24 +277,54 @@ def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
     return _closed(config, RuleId.MT, p, q)
 
 
+def _mask(a, b, relation):
+    """The t >= 0 with a·t + b ``relation`` 0 as a bit set, negative if unbounded."""
+    if a == 0:
+        return -1 if relation(b, 0) else 0
+    if relation is operator.le:  # t <= -b/a, or t >= -b/a for a < 0
+        return (1 << max(-b // a + 1, 0)) - 1 if a > 0 else -1 << max(-(b // a), 0)
+    point = 1 << -b // a if b % a == 0 and -b // a >= 0 else 0
+    return point if relation is operator.eq else ~point
+
+
 def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], list[int]]:
     """Carrier index of the closed-form value and branch code of every row,
-    in carrier order."""
-    n, nc, s = config.n, config.noncomparable, config.n + 1
-    # carrier order: the false values from grade n down to 0, then the true
-    # values from grade 0 up to n, for e(P) and, within each row, for e(Q)
-    halves = ((False, range(n, -1, -1)), (True, range(s)))
-    closed, branch = [], []
-    for p_true, p_grades in halves:
-        for i in p_grades:
-            for q_true, q_grades in halves:
-                case_fn, codes = _CLOSED[rule, config.kind, p_true, q_true]
-                if rule is RuleId.MP:
-                    cells = [case_fn(n, nc, i, j) for j in q_grades]
-                else:  # MP on (!Q, !P): negation keeps the grades
-                    cells = [case_fn(n, nc, j, i) for j in q_grades]
-                closed += [s + grade for grade, _ in cells]  # v_gT, at index s + g
-                branch += [codes[case] for _, case in cells]
+    in carrier order.  A row half fixes the row grade, so a guard holds on an
+    interval of the column position c with at most one hole or point, kept
+    as a bit set.  A case fires on its guard's bits less those of the cases
+    before it; each run of them is one slice of a ramp of carrier indices
+    (or one repeated index) and one repeated code."""
+    n, s, nc = config.n, config.n + 1, config.noncomparable or 0
+    t, g = (1, 0) if rule is RuleId.MP else (0, 1)  # argument positions: column, row grade
+
+    def bind(form, rising, lift=0):  # (coefficient of c, of the row grade, the rest)
+        a, rest = form[t], form[2] * n + form[3] * nc + form[4] + lift
+        return (a, form[g], rest) if rising else (-a, form[g], rest + a * n)
+
+    ramp, closed, branch = list(range(2 * s)), [], []
+    # carrier order: false grades n down to 0, then true grades 0 up to n, for
+    # e(P) and, within a row, for e(Q), whose grade at column c is c or n - c
+    for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
+        halves = [[([(*bind(form, q_true), relation) for form, relation in terms],
+                    bind(value, q_true, s), code)
+                   for terms, value, code in _case_tables()[rule, config.kind, p_true, q_true]]
+                  for q_true in (False, True)]
+        for row in p_grades:
+            for cases in halves:
+                free, runs = (2 << n) - 1, []
+                for terms, (a, ga, b), code in cases:
+                    bits = free
+                    for ta, tg, tb, relation in terms:
+                        bits &= _mask(ta, tg * row + tb, relation)
+                    free ^= bits
+                    while bits:  # the lowest run lo..hi: index a·c + b at each c in it
+                        lo = (bits & -bits).bit_length() - 1
+                        high = (bits + (1 << lo)) & ~bits  # bit hi + 1
+                        bits &= -high
+                        runs.append((lo, high.bit_length() - 2, a, ga * row + b, code))
+                for lo, hi, a, b, code in sorted(runs):
+                    closed += ramp[a * lo + b:a * hi + a + b:a] if a else [b] * (hi - lo + 1)
+                    branch += [code] * (hi - lo + 1)
     return closed, branch
 
 
@@ -335,12 +333,11 @@ class InferenceTable(Sequence):
     """The MP or MT table of one algebra, held as columns.
 
     Row k pairs e(P) = values[k // len(values)] with e(Q) = values[k %
-    len(values)], in carrier enumeration order.  ``direct[k]`` and
-    ``closed[k]`` are the carrier indices of the schema's value and of the
-    closed-form value, and ``branch[k]`` the index in ``labels`` of the case
-    that fired: an MP case below 33, the MT case renamed from MP case c at
-    c + 33.  Indexing and iteration build each ``InferenceRow`` when it is
-    asked for.
+    len(values)], in carrier order.  ``direct[k]`` is the carrier index of
+    the schema's value; ``closed[k]``, of the closed-form value, and
+    ``branch[k]``, the index in ``labels`` of the case that fired (MP case c
+    at c, its MT renaming at c + 33), are filled by runs from the case
+    tables.  Indexing and iteration build each ``InferenceRow`` on demand.
     """
 
     config: AlgebraConfig
@@ -393,7 +390,7 @@ def _shaped(size: int, kind, op):
         out = [0] * (size * size)
         for k, v in enumerate(vector):
             at = cells[axis](k)  # size >= 2 cells, so the itemgetter returns a tuple
-            out[at] = itemgetter(*(other if other_axis else other[at]))(maps[v])
+            out[at] = operator.itemgetter(*(other if other_axis else other[at]))(maps[v])
         return None, out
     return apply
 

@@ -350,6 +350,17 @@ def test_out_of_memory_is_exit_2(capsys, monkeypatch):
     assert run(capsys, "infer", "--rule", "mp") == (2, "", "error: out of memory\n")
 
 
+@pytest.mark.parametrize("argv", [["infer", "--rule", "mp", "--n", "99999999999999999999"],
+                                  ["check", "--n", "9223372036854775807"]], ids=["infer", "check"])
+def test_size_past_a_list_is_exit_2(capsys, argv):
+    """An n whose carrier is too long for any list is one error line and
+    exit 2, not a traceback and exit 1 (which means a disagreement or a
+    violation); the length is refused before anything is allocated."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: too large: ") and err.count("\n") == 1
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -1,14 +1,20 @@
 import collections
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
+from lingtruth import inference
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
+    _MT_BRANCHES,
     BranchLabel,
+    InferenceTable,
     RuleId,
+    _case,
+    _case_tables,
     inference_table,
     mp_closed,
     mp_direct,
@@ -16,7 +22,7 @@ from lingtruth.inference import (
     mt_direct,
     verify_examples,
 )
-from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
+from lingtruth.lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, lia, qlia
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -204,6 +210,249 @@ class TestClosedColumns:
         for k in rng.sample(range(len(table)), 256):
             row = table[k]
             assert (row.closed, row.branch) == closed(config, row.p, row.q), row.to_dict()
+
+
+# ----------------------------------------------------------------------
+# Test-only reference: the MP case tables written as nested conditionals,
+# one function per table (4.1 runs 3.1).  Each takes (n, nc, grade of P,
+# grade of Q) and returns (grade, case text); none shares code with the
+# case tables' data in ``lingtruth.inference``, their reader or their fill.
+
+
+def _mp_31(n, nc, i, j):
+    if i <= j:
+        return n, "i<=j"
+    if 2 * i <= n + j:
+        return n - i + j, "i>=j,2i<=n+j"
+    return i, "i>=j,2i>=n+j"
+
+
+def _mp_32(n, nc, i, j):
+    if i >= j:
+        return n, "i>=j"
+    if j <= 2 * i:
+        return n - j + i, "i<=j<=2i"
+    return n - i, "j>=2i"
+
+
+def _mp_33(n, nc, i, j):
+    if i + j <= n:
+        return n, "i+j<=n"
+    if 2 * n <= 2 * i + j:
+        return i, "i+j>=n,n<=i+j/2"
+    return 2 * n - i - j, "i+j>=n,n>=i+j/2"
+
+
+def _mp_34(n, nc, i, j):
+    if i + j >= n:
+        return n, "i+j>=n"
+    if n <= 2 * i + j:
+        return i + j, "i+j<=n,n<=2i+j"
+    return n - i, "i+j<=n,n>=2i+j"
+
+
+def _mp_42(n, nc, k, l):
+    if k >= l:
+        return n, "k>=l"
+    if l - k != nc:
+        if l <= 2 * k:
+            return n - l + k, "k<l<=2k,l-k!=i"
+        return n - k, "l>=2k,l-k!=i"
+    if 2 * k > l + 1:
+        return n - l + k, "k<l,2k>l+1,l-k=i"
+    return min(n, n - k + 1), "k<l,2k<=l+1,l-k=i"
+
+
+def _mp_43(n, nc, k, l):
+    if k + l <= n:
+        if k != n - nc:
+            return n, "k+l<=n,k!=n-i"
+        return n, "k+l<=n,k=n-i"
+    if k != n - nc:
+        if 2 * n <= 2 * k + l:
+            return k, "k+l>n,k!=n-i,n<=k+l/2"
+        return 2 * n - k - l, "k+l>n,k!=n-i,n>=k+l/2"
+    if l <= 2 * nc:
+        if k + l == n + 1:
+            return n, "k+l=n+1,k=n-i"
+        return 2 * n - k - l + 1, "k+l>n+1,k=n-i,2(n-k)>=l-1"
+    return k, "k+l>n,k=n-i,2(n-k)<=l-1"
+
+
+def _mp_44(n, nc, k, l):
+    if k + l >= n:
+        return n, "k+l>=n"
+    if k + l != n - nc:
+        if n <= 2 * k + l:
+            return k + l, "k+l<n,k+l!=n-i,n<=2k+l"
+        return n - k, "k+l<n,k+l!=n-i,n>=2k+l"
+    # the implication value is v_(n-i)T, the top of the missing link
+    if 2 * k + l > n:
+        return k + l, "k+l=n-i,n<2k+l"
+    if k <= 1:
+        return n, "k+l=n-i,n>=2k+l,k<=1"
+    return n - k + 1, "k+l=n-i,n>=2k+l,k>=2"
+
+
+# (algebra kind, e(P) is true, e(Q) is true) -> (table, case function)
+REFERENCE_TABLES = {
+    (LIA, True, True): ("3.1", _mp_31),
+    (LIA, False, False): ("3.2", _mp_32),
+    (LIA, True, False): ("3.3", _mp_33),
+    (LIA, False, True): ("3.4", _mp_34),
+    (QLIA, True, True): ("4.1", _mp_31),
+    (QLIA, False, False): ("4.2", _mp_42),
+    (QLIA, True, False): ("4.3", _mp_43),
+    (QLIA, False, True): ("4.4", _mp_44),
+}
+# 4.1 runs 3.1's case function, which names the cases with 3.1's grades
+RENAMED_41 = {"i<=j": "k<=l", "i>=j,2i<=n+j": "k>=l,2k<=n+l", "i>=j,2i>=n+j": "k>=l,2k>=n+l"}
+# a label as (table, case text), for each branch code
+LABEL_NAMES = [(label.table, label.case) for label in InferenceTable.labels]
+
+
+@functools.cache
+def reference_label(rule, table, case):
+    """(table, case text) of the reference's case; an MT label is the MP
+    case on (!Q, !P) renamed by ``_MT_BRANCHES``."""
+    key = (table, RENAMED_41[case] if table == "4.1" else case)
+    if rule is RuleId.MP:
+        return key
+    return _MT_BRANCHES[key].table, _MT_BRANCHES[key].case
+
+
+def reference_cells(config, rule, p_true, i, q_true, q_grades):
+    """The reference's (grade, label) of ``rule`` with e(P) of grade i and
+    e(Q) of each grade in ``q_grades``, the polarities as given."""
+    n, nc = config.n, config.noncomparable
+    if rule is RuleId.MP:
+        table, case_fn = REFERENCE_TABLES[config.kind, p_true, q_true]
+        cells = [case_fn(n, nc, i, j) for j in q_grades]
+    else:  # MP on (!Q, !P): negation keeps the grades
+        table, case_fn = REFERENCE_TABLES[config.kind, not q_true, not p_true]
+        cells = [case_fn(n, nc, j, i) for j in q_grades]
+    return [(grade, reference_label(rule, table, case)) for grade, case in cells]
+
+
+def carrier_halves(n):
+    """(is true, grades) of each half of the carrier, in carrier order."""
+    return (False, range(n, -1, -1)), (True, range(n + 1))
+
+
+def reference_table(config, rule):
+    """The reference's (grade, label) of every row, in carrier order."""
+    halves = carrier_halves(config.n)
+    return [cell for p_true, p_grades in halves for i in p_grades for q_true, q_grades in halves
+            for cell in reference_cells(config, rule, p_true, i, q_true, q_grades)]
+
+
+def filled(table):
+    """The (grade, label) of every row of an ``InferenceTable``, off its columns."""
+    s = table.config.n + 1
+    return [(c - s, LABEL_NAMES[b]) for c, b in zip(table.closed, table.branch)]
+
+
+CONFIGS_UP_TO_32 = [c for n in range(33) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+
+
+class TestCaseTableReference:
+    """The case tables, read cell by cell by the scalar reader and filled by
+    intervals into the table columns, equal the reference."""
+
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_every_cell_up_to_n32(self, rule):
+        """The fill, and the scalar reader's core ``_case`` (``mp_closed`` and
+        ``mt_closed`` add only checks and wrapping), at every cell of every
+        config with n <= 32."""
+        for config in CONFIGS_UP_TO_32:
+            n, nc = config.n, config.noncomparable or 0
+            expected = reference_table(config, rule)
+            assert filled(inference_table(config, rule)) == expected, str(config)
+            halves, read = carrier_halves(n), []
+            for p_true, p_grades in halves:
+                for i in p_grades:
+                    for q_true, q_grades in halves:
+                        cases = _case_tables()[rule, config.kind, p_true, q_true]
+                        if rule is RuleId.MP:
+                            read += [_case(cases, i, j, n, nc) for j in q_grades]
+                        else:  # MP on (!Q, !P), the grade of Q first
+                            read += [_case(cases, j, i, n, nc) for j in q_grades]
+            assert [(grade, LABEL_NAMES[code]) for grade, code in read] == expected, str(config)
+
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_public_readers_at_every_cell_up_to_n12(self, rule):
+        closed = SCALAR_CLOSED[rule]
+        for config in CONFIGS_UP_TO_32:
+            if config.n <= 12:
+                values = config.values()
+                read = [closed(config, p, q) for p in values for q in values]
+                assert all(value.is_true for value, _ in read)
+                assert [(value.grade, (label.table, label.case)) for value, label in read] \
+                    == reference_table(config, rule), str(config)
+
+    @pytest.mark.parametrize(
+        "config", [lia(96), qlia(96, 40), lia(300), qlia(300, 1), qlia(300, 299)],
+        ids=["lia96", "qlia96-40", "lia300", "qlia300-1", "qlia300-299"])
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_seeded_rows(self, config, rule):
+        table = inference_table(config, rule)
+        rng = random.Random(f"{config.n}:{config.noncomparable}:{rule.value}")
+        for k in rng.sample(range(len(table)), 256):
+            row = table[k]
+            [(grade, label)] = reference_cells(
+                config, rule, row.p.is_true, row.p.grade, row.q.is_true, [row.q.grade])
+            value, branch = SCALAR_CLOSED[rule](config, row.p, row.q)
+            assert row.closed == value == T(grade), row.to_dict()
+            assert (row.branch.table, row.branch.case) == (branch.table, branch.case) == label
+
+    @pytest.mark.parametrize("config", [lia(40), qlia(40, 13)], ids=["lia40", "qlia40-13"])
+    @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
+    def test_fill_makes_no_call_per_cell(self, config, rule, monkeypatch):
+        """The columns are filled by intervals: a table builds, and equals
+        the reference, with the scalar reader made to raise."""
+        def refuse(*args):
+            raise AssertionError("the closed columns read a cell through the scalar reader")
+
+        monkeypatch.setattr(inference, "_case", refuse)
+        monkeypatch.setattr(inference, "_closed", refuse)
+        assert filled(inference_table(config, rule)) == reference_table(config, rule)
+
+
+class TestBoundaryTraps:
+    """Cells where the case texts overlap and the code's conditions pick one
+    case.  The expected labels are the code's, named through
+    ``_MT_BRANCHES`` and not read off the case tables' data; each cell is
+    checked in the scalar reader and in the table, against the direct value."""
+
+    @staticmethod
+    def check(config, rule, p, q, value, label):
+        assert SCALAR_CLOSED[rule](config, p, q) == (value, label)
+        values = config.values()
+        row = inference_table(config, rule)[values.index(p) * len(values) + values.index(q)]
+        assert (row.p, row.q, row.direct, row.closed, row.branch) == (p, q, value, value, label)
+
+    @pytest.mark.parametrize("n, i", [(3, 1), (9, 4), (40, 13), (41, 20)])
+    def test_43_last_case_at_l_2i_plus_1(self, n, i):
+        """At k = n - i, l = 2i + 1 the texts "2(n-k)>=l-1" and "2(n-k)<=l-1"
+        both hold; the code tests l <= 2i and reports the second.  MT meets
+        the cell as MP on (!Q, !P)."""
+        config, k, l = qlia(n, i), n - i, 2 * i + 1
+        key = ("4.3", "k+l>n,k=n-i,2(n-k)<=l-1")
+        self.check(config, RuleId.MP, T(k), F(l), T(k), BranchLabel(*key))
+        self.check(config, RuleId.MT, T(l), F(k), T(k), _MT_BRANCHES[key])
+        assert str(_MT_BRANCHES[key]) == "4.3:k+l>n,l=n-i,2(n-l)<=k-1"
+
+    @pytest.mark.parametrize("n, i", [(3, 1), (9, 4), (40, 13), (41, 39)])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_42_min_on_the_l_minus_k_i_rows(self, n, i, k):
+        """On l - k = i, 4.2's last case is min(n, n - k + 1): n at k = 0,
+        n - k + 1 from k = 1 on, under one case text."""
+        config, l = qlia(n, i), k + i
+        key = ("4.2", "k<l,2k<=l+1,l-k=i")
+        value = T(min(n, n - k + 1))
+        self.check(config, RuleId.MP, F(k), F(l), value, BranchLabel(*key))
+        self.check(config, RuleId.MT, T(l), T(k), value, _MT_BRANCHES[key])
+        assert str(_MT_BRANCHES[key]) == "4.1:k>l,2l<=k+1,k-l=i"
 
 
 class TestBoundaryCoincidence:
