@@ -3,14 +3,16 @@
 All checks enumerate the whole carrier (pairs or triples as the axiom
 demands) in the deterministic order of ``AlgebraConfig.values()``, so two
 runs over the same algebra produce identical reports, including the order
-of counterexamples.  They read the config's integer operation tables
-(``AlgebraConfig.tables``), built once per config from the carrier index
-and certified pair by pair by `lingtruth.oracle`, so every operation is a
-list lookup on carrier indices; row lookups are hoisted out of the inner
-loop, and only the violations kept as witnesses are turned back into
-``LinguisticValue``s.  Witness lists in reports are capped (10 by default)
-but the total violation count is always exact; pass ``max_witnesses=None``
-to keep every witness.  A bad cap or axiom raises ``DomainError`` first.
+of counterexamples.  They read the config's operation rows
+(``AlgebraConfig.tables``, the rows `lingtruth.inference` folds), built
+once per config from the carrier index and certified pair by pair by
+`lingtruth.oracle`, so every operation is a list lookup on carrier indices;
+the carrier size N comes from the rows, top is index N - 1 and x <= y is
+x v y = y.  Row lookups are hoisted out of the inner loop, and only the
+violations kept as witnesses are decoded into ``LinguisticValue``s.
+Witness lists in reports are capped (10 by default) but the total
+violation count is always exact; pass ``max_witnesses=None`` to keep every
+witness.  A bad cap or axiom raises ``DomainError`` first.
 
 The cubic families (I1, I6, I7 and associativity) screen whole rows
 before they walk cells.  While the carrier has at most 256 elements, every
@@ -103,13 +105,14 @@ class CheckResult:
         }
 
 
-def _collect(name, values, violations, max_witnesses):
+def _collect(name, config, violations, max_witnesses):
     """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
     with y and z None where the check does not use them.  The count is
-    exact; only the kept violations become witnesses."""
+    exact; only the kept violations are decoded into witnesses."""
     kept = violations if max_witnesses is None else violations[:max_witnesses]
+    decode = config._kernel.decode
     witnesses = [
-        Witness(*(None if k is None else values[k] for k in violation))
+        Witness(*(None if k is None else decode(k) for k in violation))
         for violation in kept
     ]
     return CheckResult(name, len(violations), witnesses)
@@ -140,11 +143,8 @@ def check_axiom(
 ) -> CheckResult:
     if not isinstance(axiom, Axiom):
         raise DomainError(f"not an axiom: {axiom!r}")
-    tables = _tables(config, max_witnesses)
-    imp, join, meet, neg, top = (
-        tables.implies, tables.join, tables.meet, tables.negate, tables.top
-    )
-    carrier = range(len(tables.values))
+    neg, join, meet, imp = _tables(config, max_witnesses)
+    carrier, top = range(len(neg)), len(neg) - 1  # top is the last carrier index
     bad = []
 
     if axiom is Axiom.I1:
@@ -208,7 +208,7 @@ def check_axiom(
             found.sort()  # by (y, z), the order of a walk over y, then z
             bad += found
 
-    return _collect(axiom.value, tables.values, bad, max_witnesses)
+    return _collect(axiom.value, config, bad, max_witnesses)
 
 
 def check_all_axioms(
@@ -221,14 +221,13 @@ def check_lattice_laws(
     config: AlgebraConfig, max_witnesses: int | None = 10
 ) -> list[CheckResult]:
     """Idempotence, commutativity, associativity and absorption for v and ^."""
-    tables = _tables(config, max_witnesses)
-    values, join, meet = tables.values, tables.join, tables.meet
-    carrier = range(len(values))
+    _, join, meet, _ = _tables(config, max_witnesses)
+    carrier = range(len(join))
     results = []
 
     for name, op in (("join", join), ("meet", meet)):
         bad = [(x, None, None, op[x][x], x) for x in carrier if op[x][x] != x]
-        results.append(_collect(f"{name}-idempotent", values, bad, max_witnesses))
+        results.append(_collect(f"{name}-idempotent", config, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
         bad = [
@@ -237,7 +236,7 @@ def check_lattice_laws(
             for y in carrier
             if op[x][y] != op[y][x]
         ]
-        results.append(_collect(f"{name}-commutative", values, bad, max_witnesses))
+        results.append(_collect(f"{name}-commutative", config, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
         rows, maps = _byte_rows(op) or (None, None)
@@ -254,7 +253,7 @@ def check_lattice_laws(
                     rhs = op_x[op_y[z]]
                     if lhs != rhs:
                         bad.append((x, y, z, lhs, rhs))
-        results.append(_collect(f"{name}-associative", values, bad, max_witnesses))
+        results.append(_collect(f"{name}-associative", config, bad, max_witnesses))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
         bad = [
@@ -263,24 +262,23 @@ def check_lattice_laws(
             for y in carrier
             if outer[x][inner[x][y]] != x
         ]
-        results.append(_collect(f"{name}-absorption", values, bad, max_witnesses))
+        results.append(_collect(f"{name}-absorption", config, bad, max_witnesses))
 
     return results
 
 
 def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> CheckResult:
     """Negation is an involution and reverses the order."""
-    tables = _tables(config, max_witnesses)
-    neg, leq = tables.negate, tables.leq
-    carrier = range(len(tables.values))
+    neg, join, _, _ = _tables(config, max_witnesses)
+    carrier = range(len(neg))
     bad = [(x, None, None, neg[neg[x]], x) for x in carrier if neg[neg[x]] != x]
-    bad += [
+    bad += [  # x <= y is x v y = y
         (x, y, None, neg[y], neg[x])
         for x in carrier
         for y in carrier
-        if leq[x][y] and not leq[neg[y]][neg[x]]
+        if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]
     ]
-    return _collect("involution", tables.values, bad, max_witnesses)
+    return _collect("involution", config, bad, max_witnesses)
 
 
 def classify(results: dict[Axiom, CheckResult]) -> Classification:

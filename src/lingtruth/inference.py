@@ -26,13 +26,13 @@ as n <= i + j/2 are evaluated in exact integer arithmetic (2n <= 2i + j).
 ``inference_table`` returns an ``InferenceTable``: one row per ordered
 carrier pair, held as three columns, the two value columns as carrier
 indices.  The direct column comes from one walk of the schema's formula
-tree over the config's operation rows (``AlgebraConfig._rows``), each node a
+tree over the config's operation rows (``AlgebraConfig.tables``), each node a
 vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
 operand a connective maps one row or column of its operation over a block
 or a strided column, O(N) steps in Python per table.  `lingtruth.formula`
 states which operation each connective runs, for this walk and for
 ``evaluate``.  It never calls ``mp_direct``, ``mt_direct`` or the kernel
-(the tests check it against them) and builds no ``AlgebraConfig.tables``.
+(the tests check it against them); the axiom checks reuse the same rows.
 The closed and branch columns read the case tables that ``mp_closed`` and
 ``mt_closed`` read, held as data: within a row half each case covers a few
 runs of the column, each filled as one slice or repeat, so a table takes
@@ -402,7 +402,7 @@ def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     size = 2 * require(config, AlgebraConfig).n + 2
     # the schema folded as in ``evaluate``, over shaped operands: O(size)
     # maps of whole rows or columns of the operations, not one call per cell
-    ops = {kind: _shaped(size, kind, op) for kind, op in _operations(config._rows()).items()}
+    ops = {kind: _shaped(size, kind, op) for kind, op in _operations(config.tables).items()}
     atoms = {name: (name, range(size)) for name in "PQ"}
     _, direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops)
     return InferenceTable(config, rule, direct, *_closed_columns(config, rule))

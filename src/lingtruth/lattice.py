@@ -35,20 +35,19 @@ joins and meets around it: both codings below read x <= y as x v y = y.
 carrier indices, built once per config on first use.  The ``AlgebraConfig``
 methods and `lingtruth.formula`'s evaluation run on it; values are encoded
 into it, raising ``DomainError`` for anything but a ``LinguisticValue`` with
-grade in 0..n, and only results are decoded.  ``AlgebraConfig._rows`` codes
-the algebra a second time, as whole rows sliced from per-config chain
-ramps.  `lingtruth.inference` folds the MP/MT schemas over these shared
-sliced rows, and ``AlgebraConfig.tables`` holds them as tuples for the
-checks in `lingtruth.axioms` and `lingtruth.oracle`, which re-derives joins,
-meets and the order from the cover graph alone and so certifies the rows.
-The tests compare the two codings.
+grade in 0..n, and only results are decoded.  ``AlgebraConfig.tables`` codes
+the algebra a second time, as lists of whole rows sliced from per-config
+chain ramps and built once per config on first use.  `lingtruth.inference`
+folds the MP/MT schemas over these rows, and the checks in
+`lingtruth.axioms` and `lingtruth.oracle` read the same rows; the oracle
+re-derives joins, meets and the order from the cover graph alone and so
+certifies them.  The tests compare the two codings.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable
@@ -124,26 +123,6 @@ def canonical(value: LinguisticValue) -> str:
 _CANONICAL_RE = re.compile(r"v(0|[1-9]\d*)([TF])\Z")
 
 
-@dataclass(frozen=True)
-class OpTables:
-    """The operations of one algebra as integer tables, ``AlgebraConfig._rows`` as tuples.
-
-    Elements are the indices of ``values`` (the order of
-    ``AlgebraConfig.values()``): ``implies[a][b]`` is the index of
-    values[a] -> values[b], likewise ``join`` and ``meet``; ``negate[a]``
-    is the index of values[a]' = values[a] -> bottom; ``leq[a][b]`` is
-    values[a] <= values[b] (join[a][b] == b); ``top`` is the index of top.
-    """
-
-    values: tuple[LinguisticValue, ...]
-    implies: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    negate: tuple[int, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    top: int
-
-
 _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
 # the kernel's field names, so that ``formula._operations`` reads either
 _Rows = namedtuple("_Rows", "negate join meet implies")
@@ -217,23 +196,11 @@ class AlgebraConfig:
         return tuple(map(self._kernel.decode, range(2 * self.n + 2)))
 
     @functools.cached_property
-    def tables(self) -> OpTables:
-        """The operations tabulated over ``values()``, built on first use:
-        the rows of ``_rows`` as tuples, with the order read off the join."""
-        rows, size = self._rows(), 2 * self.n + 2
-        return OpTables(
-            values=self.values(),
-            implies=tuple(map(tuple, rows.implies)),
-            join=tuple(map(tuple, rows.join)),
-            meet=tuple(map(tuple, rows.meet)),
-            negate=tuple(rows.negate),
-            leq=tuple(tuple(map(operator.eq, row, range(size))) for row in rows.join),
-            top=size - 1,
-        )
-
-    def _rows(self) -> _Rows:
-        """The operations as lists of rows, built afresh, with ``negate`` read
-        off column 0 of ``implies``.  Row x = (b, p) has halves b' = 0, 1 over
+    def tables(self) -> _Rows:
+        """The operations as lists of rows over carrier indices, built on first
+        use and shared, so never mutated: ``join[x][y]`` is the index of
+        x v y, likewise ``meet`` and ``implies``, and ``negate`` is read off
+        column 0 of ``implies``.  Row x = (b, p) has halves b' = 0, 1 over
         p': max(p, p') is a plateau and a range, min(p, p') a range and a
         plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit 1."""
         n, s = self.n, self.n + 1
@@ -332,15 +299,15 @@ class AlgebraConfig:
 
     def label(self, value: LinguisticValue) -> str:
         """Labeled form such as ``quite True``; falls back to canonical."""
+        self.validate_value(value)
         if self.labels is None:
             return canonical(value)
         return f"{self.labels[value.grade]} {value.polarity.word}"
 
     def describe(self, value: LinguisticValue) -> str:
         """Canonical form, with the labeled form in parentheses if labeled."""
-        if self.labels is None:
-            return canonical(value)
-        return f"{canonical(value)} ({self.label(value)})"
+        label = self.label(value)
+        return label if self.labels is None else f"{canonical(value)} ({label})"
 
     def parse_value(self, text: str) -> LinguisticValue:
         """Parse either text form.  Labels are matched case-insensitively."""

@@ -19,9 +19,9 @@ uses the closed forms or the operation tables.
 ``check`` builds the graph and its tables once.  `cross_check_ops` compares
 three things against the oracle on every pair:
 
-* the operation tables the axiom checker reads (``AlgebraConfig.tables``,
-  computed from the carrier index, the order read off their join); they
-  must always agree;
+* the operation rows the axiom checker and the inference tables read
+  (``AlgebraConfig.tables``, computed from the carrier index), with the
+  order read off their join as a v b = b; they must always agree;
 * the join/meet branch tables exactly as stated in the source case lists,
   before the corrections documented in `lingtruth.discrepancies` (the
   quasi-kind join rule for grade pairs around the missing cross link
@@ -39,6 +39,7 @@ lacks a bound), so the reports list their entries in row-major pair order.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DomainError, require
@@ -55,18 +56,9 @@ class CoverGraph:
     covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
 
     @functools.cached_property
-    def _index(self) -> dict[LinguisticValue, int]:
-        return {e: k for k, e in enumerate(self.elements)}
-
-    def _position(self, value: LinguisticValue) -> int:
-        if isinstance(value, LinguisticValue) and value in self._index:
-            return self._index[value]
-        raise DomainError(f"{value!r} is not an element of the graph")
-
-    @functools.cached_property
     def up(self) -> list[int]:
         """up[a]: the positions at or above position a, as a bitmask."""
-        index = self._index
+        index = {e: k for k, e in enumerate(self.elements)}
         up = [1 << k for k in range(len(self.elements))]
         # highest lower end first: on a carrier listed bottom-up one pass
         # reaches the closure and the next one confirms it
@@ -92,19 +84,6 @@ class CoverGraph:
         up = self.up
         positions = range(len(up))
         return _bounds([sum(1 << k for k in positions if up[k] >> j & 1) for j in positions])
-
-    def leq(self, a: LinguisticValue, b: LinguisticValue) -> bool:
-        return bool(self.up[self._position(a)] >> self._position(b) & 1)
-
-    def lub(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
-        """Least common upper bound, or None if there is none."""
-        k = self.joins[self._position(a)][self._position(b)]
-        return None if k is None else self.elements[k]
-
-    def glb(self, a: LinguisticValue, b: LinguisticValue) -> LinguisticValue | None:
-        """Greatest common lower bound, or None if there is none."""
-        k = self.meets[self._position(a)][self._position(b)]
-        return None if k is None else self.elements[k]
 
 
 def _bounds(sets: list[int]) -> list[list[int | None]]:
@@ -266,26 +245,28 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
-    """Exhaustively compare the join/meet/leq tables of the graph's config
-    with the oracle.  The graph must list the carrier in the order of
-    ``config.values()``, so that its positions are the table indices."""
+    """Exhaustively compare the join/meet/leq rows of the graph's config
+    with the oracle, a <= b read as a v b = b.  The graph must list the
+    carrier in the order of ``config.values()``, so that its positions are
+    the row indices."""
     config = require(graph, CoverGraph).config
-    tables = config.tables
-    values = tables.values
-    if graph.elements != values:
+    values = graph.elements
+    if values != config.values():
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
     report = DiscrepancyReport(config)
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
-    top, size = tables.top, len(values)
+    size = len(values)
+    top, positions = size - 1, range(size)
     stated_joins, stated_meets = _stated_rows(config)
+    tables = config.tables
     rows = zip(values, graph.up, graph.joins, graph.meets, stated_joins, stated_meets,
-               tables.join, tables.meet, tables.leq, tables.implies)
-    for a, up, joins, meets, stated_join, stated_meet, join_row, meet_row, leq_row, \
-            implies_row in rows:
+               tables.join, tables.meet, tables.implies)
+    for a, up, joins, meets, stated_join, stated_meet, join_row, meet_row, implies_row in rows:
+        leq_row = list(map(operator.eq, join_row, positions))
         # the whole row at once; bit j of up is byte j of oracle_leq
         oracle_leq = format(up, f"0{size}b")[::-1].encode()
         if (stated_join == joins and stated_meet == meets
-                and list(join_row) == joins and list(meet_row) == meets
+                and join_row == joins and meet_row == meets
                 and bytes(leq_row).translate(_DIGITS) == oracle_leq
                 and bytes(map(top.__eq__, implies_row)).translate(_DIGITS) == oracle_leq):
             continue
@@ -318,7 +299,7 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
 
 def to_dot(graph: CoverGraph) -> str:
     """Graphviz digraph of the cover edges, directed lower -> upper."""
-    config = graph.config
+    config = require(graph, CoverGraph).config
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for value in graph.elements:
         name = canonical(value)
@@ -335,6 +316,7 @@ def to_dot(graph: CoverGraph) -> str:
 
 
 def to_json_dict(graph: CoverGraph) -> dict:
+    require(graph, CoverGraph)
     return {
         "kind": graph.config.kind,
         "n": graph.config.n,

@@ -136,7 +136,7 @@ def _with_entry(table, i, j, entry):
     """``table`` with entry [i][j] replaced."""
     rows = [list(row) for row in table]
     rows[i][j] = entry
-    return tuple(map(tuple, rows))
+    return rows
 
 
 def _naive(tables, name):
@@ -150,7 +150,7 @@ def _naive(tables, name):
         "join-associative": lambda x, y, z: (join[join[x][y]][z], join[x][join[y][z]]),
         "meet-associative": lambda x, y, z: (meet[meet[x][y]][z], meet[x][meet[y][z]]),
     }[name]
-    carrier = range(len(tables.values))
+    carrier = range(len(imp))
     return [(x, y, z, *pair) for x in carrier for y in carrier for z in carrier
             if (pair := sides(x, y, z))[0] != pair[1]]
 
@@ -158,7 +158,7 @@ def _naive(tables, name):
 def _cubic_reports(config):
     """The I1, I6, I7 and associativity reports, every witness kept, as
     (name, count, witnesses as carrier-index tuples)."""
-    index = {v: k for k, v in enumerate(config.tables.values)}
+    index = {v: k for k, v in enumerate(config.values())}
     results = [check_axiom(config, axiom, max_witnesses=None)
                for axiom in (Axiom.I1, Axiom.I6, Axiom.I7)]
     results += [law for law in check_lattice_laws(config, max_witnesses=None)
@@ -184,7 +184,7 @@ class TestRowScreen:
         the top breaks associativity only where op[x] after op[y] still
         equals op[y]."""
         rng = random.Random(f"{config.n} {config.noncomparable}")
-        size = len(config.tables.values)
+        size = 2 * config.n + 2
         cells = [(x, x) for x in range(size)]
         cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
         for op in ("implies", "join", "meet"):
@@ -193,9 +193,9 @@ class TestRowScreen:
                 tables = planted.tables
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
-                # the cached tables live in the instance dict
-                tables = vars(planted)["tables"] = dataclasses.replace(
-                    tables, **{op: _with_entry(table, i, j, entry)})
+                # the cached rows live in the instance dict
+                tables = vars(planted)["tables"] = tables._replace(
+                    **{op: _with_entry(table, i, j, entry)})
                 expected = [(name, len(bad), bad) for name, bad in (
                     (name, _naive(tables, name)) for name in
                     ("I1", "I6", "I7", "join-associative", "meet-associative"))]

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from lingtruth import cli
 from lingtruth.axioms import Classification
 from lingtruth.inference import ExampleReport, RuleId, inference_table
-from lingtruth.lattice import LinguisticValue, lia
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -217,17 +218,23 @@ class TestInfer:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("diff_only", [False, True])
     def test_builds_no_operation_tables(self, capsys, monkeypatch, fmt, diff_only):
-        configs = []
+        """No operation tables of its own: infer folds the config's cached
+        rows, ``AlgebraConfig.tables``, and builds them once."""
+        configs, builds = [], []
 
         def recording(config, rule):
             configs.append(config)
             return inference_table(config, rule)
 
+        build = AlgebraConfig.tables.func
+        counted = functools.cached_property(lambda config: builds.append(config) or build(config))
+        counted.__set_name__(AlgebraConfig, "tables")
+        monkeypatch.setattr(AlgebraConfig, "tables", counted)
         monkeypatch.setattr(cli, "inference_table", recording)
         code, _, _ = run(capsys, "infer", "--rule", "mt", "--n", "4", "--qlia", "--noncomp", "2",
                          "--format", fmt, *["--diff-only"] * diff_only)
         assert code == 0 and len(configs) == 1
-        assert "tables" not in vars(configs[0])
+        assert builds == configs and "tables" in vars(configs[0])
 
     def test_grid_output(self, capsys):
         code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "4")

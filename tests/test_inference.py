@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from strategies import algebra_pairs
 
 from lingtruth import inference
+from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
     _MT_BRANCHES,
@@ -23,6 +24,7 @@ from lingtruth.inference import (
     verify_examples,
 )
 from lingtruth.lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, lia, qlia
+from lingtruth.oracle import build_covers, cross_check_ops
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -149,16 +151,23 @@ class TestTables:
 
     @pytest.mark.parametrize("noncomparable", [None, 2])
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
-    def test_kernel_alone_makes_the_table(self, noncomparable, rule):
-        """A table comes from the config's operation rows, built afresh, and
-        its rows are decoded by the kernel; the operation tables, left to
-        the axiom checker and the oracle, are never built.  Both value
-        columns hold carrier indices, so they agree entry by entry."""
+    def test_kernel_alone_makes_the_table(self, noncomparable, rule, monkeypatch):
+        """A table comes from the config's cached operation rows and its rows
+        are decoded by the kernel; the axiom checker and the oracle reuse
+        those rows, so they are built once.  Both value columns hold carrier
+        indices, so they agree entry by entry."""
+        builds, build = [], AlgebraConfig.tables.func
+        counted = functools.cached_property(lambda config: builds.append(config) or build(config))
+        counted.__set_name__(AlgebraConfig, "tables")
+        monkeypatch.setattr(AlgebraConfig, "tables", counted)
         config = AlgebraConfig(4, noncomparable)
         table = inference_table(config, rule)
         assert [table.values.index(row.closed) for row in table] == table.closed == table.direct
         assert table.disagreements() == [] and table[-1] == table[len(table) - 1]
-        assert "tables" not in vars(config)
+        assert builds == [config]
+        check_all_axioms(config)
+        cross_check_ops(build_covers(config))
+        assert builds == [config]
 
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
     def test_schema_folds_over_rows_not_cells(self, rule):

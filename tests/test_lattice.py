@@ -70,6 +70,8 @@ class TestConfigValidation:
         lambda: oracle.verify_lattice(None),
         lambda: oracle.cross_check_ops("x"),
         lambda: oracle.verify_lattice(lia(2)),
+        lambda: oracle.to_dot(lia(2)),
+        lambda: oracle.to_json_dict(None),
         lambda: inference.inference_table("lia(2)", inference.RuleId.MP),
         lambda: inference.mp_closed("lia(2)", T(1), T(2)),
         lambda: inference.mt_closed(None, T(1), T(2)),
@@ -77,7 +79,8 @@ class TestConfigValidation:
         lambda: inference.mt_direct("x", T(1), T(2)),
         lambda: Valuation("x", {}),
     ], ids=["check_axiom", "check_lattice_laws", "check_involution", "build_covers",
-            "verify_lattice", "cross_check_ops", "verify_lattice-config", "inference_table",
+            "verify_lattice", "cross_check_ops", "verify_lattice-config", "to_dot",
+            "to_json_dict", "inference_table",
             "mp_closed", "mt_closed", "mp_direct", "mt_direct", "Valuation"])
     def test_non_configs_rejected(self, call):
         # each used to fail with an AttributeError, or (Valuation) only later
@@ -112,17 +115,21 @@ class TestCarrier:
             alg.validate_value(T(3))
 
     @pytest.mark.parametrize(
-        "op", ["negate", "join", "meet", "implies", "leq", "mp_closed", "mt_closed"])
+        "op", ["negate", "join", "meet", "implies", "leq", "mp_closed", "mt_closed", "label",
+               "describe"])
     @pytest.mark.parametrize("polarity", [Polarity.F, Polarity.T], ids=["F", "T"])
     @pytest.mark.parametrize("grade", [-1, 5])
     def test_operations_reject_values_outside_the_carrier(self, grade, polarity, op):
         bad = LinguisticValue(grade, polarity)
-        for config in (lia(4), qlia(4, 2)):
+        # the text forms once read a label past the carrier, or from its end
+        labels = ("a", "b", "c", "d", "e")
+        for config in (lia(4), qlia(4, 2), lia(4, labels), qlia(4, 2, labels)):
             if op in ("mp_closed", "mt_closed"):
                 fn = functools.partial(getattr(inference, op), config)
             else:
                 fn = getattr(config, op)
-            calls = [(bad,)] if op == "negate" else [(bad, T(2)), (F(1), bad), (bad, bad)]
+            single = op in ("negate", "label", "describe")
+            calls = [(bad,)] if single else [(bad, T(2)), (F(1), bad), (bad, bad)]
             for args in calls:
                 with pytest.raises(DomainError):
                     fn(*args)
@@ -194,23 +201,23 @@ class TestOpTables:
     def test_tables_tabulate_the_operations(self, config):
         tables = config.tables
         values = config.values()
-        assert tables.values == values
-        assert values[tables.top] == config.top()
+        assert len(tables.negate) == len(values)
+        assert values[-1] == config.top()  # the checks take top as the last index
         for i, a in enumerate(values):
             assert values[tables.negate[i]] == config.negate(a)
             for j, b in enumerate(values):
                 assert values[tables.implies[i][j]] == config.implies(a, b)
                 assert values[tables.join[i][j]] == config.join(a, b)
                 assert values[tables.meet[i][j]] == config.meet(a, b)
-                assert tables.leq[i][j] == config.leq(a, b)
+                assert (tables.join[i][j] == j) == config.leq(a, b)
 
     @pytest.mark.parametrize("config", SMALL_CONFIGS)
     def test_order_is_the_paper_order(self, config):
         # both codings read <= off their join; the reference shares no code with either
-        n, i, leq = config.n, config.noncomparable, config.tables.leq
+        n, i, join = config.n, config.noncomparable, config.tables.join
         for x, a in enumerate(config.values()):
             for y, b in enumerate(config.values()):
-                assert leq[x][y] == config.leq(a, b) == paper_leq(n, i, a, b)
+                assert (join[x][y] == y) == config.leq(a, b) == paper_leq(n, i, a, b)
 
     @pytest.mark.parametrize("config", [
         lia(127), qlia(127, 60), lia(128), qlia(128, 60), lia(200), qlia(200, 100),
@@ -225,13 +232,11 @@ class TestOpTables:
         pairs = {(x, y) for x in random.Random(config.n).sample(range(size), 24) + ends
                  for y in range(size)}
         pairs |= {(y, x) for x, y in pairs}
-        assert len(tables.values) == size and tables.top == size - 1
-        assert list(tables.negate) == [kernel.negate(x) for x in range(size)]
+        assert tables.negate == [kernel.negate(x) for x in range(size)]
         for x, y in pairs:
             assert tables.join[x][y] == kernel.join(x, y)
             assert tables.meet[x][y] == kernel.meet(x, y)
             assert tables.implies[x][y] == kernel.implies(x, y)
-            assert tables.leq[x][y] == (kernel.join(x, y) == y)
 
     def test_tables_are_built_once_per_config(self):
         config = qlia(5, 2)
