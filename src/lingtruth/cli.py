@@ -13,14 +13,21 @@ Exit codes: 0 success, 1 verification failure, 2 usage, config or output
 error (a closed stdout is an output error), running out of memory
 (``error: out of memory``) or an n too large for a list (``error: too
 large: ...``).  All output goes to stdout, diagnostics to stderr.
+
+``main`` builds the argument parser on its first call and reuses it for
+every later call in the process; parsing leaves no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
+import functools
 import io
+import itertools
 import json
+import operator
 import os
 import sys
 
@@ -275,32 +282,63 @@ def _csv_field(text: str) -> str:
     return out.getvalue()
 
 
-_CHUNK_ROWS = 1024  # rows joined into one string at a time
+def _picker(positions):
+    """``operator.itemgetter(*positions)``, but a tuple also for one position."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda seq: (seq[position],)
+    return operator.itemgetter(*positions)
 
 
 def _row_chunks(table, keys, quote, seps, agree, between="") -> list[str]:
-    """The rows in ``keys`` as text, ``between`` between rows: seps[0], then
-    the row's e(P), e(Q), direct, closed and branch texts, each followed by
-    the next string of ``seps``, then ``agree[True]`` or ``agree[False]``.
+    """The rows in ``keys`` (ascending) as text, ``between`` between rows:
+    seps[0], then the row's e(P), e(Q), direct, closed and branch texts,
+    each followed by the next string of ``seps``, then ``agree[True]`` or
+    ``agree[False]``.  One chunk per e(P) block (the at most 2n + 2 rows
+    sharing an e(P)) that holds a row of ``keys``.
+
     Each carrier value and branch label goes through ``quote`` once per
-    table and is joined to the separator that follows it there, so a row
-    costs one f-string.  The rows are joined ``_CHUNK_ROWS`` at a time, and
-    the chunks are returned: only one chunk's row strings are alive at
-    once, so a large table's text does not claim fresh memory pages row by
-    row."""
+    table, pre-joined to the separators around it: an e(P) text, an e(Q)
+    text, a "direct, closed" text per carrier value with both the same, and
+    a "branch, agree true, between" text per label.  A block's rows are
+    four slots each of a list filled by ``itemgetter`` gathers over its
+    columns, and one join makes the chunk.  The rows whose direct and closed
+    values differ then get those two slots patched with the split texts and
+    ``agree[False]`` before the join; that is the only place a disagreement
+    is handled.  Only one block's slot list is alive at once."""
     values = [quote(canonical(v)) for v in table.values]
     size = len(values)
-    first = [seps[0] + v + seps[1] for v in values]
-    second = [v + seps[2] for v in values]
+    p_text = [seps[0] + v + seps[1] for v in values]
+    q_text = [v + seps[2] for v in values]
+    same_text = [v + seps[3] + v + seps[4] for v in values]
     direct_text = [v + seps[3] for v in values]
     closed_text = [v + seps[4] for v in values]
-    branch_text = [quote(str(label)) + seps[5] for label in table.labels]
-    direct, closed, branch = table.direct, table.closed, table.branch
-    return [between.join([f"{first[k // size]}{second[k % size]}{direct_text[direct[k]]}"
-                          f"{closed_text[closed[k]]}{branch_text[branch[k]]}"
-                          f"{agree[direct[k] == closed[k]]}"
-                          for k in keys[start:start + _CHUNK_ROWS]])
-            for start in range(0, len(keys), _CHUNK_ROWS)]
+    tails = [quote(str(label)) + seps[5] for label in table.labels]
+    agreed = [tail + agree[True] + between for tail in tails]
+    split = [tail + agree[False] + between for tail in tails]
+    chunks = []
+    bounds = [bisect.bisect_left(keys, start) for start in range(0, len(table) + 1, size)]
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo == hi:
+            continue
+        start, block = p * size, keys[lo:hi]
+        if len(block) == size:  # the whole block
+            rows, q_slots = operator.itemgetter(slice(start, start + size)), q_text
+        else:  # a few --diff-only rows
+            rows, q_slots = _picker(block), _picker([k - start for k in block])(q_text)
+        direct, closed, branch = rows(table.direct), rows(table.closed), rows(table.branch)
+        slots = [p_text[p]] * (4 * len(block))
+        slots[1::4] = q_slots
+        slots[2::4] = _picker(closed)(same_text)
+        slots[3::4] = _picker(branch)(agreed)
+        if direct != closed:
+            for j in itertools.compress(range(len(block)), map(operator.ne, direct, closed)):
+                slots[4 * j + 2] = direct_text[direct[j]] + closed_text[closed[j]]
+                slots[4 * j + 3] = split[branch[j]]
+        if hi == len(keys):  # the last row: nothing follows it
+            slots[-1] = slots[-1].removesuffix(between)
+        chunks.append("".join(slots))
+    return chunks
 
 
 def _rows_csv(table, keys) -> str:
@@ -319,7 +357,7 @@ def _rows_json(table, keys) -> str:
             ',\n    "closed": ', ',\n    "branch": ', ',\n    "agree": ')
     chunks = _row_chunks(table, keys, json.dumps, seps,
                          {True: "true\n  }", False: "false\n  }"}, ",\n")
-    return "[\n" + ",\n".join(chunks) + "\n]"
+    return "".join(["[\n", *chunks, "\n]"])
 
 
 def _rows_grid(table) -> str:
@@ -411,9 +449,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every command line with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import operator
 import re
 from collections.abc import Sequence
@@ -368,7 +369,8 @@ class InferenceTable(Sequence):
 
     def disagreements(self) -> list[int]:
         """The rows whose direct and closed-form values differ."""
-        return [k for k, (d, c) in enumerate(zip(self.direct, self.closed)) if d != c]
+        unequal = map(operator.ne, self.direct, self.closed)
+        return list(itertools.compress(range(len(self)), unequal))
 
 
 def _shaped(size: int, kind, op):

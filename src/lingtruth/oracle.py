@@ -49,11 +49,21 @@ from .lattice import AlgebraConfig, LinguisticValue, canonical
 @dataclass(frozen=True)
 class CoverGraph:
     """Hasse cover edges of a carrier, with the order and the bounds as
-    tables over the positions of ``elements``, built on first use."""
+    tables over the positions of ``elements``, built on first use.  The
+    elements must be distinct values of ``config``, and each cover edge a
+    (lower, upper) pair of them; anything else raises ``DomainError``."""
 
     config: AlgebraConfig
     elements: tuple[LinguisticValue, ...]
     covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
+
+    def __post_init__(self):
+        members = set(map(require(self.config, AlgebraConfig).validate_value, self.elements))
+        if len(members) != len(self.elements):
+            raise DomainError("the elements of a cover graph must be distinct")
+        for edge in self.covers:
+            if not (isinstance(edge, tuple) and len(edge) == 2 and members.issuperset(edge)):
+                raise DomainError(f"cover edge {edge!r} is not a pair of the graph's elements")
 
     @functools.cached_property
     def up(self) -> list[int]:

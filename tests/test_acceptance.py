@@ -359,6 +359,13 @@ INFER_JSON_TEXT_SHA256 = {
 }
 
 
+# sha256 of ``infer --format json`` at sizes the ``tables`` benchmark runs
+INFER_JSON_LARGE_SHA256 = {
+    ("mp", "72", "30"): "bd95fca7b3c09de6a410439f642fe993fefac04b98f60b5351bcb50b0ab60608",
+    ("mt", "96"): "23b8215c365f6abea267913f06cb1f3153a13c1f3c1532a66a95c20cff02a28b",
+}
+
+
 def test_criterion_15_infer_json_and_text_are_pinned(capsys):
     changed = []
     for rule, expected in INFER_JSON_TEXT_SHA256.items():
@@ -370,6 +377,11 @@ def test_criterion_15_infer_json_and_text_are_pinned(capsys):
                     digest.update(capsys.readouterr().out.encode())
         if digest.hexdigest() != expected:
             changed.append(rule)
+    for (rule, n, *noncomp), expected in INFER_JSON_LARGE_SHA256.items():
+        kind = ["--qlia", "--noncomp", *noncomp] if noncomp else []
+        cli.main(["infer", "--rule", rule, "--n", n, "--format", "json", *kind])
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != expected:
+            changed.append(" ".join([rule, n, *noncomp, "json"]))
     _report(15, "infer JSON and text output byte-identical to the pinned digests",
             not changed, "" if not changed else f" changed: {changed}")
 

@@ -38,6 +38,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# rows to plant disagreements at, as (e(P) block, e(Q) position), counted
+# from the end when negative: several in one block, its first and last
+# rows among them; one in each of several blocks; one alone; the last row
+PLANTED = {
+    "one-block": [(2, 0), (2, 5), (2, 6), (2, 17)],
+    "across-blocks": [(0, 3), (1, 3), (5, 7), (10, 17)],
+    "alone": [(7, 4)],
+    "last-row": [(1, 1), (-1, -1)],
+}
+FIELDS = ("p", "q", "rule", "direct", "closed", "branch", "agree")
+
+
+def _row_by_row(table, keys, fmt) -> str:
+    """``infer`` stdout for the rows in ``keys``, one ``InferenceRow`` at a time."""
+    rows = [table[k].to_dict() for k in keys]
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(FIELDS)
+        for row in rows:
+            writer.writerow([*(row[name] for name in FIELDS[:-1]), str(row["agree"]).lower()])
+        return out.getvalue()
+    return "".join(f"{row['p']} {row['q']} {row['rule']} direct={row['direct']} "
+                   f"closed={row['closed']} branch={row['branch']}\n"
+                   for row in rows) + f"{len(rows)} disagreements\n"
+
+
 class TestCheck:
     def test_plain_passes(self, capsys):
         code, out, _ = run(capsys, "check", "--n", "4")
@@ -236,6 +265,29 @@ class TestInfer:
         assert code == 0 and len(configs) == 1
         assert builds == configs and "tables" in vars(configs[0])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "csv-diff", "json-diff", "text-diff"])
+    @pytest.mark.parametrize("planted", PLANTED, ids=list(PLANTED))
+    @pytest.mark.parametrize("kind", [[], ["--qlia", "--noncomp", "3"]], ids=["lia", "qlia"])
+    def test_planted_rows_match_a_row_by_row_writer(self, capsys, monkeypatch, kind, planted,
+                                                    fmt):
+        """The per-block writer, planted disagreements in either column
+        included, writes what a row-by-row writer over the rows does."""
+        config = AlgebraConfig(n=8, noncomparable=int(kind[-1]) if kind else None)
+        rule = RuleId.MT if kind else RuleId.MP
+        table = inference_table(config, rule)
+        size = len(table.values)
+        keys = sorted((block % size) * size + q % size for block, q in PLANTED[planted])
+        for number, k in enumerate(keys):  # alternately the direct and the closed value
+            column, other = ((table.direct, table.closed), (table.closed, table.direct))[number % 2]
+            column[k] = (other[k] + 1 + number) % size
+        assert table.disagreements() == keys
+        monkeypatch.setattr(cli, "inference_table", lambda config, rule: table)
+        fmt, _, diff = fmt.partition("-")
+        code, out, _ = run(capsys, "infer", "--rule", rule.value.lower(), "--n", "8", *kind,
+                           "--format", fmt, *["--diff-only"] * bool(diff))
+        assert code == (1 if diff else 0)
+        assert out == _row_by_row(table, keys if diff else range(len(table)), fmt)
+
     def test_grid_output(self, capsys):
         code, out, _ = run(capsys, "infer", "--rule", "mp", "--n", "4")
         assert code == 0
@@ -366,6 +418,51 @@ def test_size_past_a_list_is_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: too large: ") and err.count("\n") == 1
+
+
+class TestParser:
+    def test_built_once_per_process_and_not_at_import(self):
+        """``main`` builds its parser on the first call and reuses it."""
+        code = """if True:
+            import argparse, contextlib, io
+            built, init = [], argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            from lingtruth import cli
+            at_import = built.count("lingtruth")
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (["check", "--n", "2"], ["infer", "--rule", "mt", "--n", "2"],
+                             ["eval", "P", "-a", "P=v1T"], ["discrepancies"]):
+                    assert cli.main(argv) == 0
+            print(at_import, built.count("lingtruth"))
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+
+    def test_assignments_do_not_carry_over(self, capsys):
+        """The ``-a`` list of one call is not the default of the next."""
+        assert run(capsys, "eval", "P -> Q", "-a", "P=v1T", "-a", "Q=v2T")[:2] == (
+            0, "v4T (absolutely True)\n")
+        code, out, err = run(capsys, "eval", "P -> Q")
+        assert (code, out) == (2, "")
+        assert err == "error: atom 'P' has no assigned truth value\n"
+
+    def test_parser_works_after_an_exit(self, capsys):
+        """``--version`` and a usage error leave the parser fit for the next call."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["infer", "--n", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "check", "--n", "2")
+        assert code == 0 and out.startswith("LIA: I1..I7 hold")
 
 
 def test_unknown_command_is_usage_error():

@@ -77,6 +77,24 @@ class TestCoverConstruction:
         quasi = build_covers(qlia(4, 2)).covers
         assert plain - quasi == {(F(2), T(2))}
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # a cover end that is a value of the config but not an element
+            lambda: verify_lattice(CoverGraph(lia(1), (F(1),), frozenset({(F(1), T(0))}))),
+            lambda: CoverGraph(lia(1), (F(1), "x"), frozenset()),
+            lambda: CoverGraph(lia(1), (F(1), T(2)), frozenset()),
+            lambda: CoverGraph(lia(1), (F(1), F(1)), frozenset()),
+            lambda: CoverGraph(lia(1), (F(1), F(0)), frozenset({(F(1), F(0), T(0))})),
+            lambda: CoverGraph("lia(1)", (F(1), F(0)), frozenset()),
+        ],
+        ids=["edge-end-not-element", "element-not-value", "grade-outside-carrier",
+             "repeated-element", "edge-not-pair", "not-a-config"],
+    )
+    def test_bad_input_is_domain_error(self, make):
+        with pytest.raises(DomainError):
+            make()
+
 
 class TestReachability:
     def test_bottom_below_top(self):
