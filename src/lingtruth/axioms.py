@@ -16,15 +16,16 @@ witness.  A bad cap or axiom raises ``DomainError`` first.
 
 The cubic families (I1, I6, I7 and associativity) screen whole rows
 before they walk cells.  While the carrier has at most 256 elements, every
-index fits in a byte: each table row is held as ``bytes`` and, padded to
-256 bytes, as a ``bytes.translate`` table, so composing two rows is one
-translate in C.  I1 and associativity compare the whole z row of a pair
-(x, y) at once; I6 and I7 compare the whole y column of a pair (x, z),
-walk columns, and sort each x's violations by (y, z).  Only a row or
-column that differs is walked cell by cell, by the loop that collects
+index fits in a byte: ``lattice._byte_rows`` (which owns that limit, and
+which `lingtruth.inference` asks too) holds each table row as ``bytes``
+and, padded to 256 bytes, as a ``bytes.translate`` table, so composing two
+rows is one translate in C.  I1 and associativity compare the whole z row
+of a pair (x, y) at once; I6 and I7 compare the whole y column of a pair
+(x, z), walk columns, and sort each x's violations by (y, z).  Only a row
+or column that differs is walked cell by cell, by the loop that collects
 every witness, so counts and witness order are those of the plain triple
-loop.  Above 256 elements (n >= 128) the screen is skipped and the walk
-alone runs.
+loop.  Above 256 elements (n >= 128) ``_byte_rows`` gives None, the screen
+is skipped and the walk alone runs.
 
 The axioms, for all x, y, z:
 
@@ -46,7 +47,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, canonical
+from .lattice import AlgebraConfig, LinguisticValue, _byte_rows, canonical
 
 
 class Axiom(enum.Enum):
@@ -123,19 +124,6 @@ def _tables(config, max_witnesses):
     if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 0):
         raise DomainError(f"max_witnesses must be an int >= 0 or None, got {max_witnesses!r}")
     return require(config, AlgebraConfig).tables
-
-
-def _byte_rows(table):
-    """Each row of a square integer table as ``bytes``, and each row padded
-    to a 256-byte ``bytes.translate`` table, so that
-    ``rows[y].translate(maps[x])[z] == table[x][table[y][z]]``; None when
-    the carrier has more than 256 elements and an index does not fit in a
-    byte."""
-    if len(table) > 256:
-        return None
-    rows = [bytes(row) for row in table]
-    pad = bytes(256 - len(table))
-    return rows, [row + pad for row in rows]
 
 
 def check_axiom(

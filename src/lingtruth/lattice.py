@@ -128,6 +128,19 @@ _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
 _Rows = namedtuple("_Rows", "negate join meet implies")
 
 
+def _byte_rows(table):
+    """Each row of a square table of carrier indices (one of
+    ``AlgebraConfig.tables``) as ``bytes``, and each row padded to a 256-byte
+    ``bytes.translate`` table, so that ``rows[y].translate(maps[x])[z] ==
+    table[x][table[y][z]]``; None when the carrier has more than 256
+    elements and an index does not fit in a byte."""
+    if len(table) > 256:
+        return None
+    rows = [bytes(row) for row in table]
+    pad = bytes(256 - len(table))
+    return rows, [row + pad for row in rows]
+
+
 @dataclass(frozen=True)
 class AlgebraConfig:
     """An immutable algebra over linguistic truth values.

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import functools
 import hashlib
@@ -9,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lingtruth import cli
 from lingtruth.axioms import Classification
-from lingtruth.inference import ExampleReport, RuleId, inference_table
-from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia
+from lingtruth.inference import ExampleReport, InferenceTable, RuleId, inference_table
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, canonical, lia
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -469,3 +472,76 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _csv_writer_field(text: str) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow([text])
+    return out.getvalue()
+
+
+class TestCsvField:
+    """``_csv_field`` returns plain text unchanged and quotes the rest as
+    csv.writer does."""
+
+    def test_every_text_infer_quotes(self):
+        texts = [str(label) for label in InferenceTable.labels]
+        texts += [rule.value for rule in RuleId]
+        texts += [canonical(value) for value in lia(300).values()]  # every grade up to 300
+        assert len(texts) == 66 + 2 + 602
+        assert [cli._csv_field(text) for text in texts] == list(map(_csv_writer_field, texts))
+
+    @settings(max_examples=200)
+    @given(st.text(st.sampled_from(' ,"\r\nab\t\'')) | st.text(max_size=8)
+           | st.builds(" {} ".format, st.text(max_size=5)))
+    def test_matches_csv_writer(self, text):
+        assert cli._csv_field(text) == _csv_writer_field(text)
+
+
+@st.composite
+def _infer_argv(draw):
+    """``infer`` command lines at n <= 10, mostly valid: either rule (or,
+    seldom, none), every format, --diff-only or not, the quasi kind with a
+    --noncomp inside or outside 1..n-1, seldom --qlia or --noncomp alone,
+    and --labels of mostly n + 1 names with quotes, a comma in a name
+    splitting it in two."""
+    n = draw(st.integers(-1, 10))
+    argv = ["infer", "--n", str(n), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if draw(st.integers(0, 9)):
+        argv += ["--rule", draw(st.sampled_from(["mp", "mt"]))]
+    if draw(st.booleans()):
+        noncomp = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, 11))
+        argv += ["--qlia", "--noncomp", str(noncomp)]
+    elif not draw(st.integers(0, 9)):
+        argv += draw(st.sampled_from([["--qlia"], ["--noncomp", "1"]]))
+    if draw(st.booleans()):
+        argv.append("--diff-only")
+    if draw(st.booleans()):
+        count = max(n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+        decor = st.sampled_from(["", "'", '"', '""', " -"])
+        labels = [f"{draw(decor)}h{k}{draw(decor)}" for k in range(count)]
+        if labels and not draw(st.integers(0, 3)):
+            labels[draw(st.integers(0, count - 1))] += ",x"
+        argv.append(f"--labels={','.join(labels)}")
+    return argv
+
+
+def _exit_and_out(argv):
+    """``cli.main``'s exit code (a SystemExit's included) and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_infer_argv())
+def test_infer_argv_fuzz(argv):
+    """Any such command line ends in exit 0, 1 or 2, raises nothing else,
+    and prints the same on a second run."""
+    code, out = _exit_and_out(argv)
+    assert code in (0, 1, 2)
+    assert _exit_and_out(argv) == (code, out)

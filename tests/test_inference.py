@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
-from lingtruth import inference
+from lingtruth import axioms, inference, lattice
 from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
@@ -188,6 +188,28 @@ class TestTables:
         table = inference_table(config, rule)
         assert table.disagreements() == []
         assert sum(calls.values()) <= 2 * config.n + 2, calls
+
+    def test_byte_and_list_folds_agree(self, monkeypatch):
+        """Up to 256 elements the direct column is folded over ``bytes`` with
+        ``bytes.translate``, above that over lists with ``itemgetter``; with
+        the byte path switched off, as above 256 elements, every config with
+        n <= 16 gives the same direct column, a list either way."""
+        configs = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+
+        def directs():
+            tables = [inference_table(config, rule) for config in configs for rule in RuleId]
+            assert all(type(table.direct) is list for table in tables)
+            return [table.direct for table in tables]
+
+        narrow = directs()
+        monkeypatch.setattr(inference, "_byte_rows", lambda table: None)
+        assert directs() == narrow
+
+    def test_byte_fold_stops_at_a_byte(self):
+        """One selector owns the 256-element limit for both byte paths."""
+        assert inference._byte_rows is axioms._byte_rows is lattice._byte_rows
+        assert lattice._byte_rows(lia(127).tables.implies) is not None  # 256 elements
+        assert lattice._byte_rows(lia(128).tables.implies) is None  # 258 elements
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n
