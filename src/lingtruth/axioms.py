@@ -22,10 +22,13 @@ and, padded to 256 bytes, as a ``bytes.translate`` table, so composing two
 rows is one translate in C.  I1 and associativity compare the whole z row
 of a pair (x, y) at once; I6 and I7 compare the whole y column of a pair
 (x, z), walk columns, and sort each x's violations by (y, z).  Only a row
-or column that differs is walked cell by cell, by the loop that collects
-every witness, so counts and witness order are those of the plain triple
-loop.  Above 256 elements (n >= 128) ``_byte_rows`` gives None, the screen
-is skipped and the walk alone runs.
+or column that differs is walked cell by cell, so counts and witness order
+are those of the plain triple loop.  Once the kept witnesses are collected
+(I6 and I7 test that at the start of each x, whose violations are sorted),
+a row or column that differs is only counted, as the number of cells where
+its two sides differ, and builds no witness tuples.  Above 256 elements
+(n >= 128) ``_byte_rows`` gives None, and each side of a row or column is
+composed cell by cell as a list, then compared, walked or counted alike.
 
 The axioms, for all x, y, z:
 
@@ -44,7 +47,8 @@ failing I6 or I7 as QLIA, anything else as NOT_QLIA.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 
 from .errors import DomainError, require
 from .lattice import AlgebraConfig, LinguisticValue, _byte_rows, canonical
@@ -66,15 +70,11 @@ class Classification(enum.Enum):
     NOT_QLIA = "NotQLIA"
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One violating assignment with the two sides that should be equal."""
+class Witness(namedtuple("Witness", "x y z lhs rhs")):
+    """One violating assignment with the two sides that should be equal;
+    y and z are None where the check does not use them."""
 
-    x: LinguisticValue
-    y: LinguisticValue | None
-    z: LinguisticValue | None
-    lhs: LinguisticValue
-    rhs: LinguisticValue
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         entry = {"x": canonical(self.x)}
@@ -87,11 +87,8 @@ class Witness:
         return entry
 
 
-@dataclass
-class CheckResult:
-    name: str
-    total_violations: int
-    witnesses: list[Witness]
+class CheckResult(namedtuple("CheckResult", "name total_violations witnesses")):
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -106,17 +103,18 @@ class CheckResult:
         }
 
 
-def _collect(name, config, violations, max_witnesses):
+def _collect(name, config, violations, max_witnesses, uncollected=0):
     """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
-    with y and z None where the check does not use them.  The count is
-    exact; only the kept violations are decoded into witnesses."""
+    with y and z None where the check does not use them, and ``uncollected``
+    more counted past the cap.  The count is exact; only the kept
+    violations are decoded into witnesses."""
     kept = violations if max_witnesses is None else violations[:max_witnesses]
     decode = config._kernel.decode
     witnesses = [
-        Witness(*(None if k is None else decode(k) for k in violation))
+        Witness._make(None if k is None else decode(k) for k in violation)
         for violation in kept
     ]
-    return CheckResult(name, len(violations), witnesses)
+    return CheckResult(name, len(violations) + uncollected, witnesses)
 
 
 def _tables(config, max_witnesses):
@@ -133,22 +131,26 @@ def check_axiom(
         raise DomainError(f"not an axiom: {axiom!r}")
     neg, join, meet, imp = _tables(config, max_witnesses)
     carrier, top = range(len(neg)), len(neg) - 1  # top is the last carrier index
-    bad = []
+    cap = float("inf") if max_witnesses is None else max_witnesses
+    bad, uncollected = [], 0
 
     if axiom is Axiom.I1:
         rows, maps = _byte_rows(imp) or (None, None)
         for x in carrier:
             imp_x = imp[x]
             for y in carrier:
-                # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
-                if rows and rows[y].translate(maps[x]) == rows[x].translate(maps[y]):
-                    continue
                 imp_y = imp[y]
-                for z in carrier:
-                    lhs = imp_x[imp_y[z]]
-                    rhs = imp_y[imp_x[z]]
-                    if lhs != rhs:
-                        bad.append((x, y, z, lhs, rhs))
+                # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
+                if rows:
+                    lhs, rhs = rows[y].translate(maps[x]), rows[x].translate(maps[y])
+                else:  # cell by cell
+                    lhs, rhs = [imp_x[v] for v in imp_y], [imp_y[v] for v in imp_x]
+                if lhs == rhs:
+                    continue
+                if len(bad) >= cap:
+                    uncollected += sum(map(operator.ne, lhs, rhs))
+                else:
+                    bad += [(x, y, z, l, r) for z, l, r in zip(carrier, lhs, rhs) if l != r]
     elif axiom is Axiom.I2:
         for x in carrier:
             lhs = imp[x][x]
@@ -181,22 +183,25 @@ def check_axiom(
         _, outer_maps = _byte_rows(outer) or (None, None)
         for x in carrier:
             imp_x, inner_x = imp[x], inner[x]
-            found = []
+            full, found = len(bad) >= cap, []  # x's violations are sorted: cap per x
             for z in carrier:
                 column, outer_row = columns[z], outer[imp_x[z]]
                 # the y column at once: column[inner_x[y]] against outer_row[column[y]]
-                if inner_rows and (inner_rows[x].translate(column_maps[z])
-                                   == column_rows[z].translate(outer_maps[imp_x[z]])):
+                if inner_rows:
+                    lhs = inner_rows[x].translate(column_maps[z])
+                    rhs = column_rows[z].translate(outer_maps[imp_x[z]])
+                else:  # cell by cell
+                    lhs, rhs = [column[v] for v in inner_x], [outer_row[v] for v in column]
+                if lhs == rhs:
                     continue
-                for y in carrier:
-                    lhs = column[inner_x[y]]
-                    rhs = outer_row[column[y]]
-                    if lhs != rhs:
-                        found.append((x, y, z, lhs, rhs))
+                if full:
+                    uncollected += sum(map(operator.ne, lhs, rhs))
+                else:
+                    found += [(x, y, z, l, r) for y, l, r in zip(carrier, lhs, rhs) if l != r]
             found.sort()  # by (y, z), the order of a walk over y, then z
             bad += found
 
-    return _collect(axiom.value, config, bad, max_witnesses)
+    return _collect(axiom.value, config, bad, max_witnesses, uncollected)
 
 
 def check_all_axioms(
@@ -226,22 +231,25 @@ def check_lattice_laws(
         ]
         results.append(_collect(f"{name}-commutative", config, bad, max_witnesses))
 
+    cap = float("inf") if max_witnesses is None else max_witnesses
     for name, op in (("join", join), ("meet", meet)):
         rows, maps = _byte_rows(op) or (None, None)
-        bad = []
+        bad, uncollected = [], 0
         for x in carrier:
             op_x = op[x]
             for y in carrier:
                 # the z row at once: op[op_x[y]] against op[x] after op[y]
-                if rows and rows[op_x[y]] == rows[y].translate(maps[x]):
+                if rows:
+                    lhs, rhs = rows[op_x[y]], rows[y].translate(maps[x])
+                else:  # cell by cell
+                    lhs, rhs = op[op_x[y]], [op_x[v] for v in op[y]]
+                if lhs == rhs:
                     continue
-                op_y, lhs_row = op[y], op[op_x[y]]
-                for z in carrier:
-                    lhs = lhs_row[z]
-                    rhs = op_x[op_y[z]]
-                    if lhs != rhs:
-                        bad.append((x, y, z, lhs, rhs))
-        results.append(_collect(f"{name}-associative", config, bad, max_witnesses))
+                if len(bad) >= cap:
+                    uncollected += sum(map(operator.ne, lhs, rhs))
+                else:
+                    bad += [(x, y, z, l, r) for z, l, r in zip(carrier, lhs, rhs) if l != r]
+        results.append(_collect(f"{name}-associative", config, bad, max_witnesses, uncollected))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
         bad = [

@@ -11,23 +11,17 @@ confirmed pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .lattice import lia, qlia
 from .oracle import build_covers, cross_check_ops
 
 
-@dataclass(frozen=True)
-class StatementNote:
-    id: str
-    table: str
-    subject: str
-    stated: str
-    used: str
-    detail: str
+class StatementNote(namedtuple("StatementNote", "id table subject stated used detail")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 STATEMENT_NOTES: tuple[StatementNote, ...] = (

@@ -25,8 +25,8 @@ runs one loop over the tokens with an operand and an operator stack, and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import ParseError, UnboundAtomError, require
 from .lattice import AlgebraConfig, LinguisticValue
@@ -47,14 +47,24 @@ class Formula:
 
     def __eq__(self, other):
         if not isinstance(other, Formula):
-            return NotImplemented
+            # not a plain tuple's equal either: the hashes would differ
+            return False if isinstance(other, tuple) else NotImplemented
         return self._shape() == other._shape()
+
+    def __ne__(self, other):  # a node is also a tuple, whose != would come first
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         return hash(tuple(self._shape()))
 
+    def __lt__(self, other):  # trees are not ordered; tuple order would recurse
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
     def __repr__(self) -> str:
-        """The dataclass form, e.g. ``Not(child=Atom(name='P'))``, written
+        """The named-tuple form, e.g. ``Not(child=Atom(name='P'))``, written
         from a stack of pending texts and nodes."""
         out, todo = [], [self]
         while todo:
@@ -71,33 +81,26 @@ class Formula:
         return "".join(out)
 
 
-# equality, hashing and repr come from Formula, without recursion
-@dataclass(frozen=True, eq=False, repr=False)
-class Atom(Formula):
-    name: str
+# each node a named tuple of its children (an atom, of its name); equality,
+# hashing and repr come from Formula, without recursion
+class Atom(Formula, namedtuple("Atom", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Not(Formula):
-    child: Formula
+class Not(Formula, namedtuple("Not", "child")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, namedtuple("And", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, namedtuple("Or", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(Formula, namedtuple("Implies", "left right")):
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -255,17 +258,18 @@ def render(node: Formula) -> str:
 # Evaluation
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(namedtuple("Valuation", "config assignment")):
     """A total assignment of truth values to atom names for one algebra."""
 
-    config: AlgebraConfig
-    assignment: Mapping[str, LinguisticValue]
+    __slots__ = ()
 
-    def __post_init__(self):
-        require(self.config, AlgebraConfig)
-        for name, value in self.assignment.items():
-            self.config.validate_value(value)
+    def __new__(cls, config: AlgebraConfig, assignment: Mapping[str, LinguisticValue]):
+        require(config, AlgebraConfig)
+        for value in assignment.values():
+            config.validate_value(value)
+        return tuple.__new__(cls, (config, assignment))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
 
     def value_of(self, name: str) -> LinguisticValue:
         try:

@@ -15,22 +15,24 @@ checks the seven defining axioms exhaustively for every n <= 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class HedgeChain:
+class HedgeChain(namedtuple("HedgeChain", "n")):
     """A chain of n+1 hedge grades, indexed 0..n."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.n) is not int:
-            raise DomainError(f"hedge chain n must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise DomainError(f"hedge chain needs n >= 0, got {self.n}")
+    def __new__(cls, n: int):
+        if type(n) is not int:
+            raise DomainError(f"hedge chain n must be an int, got {n!r}")
+        if n < 0:
+            raise DomainError(f"hedge chain needs n >= 0, got {n}")
+        return tuple.__new__(cls, (n,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
 
     def _check(self, j: int) -> None:
         if type(j) is not int:

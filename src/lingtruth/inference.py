@@ -56,9 +56,8 @@ import functools
 import itertools
 import operator
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import ClassVar
 
 from .errors import DomainError, require
 from .formula import Not, Valuation, _fold, _operations, evaluate, parse
@@ -73,25 +72,17 @@ class RuleId(enum.Enum):
     MT = "MT"
 
 
-@dataclass(frozen=True)
-class BranchLabel:
+class BranchLabel(namedtuple("BranchLabel", "table case")):
     """Which table and which case produced a closed-form value."""
 
-    table: str
-    case: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.table}:{self.case}"
 
 
-@dataclass(frozen=True)
-class InferenceRow:
-    p: LinguisticValue
-    q: LinguisticValue
-    rule: RuleId
-    direct: LinguisticValue
-    closed: LinguisticValue
-    branch: BranchLabel
+class InferenceRow(namedtuple("InferenceRow", "p q rule direct closed branch")):
+    __slots__ = ()
 
     @property
     def agree(self) -> bool:
@@ -333,7 +324,6 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], lis
     return closed, branch
 
 
-@dataclass(frozen=True, eq=False)
 class InferenceTable(Sequence):
     """The MP or MT table of one algebra, held as columns.
 
@@ -343,14 +333,17 @@ class InferenceTable(Sequence):
     ``branch[k]``, the index in ``labels`` of the case that fired (MP case c
     at c, its MT renaming at c + 33), are filled by runs from the case
     tables.  Indexing and iteration build each ``InferenceRow`` on demand.
+    Its length is its row count, so it is not a tuple; two tables are
+    equal only when they are the same object.
     """
 
-    config: AlgebraConfig
-    rule: RuleId
-    direct: list[int]
-    closed: list[int]
-    branch: list[int]
-    labels: ClassVar[tuple[BranchLabel, ...]] = _BRANCHES
+    __slots__ = ("config", "rule", "direct", "closed", "branch")
+    labels = _BRANCHES
+
+    def __init__(self, config: AlgebraConfig, rule: RuleId, direct: list[int],
+                 closed: list[int], branch: list[int]):
+        self.config, self.rule = config, rule
+        self.direct, self.closed, self.branch = direct, closed, branch
 
     @property
     def values(self) -> tuple[LinguisticValue, ...]:
@@ -447,18 +440,9 @@ def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
 # The eight worked examples (five-grade chain; quasi kind uses index 2)
 
 
-@dataclass(frozen=True)
-class ExampleCheck:
-    example: str
-    kind: str
-    p: LinguisticValue
-    q: LinguisticValue
-    expected_mp: LinguisticValue
-    expected_mt: LinguisticValue
-    mp: LinguisticValue
-    mt: LinguisticValue
-    mp_closed: LinguisticValue
-    mt_closed: LinguisticValue
+class ExampleCheck(namedtuple("ExampleCheck", "example kind p q expected_mp expected_mt "
+                                             "mp mt mp_closed mt_closed")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -483,9 +467,8 @@ class ExampleCheck:
         }
 
 
-@dataclass
-class ExampleReport:
-    checks: list[ExampleCheck]
+class ExampleReport(namedtuple("ExampleReport", "checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -51,7 +51,6 @@ import functools
 import re
 from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 
@@ -73,25 +72,31 @@ class Polarity(enum.IntEnum):
         return "True" if self is Polarity.T else "False"
 
 
-@dataclass(frozen=True)
-class LinguisticValue:
+class LinguisticValue(namedtuple("LinguisticValue", "grade polarity")):
     """One carrier element v_(grade)(polarity).  The grade must be an int
-    (not a bool); the carrier's range 0..n is checked by the algebra."""
+    (not a bool); the carrier's range 0..n is checked by the algebra.  Not
+    ordered: the lattice order is the algebra's, so ``<`` raises TypeError."""
 
-    grade: int
-    polarity: Polarity
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.grade) is not int:
+    def __new__(cls, grade: int, polarity: Polarity):
+        if type(grade) is not int:
             # a float or bool grade would pass the carrier's range check
-            raise DomainError(f"grade must be an int, got {self.grade!r}")
-        polarity = self.polarity
+            raise DomainError(f"grade must be an int, got {grade!r}")
         if type(polarity) is not Polarity:
             # the polarity checks compare by identity, so 0, 1 and bools
             # must become Polarity members
             if type(polarity) not in (int, bool) or polarity not in (0, 1):
                 raise DomainError(f"polarity must be a Polarity, 0 or 1, got {polarity!r}")
-            object.__setattr__(self, "polarity", Polarity(polarity))
+            polarity = Polarity(polarity)
+        return tuple.__new__(cls, (grade, polarity))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
+
+    def __lt__(self, other):  # tuple order (grade, polarity) is not the lattice order
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     @staticmethod
     def true(grade: int) -> "LinguisticValue":
@@ -141,55 +146,52 @@ def _byte_rows(table):
     return rows, [row + pad for row in rows]
 
 
-@dataclass(frozen=True)
-class AlgebraConfig:
+class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     """An immutable algebra over linguistic truth values.
 
     ``n`` is the maximum hedge grade (the carrier has 2(n+1) elements).
     ``noncomparable`` selects the quasi kind: the index i whose pair
     (v_iF, v_(n-i)T) is non-comparable.  ``labels`` optionally names the
-    hedge grades, weakest first, for display and parsing.
+    hedge grades, weakest first, for display and parsing.  No ``__slots__``:
+    the tables and the kernel are cached in the instance dict.
     """
 
-    n: int
-    noncomparable: int | None = None
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
+    def __new__(cls, n: int, noncomparable: int | None = None,
+                labels: tuple[str, ...] | None = None):
         # exactly int, as for a grade: a float or bool passes the range checks
-        if type(self.n) is not int:
-            raise DomainError(f"hedge count n must be an int, got {self.n!r}")
-        if self.noncomparable is not None and type(self.noncomparable) is not int:
+        if type(n) is not int:
+            raise DomainError(f"hedge count n must be an int, got {n!r}")
+        if noncomparable is not None and type(noncomparable) is not int:
             raise DomainError(
-                f"non-comparable index must be an int or None, got {self.noncomparable!r}"
+                f"non-comparable index must be an int or None, got {noncomparable!r}"
             )
-        if self.n < 0:
-            raise DomainError(f"hedge count n must be >= 0, got {self.n}")
-        if self.noncomparable is not None:
-            if self.n < 2:
+        if n < 0:
+            raise DomainError(f"hedge count n must be >= 0, got {n}")
+        if noncomparable is not None:
+            if n < 2:
                 raise DomainError("a non-comparable pair needs n >= 2")
-            if not 1 <= self.noncomparable <= self.n - 1:
+            if not 1 <= noncomparable <= n - 1:
                 raise DomainError(
-                    f"non-comparable index {self.noncomparable} outside 1..{self.n - 1}"
+                    f"non-comparable index {noncomparable} outside 1..{n - 1}"
                 )
-        if self.labels is not None:
+        if labels is not None:
             # a bare string would be read as one label per character
-            if isinstance(self.labels, str) or not isinstance(self.labels, Iterable):
-                raise DomainError(f"hedge labels must be a sequence of str, got {self.labels!r}")
-            if not isinstance(self.labels, tuple):
-                object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.n + 1:
-                raise DomainError(
-                    f"need {self.n + 1} hedge labels, got {len(self.labels)}"
-                )
-            for label in self.labels:
+            if isinstance(labels, str) or not isinstance(labels, Iterable):
+                raise DomainError(f"hedge labels must be a sequence of str, got {labels!r}")
+            labels = tuple(labels)
+            if len(labels) != n + 1:
+                raise DomainError(f"need {n + 1} hedge labels, got {len(labels)}")
+            for label in labels:
                 if type(label) is not str:
                     raise DomainError(f"hedge label must be a str, got {label!r}")
-            if any(not label.strip() for label in self.labels):
+            if any(not label.strip() for label in labels):
                 raise DomainError("hedge labels must not be blank")
-            lowered = [label.lower() for label in self.labels]
+            lowered = [label.lower() for label in labels]
             if len(set(lowered)) != len(lowered):
                 raise DomainError("hedge labels must be distinct")
+        return tuple.__new__(cls, (n, noncomparable, labels))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
 
     # ------------------------------------------------------------------
     # Carrier

@@ -40,30 +40,30 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError, require
 from .lattice import AlgebraConfig, LinguisticValue, canonical
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
     """Hasse cover edges of a carrier, with the order and the bounds as
-    tables over the positions of ``elements``, built on first use.  The
-    elements must be distinct values of ``config``, and each cover edge a
-    (lower, upper) pair of them; anything else raises ``DomainError``."""
+    tables over the positions of ``elements``, built on first use and
+    cached in the instance dict.  The elements must be distinct values of
+    ``config``, and each cover edge a (lower, upper) pair of them; anything
+    else raises ``DomainError``."""
 
-    config: AlgebraConfig
-    elements: tuple[LinguisticValue, ...]
-    covers: frozenset[tuple[LinguisticValue, LinguisticValue]]
-
-    def __post_init__(self):
-        members = set(map(require(self.config, AlgebraConfig).validate_value, self.elements))
-        if len(members) != len(self.elements):
+    def __new__(cls, config: AlgebraConfig, elements: tuple[LinguisticValue, ...],
+                covers: frozenset[tuple[LinguisticValue, LinguisticValue]]):
+        members = set(map(require(config, AlgebraConfig).validate_value, elements))
+        if len(members) != len(elements):
             raise DomainError("the elements of a cover graph must be distinct")
-        for edge in self.covers:
+        for edge in covers:
             if not (isinstance(edge, tuple) and len(edge) == 2 and members.issuperset(edge)):
                 raise DomainError(f"cover edge {edge!r} is not a pair of the graph's elements")
+        return tuple.__new__(cls, (config, elements, covers))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
 
     @functools.cached_property
     def up(self) -> list[int]:
@@ -91,9 +91,11 @@ class CoverGraph:
     @functools.cached_property
     def meets(self) -> list[list[int | None]]:
         """meets[a][b]: the position of the greatest lower bound of a and b, or None."""
-        up = self.up
-        positions = range(len(up))
-        return _bounds([sum(1 << k for k in positions if up[k] >> j & 1) for j in positions])
+        # the down-sets: one transpose of the up-sets' bit strings, where
+        # character k of string j is bit size - 1 - k of up[j]
+        size = len(self.up)
+        bits = [format(up, f"0{size}b") for up in self.up]
+        return _bounds([int("".join(column)[::-1], 2) for column in zip(*bits)][::-1])
 
 
 def _bounds(sets: list[int]) -> list[list[int | None]]:
@@ -119,13 +121,11 @@ def build_covers(config: AlgebraConfig) -> CoverGraph:
     return CoverGraph(config, config.values(), frozenset(covers))
 
 
-@dataclass
-class LatticeReport:
-    """Pairs of the carrier lacking a unique LUB or GLB (should be none)."""
+class LatticeReport(namedtuple("LatticeReport", "config missing_joins missing_meets")):
+    """Pairs of the carrier lacking a unique LUB or GLB (should be none):
+    lists of (a, b) pairs, filled by ``verify_lattice``."""
 
-    config: AlgebraConfig
-    missing_joins: list[tuple[LinguisticValue, LinguisticValue]] = field(default_factory=list)
-    missing_meets: list[tuple[LinguisticValue, LinguisticValue]] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def is_lattice(self) -> bool:
@@ -143,7 +143,7 @@ class LatticeReport:
 
 def verify_lattice(graph: CoverGraph) -> LatticeReport:
     """Every pair of the graph's carrier lacking a unique LUB or GLB."""
-    report = LatticeReport(require(graph, CoverGraph).config)
+    report = LatticeReport(require(graph, CoverGraph).config, [], [])
     values = graph.elements
     for a, joins, meets in zip(values, graph.joins, graph.meets):
         if None not in joins and None not in meets:
@@ -160,14 +160,12 @@ def verify_lattice(graph: CoverGraph) -> LatticeReport:
 # Cross-checking the closed forms against the oracle
 
 
-@dataclass(frozen=True)
-class OpMismatch:
-    op: str
-    a: LinguisticValue
-    b: LinguisticValue
-    got: LinguisticValue | bool | None
-    expected: LinguisticValue | bool | None
-    rule: str | None = None
+class OpMismatch(namedtuple("OpMismatch", "op a b got expected rule", defaults=(None,))):
+    """One pair where an operation differs from the oracle: ``got`` and
+    ``expected`` are values, bools (leq) or None (no bound); ``rule`` names
+    the stated case rule, if any."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         def show(v):
@@ -185,16 +183,12 @@ class OpMismatch:
         return entry
 
 
-@dataclass
-class DiscrepancyReport:
-    """Implemented-vs-oracle and stated-vs-oracle comparison for one algebra."""
+class DiscrepancyReport(namedtuple("DiscrepancyReport",
+                                   "config implemented stated residuation_exceptions")):
+    """Implemented-vs-oracle and stated-vs-oracle comparison for one algebra:
+    lists of ``OpMismatch`` and of (a, b) pairs, filled by ``cross_check_ops``."""
 
-    config: AlgebraConfig
-    implemented: list[OpMismatch] = field(default_factory=list)
-    stated: list[OpMismatch] = field(default_factory=list)
-    residuation_exceptions: list[tuple[LinguisticValue, LinguisticValue]] = field(
-        default_factory=list
-    )
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:
@@ -239,14 +233,17 @@ def _stated_rows(config: AlgebraConfig) -> tuple[list[list[int]], list[list[int]
     mixed_meet = [[false(nc + 1 if quasi and k == n - nc and l == nc else l) if n <= k + l
                    else false(nc + 1 if quasi and k == n - nc else n - k)
                    for l in f_grades] for k in t_grades]
-    joins = [[false(min(g, l)) for l in f_grades] + list(mixed)
-             for g, mixed in zip(f_grades, zip(*mixed_join))]
-    joins += [mixed + [true(max(k, j)) for j in t_grades]
-              for k, mixed in zip(t_grades, mixed_join)]
-    meets = [[false(max(g, l)) for l in f_grades] + list(mixed)
-             for g, mixed in zip(f_grades, zip(*mixed_meet))]
-    meets += [mixed + [true(min(k, j)) for j in t_grades]
-              for k, mixed in zip(t_grades, mixed_meet)]
+    # same polarity: the larger and the smaller position of one chain, a
+    # plateau and a range; false row r is v_(n-r)F, true row k is v_kT
+    s, positions = n + 1, [*range(2 * n + 2)]
+    joins = [[r] * (r + 1) + positions[r + 1:s] + list(mixed)
+             for r, mixed in enumerate(zip(*mixed_join))]
+    joins += [mixed + [s + k] * (k + 1) + positions[s + k + 1:]
+              for k, mixed in enumerate(mixed_join)]
+    meets = [positions[:r] + [r] * (s - r) + list(mixed)
+             for r, mixed in enumerate(zip(*mixed_meet))]
+    meets += [mixed + positions[s:s + k] + [s + k] * (s - k)
+              for k, mixed in enumerate(mixed_meet)]
     return joins, meets
 
 
@@ -263,7 +260,7 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     values = graph.elements
     if values != config.values():
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
-    report = DiscrepancyReport(config)
+    report = DiscrepancyReport(config, [], [], [])
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
     size = len(values)
     top, positions = size - 1, range(size)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -14,7 +13,7 @@ from lingtruth.axioms import (
     classify,
 )
 from lingtruth.errors import DomainError
-from lingtruth.lattice import LinguisticValue, lia, qlia
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -132,6 +131,10 @@ class TestReporting:
         assert all(result[axiom].holds for axiom in Axiom)
 
 
+# every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n
+SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+
+
 def _with_entry(table, i, j, entry):
     """``table`` with entry [i][j] replaced."""
     rows = [list(row) for row in table]
@@ -155,13 +158,13 @@ def _naive(tables, name):
             if (pair := sides(x, y, z))[0] != pair[1]]
 
 
-def _cubic_reports(config):
-    """The I1, I6, I7 and associativity reports, every witness kept, as
-    (name, count, witnesses as carrier-index tuples)."""
+def _cubic_reports(config, max_witnesses=None):
+    """The I1, I6, I7 and associativity reports, as (name, count, witnesses
+    as carrier-index tuples)."""
     index = {v: k for k, v in enumerate(config.values())}
-    results = [check_axiom(config, axiom, max_witnesses=None)
+    results = [check_axiom(config, axiom, max_witnesses)
                for axiom in (Axiom.I1, Axiom.I6, Axiom.I7)]
-    results += [law for law in check_lattice_laws(config, max_witnesses=None)
+    results += [law for law in check_lattice_laws(config, max_witnesses)
                 if law.name.endswith("associative")]
     return [(r.name, r.total_violations,
              [tuple(index[v] for v in (w.x, w.y, w.z, w.lhs, w.rhs)) for w in r.witnesses])
@@ -189,7 +192,7 @@ class TestRowScreen:
         cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
         for op in ("implies", "join", "meet"):
             for i, j in cells:
-                planted = dataclasses.replace(config)  # fresh table cache
+                planted = AlgebraConfig(*config)  # fresh table cache
                 tables = planted.tables
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
@@ -200,6 +203,11 @@ class TestRowScreen:
                     (name, _naive(tables, name)) for name in
                     ("I1", "I6", "I7", "join-associative", "meet-associative"))]
                 assert _cubic_reports(planted) == expected, (op, i, j, entry)
+                # past the cap, rows are counted and not collected
+                for cap in (0, 1):
+                    assert _cubic_reports(planted, cap) == [
+                        (name, count, bad[:cap]) for name, count, bad in expected
+                    ], (op, i, j, entry, cap)
 
     def test_walk_alone_gives_the_same_reports(self, monkeypatch):
         configs = [lia(n) for n in range(9)] + [qlia(n, i) for n in range(2, 9)
@@ -213,6 +221,20 @@ class TestRowScreen:
         screened = [reports(config) for config in configs]
         monkeypatch.setattr(axioms, "_byte_rows", lambda table: None)
         assert [reports(config) for config in configs] == screened
+
+    def test_capped_counts_are_exact(self, screen):
+        """Every report of every config with n <= 16, capped at 0, 1 and 10:
+        the count of the uncapped report and the first witnesses of it."""
+        def reports(config, max_witnesses):
+            results = check_all_axioms(config, max_witnesses)
+            return [results[a] for a in Axiom] + check_lattice_laws(config, max_witnesses)
+
+        for config in SMALL_CONFIGS:
+            every = reports(config, None)
+            for cap in (0, 1, 10):
+                assert reports(config, cap) == [
+                    (r.name, r.total_violations, r.witnesses[:cap]) for r in every
+                ], (config, cap)
 
     def test_screen_stops_at_a_byte(self):
         assert axioms._byte_rows([[0] * 256] * 256) is not None

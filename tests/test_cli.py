@@ -468,6 +468,17 @@ class TestParser:
         assert code == 0 and out.startswith("LIA: I1..I7 hold")
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """Every CLI call is a fresh process, so the import is part of its cost:
+    the records are named tuples, and ``dataclasses`` alone pulls in
+    ``inspect``, ``ast`` and ``dis``."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lingtruth, lingtruth.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -73,6 +73,25 @@ class TestParsing:
         assert parse("P & Q") != parse("P | Q") and parse("P & Q") != parse("Q & P")
         assert Atom("P") != "P" and len({parse("P -> Q"), parse("(P) -> (Q)")}) == 1
 
+    @pytest.mark.parametrize("text", ["P", "!P", "P & Q", "P | Q", "P -> Q"])
+    def test_not_equal_is_the_negation_of_equal(self, text):
+        node = parse(text)
+        for other in (parse(text), parse("Q"), parse("!Q"), parse("Q & P"), parse("Q -> P")):
+            assert (node != other) is not (node == other)
+        # a node is a tuple of its children, but hashes by its shape
+        fields = tuple(node)
+        assert (node == fields, fields == node, node != fields) == (False, False, True)
+
+    @pytest.mark.parametrize("node", [Atom("P"), Not(Atom("P")), And(Atom("P"), Atom("Q")),
+                                      Or(Atom("P"), Atom("Q")), Implies(Atom("P"), Atom("Q"))],
+                             ids=lambda node: type(node).__name__)
+    def test_nodes_are_not_ordered(self, node):
+        for other in (node, Atom("Q")):
+            for compare in (lambda a, b: a < b, lambda a, b: a > b,
+                            lambda a, b: a <= b, lambda a, b: a >= b):
+                with pytest.raises(TypeError):
+                    compare(node, other)
+
     def test_whitespace_insignificant(self):
         assert parse("  P->Q  ") == parse("P -> Q")
 
@@ -158,6 +177,13 @@ class TestDeepNesting:
             "implies": f"Implies(left={atom}, right=" * levels + atom + ")" * levels,
             "and": "And(left=" * levels + atom + f", right={atom})" * levels,
         }[shape]
+
+    @pytest.mark.parametrize("shape", DEEP_VALUES)
+    def test_not_equal_is_not_equal_at_hundred_thousand_levels(self, shape):
+        """A node is also a tuple, whose ``!=`` would compare fields and recurse."""
+        node, twin = (parse(deep_formula(shape, 100_000)) for _ in range(2))
+        other = parse(deep_formula(shape, 99_998))
+        assert (node != twin) is False and (node != other) is (shape != "parens")
 
     def test_long_conjunction_parses_in_a_loop(self):
         node, depth = parse(DEEP_FORMULAS["and"]), 0

@@ -8,6 +8,7 @@ from strategies import algebra_pairs
 from lingtruth import axioms, inference, oracle
 from lingtruth.errors import DomainError, ParseError
 from lingtruth.formula import Valuation, evaluate, parse
+from lingtruth.hedges import HedgeChain
 from lingtruth.lattice import (
     DEFAULT_LABELS_N4,
     AlgebraConfig,
@@ -190,6 +191,44 @@ class TestValueConstruction:
         with pytest.raises(DomainError):
             bad = LinguisticValue(grade, Polarity.T)
             fn(bad) if op == "negate" else fn(bad, T(1))
+
+
+class TestRecords:
+    """Values and configs are named tuples: equal to plain tuples, but not
+    ordered, and ``_replace`` validates as the constructor does."""
+
+    def test_values_are_not_ordered(self):
+        # tuple order (grade, polarity) would put v1T below v2F
+        for compare in (lambda a, b: a < b, lambda a, b: a > b,
+                        lambda a, b: a <= b, lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                compare(T(1), F(2))
+
+    def test_tuple_views(self):
+        assert T(3) == (3, Polarity.T) and hash(T(3)) == hash((3, 1))
+        assert qlia(4, 2) == (4, 2, None) and AlgebraConfig(*qlia(4, 2)) == qlia(4, 2)
+        assert lia(1, ["a", "b"]).labels == ("a", "b")
+
+    @pytest.mark.parametrize("replace", [
+        lambda: T(3)._replace(grade=2.5),
+        lambda: T(3)._replace(polarity=2),
+        lambda: lia(4)._replace(n=-1),
+        lambda: lia(4)._replace(noncomparable=2, n=1),
+        lambda: lia(4)._replace(labels=("a",)),
+        lambda: Valuation(lia(4), {})._replace(assignment={"P": T(5)}),
+        lambda: HedgeChain(4)._replace(n=True),
+        lambda: oracle.build_covers(lia(1))._replace(covers=frozenset({(F(1), T(5))})),
+    ], ids=["grade", "polarity", "n", "noncomparable", "labels", "Valuation", "HedgeChain",
+            "CoverGraph"])
+    def test_replace_validates(self, replace):
+        with pytest.raises(DomainError):
+            replace()
+
+    def test_replaced_config_has_its_own_tables(self):
+        config = lia(3)
+        config.tables
+        fresh = config._replace()
+        assert fresh == config and "tables" not in vars(fresh)
 
 
 # every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n

@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import pytest
 
 from lingtruth.errors import DomainError
-from lingtruth.lattice import LinguisticValue, lia, qlia
+from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
 from lingtruth.oracle import (
     CoverGraph,
     OpMismatch,
@@ -335,7 +334,7 @@ class TestCrossCheck:
         for op in ("join", "meet", "implies"):
             for i in range(size):
                 for j in range(size):
-                    planted = dataclasses.replace(config)
+                    planted = AlgebraConfig(*config)
                     tables = planted.tables
                     entry = getattr(tables, op)[i][j]
                     if op == "implies":  # top or not: residuation reads only that
