@@ -15,20 +15,17 @@ violation count is always exact; pass ``max_witnesses=None`` to keep every
 witness.  A bad cap or axiom raises ``DomainError`` first.
 
 The cubic families (I1, I6, I7 and associativity) screen whole rows
-before they walk cells.  While the carrier has at most 256 elements, every
-index fits in a byte: ``lattice._byte_rows`` (which owns that limit, and
-which `lingtruth.inference` asks too) holds each table row as ``bytes``
-and, padded to 256 bytes, as a ``bytes.translate`` table, so composing two
-rows is one translate in C.  I1 and associativity compare the whole z row
-of a pair (x, y) at once; I6 and I7 compare the whole y column of a pair
-(x, z), walk columns, and sort each x's violations by (y, z).  Only a row
-or column that differs is walked cell by cell, so counts and witness order
-are those of the plain triple loop.  Once the kept witnesses are collected
-(I6 and I7 test that at the start of each x, whose violations are sorted),
-a row or column that differs is only counted, as the number of cells where
-its two sides differ, and builds no witness tuples.  Above 256 elements
-(n >= 128) ``_byte_rows`` gives None, and each side of a row or column is
-composed cell by cell as a list, then compared, walked or counted alike.
+before they walk cells.  ``lattice._rows`` holds a table's rows and columns
+so that composing two is one call in C (``bytes.translate`` up to 256
+carrier elements, ``operator.itemgetter`` above; it alone decides which).
+I1 and associativity compare the whole z row of a pair (x, y) at once; I6
+and I7 compare the whole y column of a pair (x, z), walk columns, and sort
+each x's violations by (y, z).  Only a row or column that differs is
+walked cell by cell, so counts and witness order are those of the plain
+triple loop.  Once the kept witnesses are collected (I6 and I7 test that
+at the start of each x, whose violations are sorted), a row or column that
+differs is only counted, as the number of cells where its two sides
+differ, and builds no witness tuples.
 
 The axioms, for all x, y, z:
 
@@ -51,7 +48,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, _byte_rows, canonical
+from .lattice import AlgebraConfig, LinguisticValue, _rows, canonical
 
 
 class Axiom(enum.Enum):
@@ -135,16 +132,11 @@ def check_axiom(
     bad, uncollected = [], 0
 
     if axiom is Axiom.I1:
-        rows, maps = _byte_rows(imp) or (None, None)
+        rows, maps, _, _, compose = _rows(imp)
         for x in carrier:
-            imp_x = imp[x]
             for y in carrier:
-                imp_y = imp[y]
                 # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
-                if rows:
-                    lhs, rhs = rows[y].translate(maps[x]), rows[x].translate(maps[y])
-                else:  # cell by cell
-                    lhs, rhs = [imp_x[v] for v in imp_y], [imp_y[v] for v in imp_x]
+                lhs, rhs = compose(rows[y], maps[x]), compose(rows[x], maps[y])
                 if lhs == rhs:
                     continue
                 if len(bad) >= cap:
@@ -177,21 +169,15 @@ def check_axiom(
                     bad.append((x, y, None, lhs, rhs))
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
-        columns = list(zip(*imp))  # columns[z][w] is imp[w][z]
-        inner_rows, _ = _byte_rows(inner) or (None, None)
-        column_rows, column_maps = _byte_rows(columns) or (None, None)
-        _, outer_maps = _byte_rows(outer) or (None, None)
+        _, _, columns, column_maps, compose = _rows(imp)  # columns[z][w] is imp[w][z]
+        inner_rows, outer_maps = _rows(inner).rows, _rows(outer).maps
         for x in carrier:
-            imp_x, inner_x = imp[x], inner[x]
+            imp_x, inner_x = imp[x], inner_rows[x]
             full, found = len(bad) >= cap, []  # x's violations are sorted: cap per x
             for z in carrier:
-                column, outer_row = columns[z], outer[imp_x[z]]
-                # the y column at once: column[inner_x[y]] against outer_row[column[y]]
-                if inner_rows:
-                    lhs = inner_rows[x].translate(column_maps[z])
-                    rhs = column_rows[z].translate(outer_maps[imp_x[z]])
-                else:  # cell by cell
-                    lhs, rhs = [column[v] for v in inner_x], [outer_row[v] for v in column]
+                # the y column at once: imp[inner_x[y]][z] against outer[imp_x[z]][imp[y][z]]
+                lhs = compose(inner_x, column_maps[z])
+                rhs = compose(columns[z], outer_maps[imp_x[z]])
                 if lhs == rhs:
                     continue
                 if full:
@@ -233,16 +219,13 @@ def check_lattice_laws(
 
     cap = float("inf") if max_witnesses is None else max_witnesses
     for name, op in (("join", join), ("meet", meet)):
-        rows, maps = _byte_rows(op) or (None, None)
+        rows, maps, _, _, compose = _rows(op)
         bad, uncollected = [], 0
         for x in carrier:
             op_x = op[x]
             for y in carrier:
                 # the z row at once: op[op_x[y]] against op[x] after op[y]
-                if rows:
-                    lhs, rhs = rows[op_x[y]], rows[y].translate(maps[x])
-                else:  # cell by cell
-                    lhs, rhs = op[op_x[y]], [op_x[v] for v in op[y]]
+                lhs, rhs = rows[op_x[y]], compose(rows[y], maps[x])
                 if lhs == rhs:
                     continue
                 if len(bad) >= cap:

@@ -29,14 +29,12 @@ indices.  The direct column comes from one walk of the schema's formula
 tree over the config's operation rows (``AlgebraConfig.tables``), each node a
 vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
 operand a connective maps one row or column of its operation over a block
-or a strided column, O(N) steps in Python per table.  Up to 256 carrier
-elements (n <= 127, where ``lattice._byte_rows`` gives byte rows, as for
-the axiom screens) the operands are ``bytes`` and each map is one
-``bytes.translate`` through the row or column padded to 256 bytes; above
-that they are lists and each map an ``operator.itemgetter``; the direct
-column is a list either way.  `lingtruth.formula` states which operation
-each connective runs, for this walk and for ``evaluate``.  It never calls ``mp_direct``, ``mt_direct`` or the kernel
-(the tests check it against them); the axiom checks reuse the same rows.
+or a strided column, O(N) steps in Python per table, each one
+``compose`` of ``lattice._rows`` (as for the axiom screens); the direct
+column is a list.  `lingtruth.formula` states which operation each
+connective runs, for this walk and for ``evaluate``.  It never calls
+``mp_direct``, ``mt_direct`` or the kernel (the tests check it against
+them); the axiom checks reuse the same rows.
 The closed and branch columns read the case tables that ``mp_closed`` and
 ``mt_closed`` read, held as data: within a row half each case covers a few
 runs of the column, each filled as one slice or repeat, so a table takes
@@ -61,7 +59,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, require
 from .formula import Not, Valuation, _fold, _operations, evaluate, parse
-from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, _byte_rows, canonical, lia, qlia
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, _rows, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -370,55 +368,36 @@ class InferenceTable(Sequence):
         return list(itertools.compress(range(len(self)), unequal))
 
 
-def _gather(cells, row):
-    """``row`` at each index of ``cells`` (size >= 2 of them, so a tuple)."""
-    return operator.itemgetter(*cells)(row)
-
-
 def _shaped(size: int, kind, op):
     """``kind``'s operation (``op``: a negation vector or rows) on operands
     (axis, entries): a vector over e(P) or e(Q) (axis "P", "Q") or the matrix
     of all rows, entry p·size + q (axis None).
 
     A binary operation maps the cells of each entry of its vector operand
-    through one row or column of ``op``.  While every carrier index fits in
-    a byte (``_byte_rows`` gives rows, at most 256 elements), the other
-    operand is ``bytes``, the result a ``bytearray``, and each map one
-    ``bytes.translate`` through the row or column padded to 256 bytes; above
-    that, the result is a list and each map an ``operator.itemgetter``."""
+    through one row or column of ``op``, one ``compose`` of ``lattice._rows``
+    each, built once per operation; the matrix is a ``bytearray`` while the
+    rows are ``bytes``, a list otherwise."""
     if kind is Not:
         return lambda x: (x[0], list(map(op.__getitem__, x[1])))
     # the matrix cells of entry k of a vector: a block over P, a stride over Q
     cells = {"P": lambda k: slice(k * size, (k + 1) * size), "Q": lambda k: slice(k, None, size)}
-    byte_rows = functools.cache(lambda: _byte_rows(op))
-
-    @functools.cache
-    def maps(left):
-        """The map of each entry v: row v of ``op`` (``left``) or column v,
-        padded to a translate table while ``_byte_rows`` gives rows."""
-        if byte_rows() is None:
-            return op if left else list(zip(*op))
-        rows, padded = byte_rows()
-        if left:
-            return padded
-        flat, pad = b"".join(rows), padded[0][size:]  # every row's padding
-        return [flat[v::size] + pad for v in range(size)]
+    held = functools.cache(lambda: _rows(op))
 
     def apply(x, y):
         # entry v of the vector operand maps its cells by row v of op (vector on
         # the left) or column v (on the right); no schema combines two matrices
         left = x[0] is not None
         (axis, vector), (other_axis, other) = (x, y) if left else (y, x)
-        by = maps(left)
+        rows, maps, _, column_maps, compose = held()
+        by = maps if left else column_maps
         if other_axis == axis:  # both over one atom: a vector again
             return axis, [by[v][w] for v, w in zip(vector, other)]
-        if byte_rows() is None:
-            out, gather = [0] * (size * size), _gather
-        else:
-            out, gather, other = bytearray(size * size), bytes.translate, bytes(other)
+        row_type = type(rows[0])  # cells to compose have the rows' type
+        other = row_type(other)
+        out = bytearray(size * size) if row_type is bytes else [0] * (size * size)
         for k, v in enumerate(vector):
             at = cells[axis](k)
-            out[at] = gather(other if other_axis else other[at], by[v])
+            out[at] = compose(other if other_axis else other[at], by[v])
         return None, out
     return apply
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Iterable
@@ -133,17 +134,40 @@ _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
 _Rows = namedtuple("_Rows", "negate join meet implies")
 
 
-def _byte_rows(table):
-    """Each row of a square table of carrier indices (one of
-    ``AlgebraConfig.tables``) as ``bytes``, and each row padded to a 256-byte
-    ``bytes.translate`` table, so that ``rows[y].translate(maps[x])[z] ==
-    table[x][table[y][z]]``; None when the carrier has more than 256
-    elements and an index does not fit in a byte."""
-    if len(table) > 256:
-        return None
+_RowMaps = namedtuple("_RowMaps", "rows maps columns column_maps compose")
+
+
+def _rows(table):
+    """A square table of carrier indices (one of ``AlgebraConfig.tables``)
+    held for composing whole rows: ``rows[y]`` is row y, ``columns[z]`` is
+    column z (``columns[z][w] == table[w][z]``), and ``compose(cells,
+    maps[x])`` is row x read at each of ``cells``, so that ``compose(rows[y],
+    maps[x])[z] == table[x][table[y][z]]``; ``column_maps`` do the same for
+    the columns.  A composed row has the type of ``rows``, so the two compare
+    with ``==``.  This is the one place that knows the 256-element limit:
+    while every index fits in a byte, rows and columns are ``bytes``, each
+    map is one padded to a 256-byte translate table and ``compose`` is
+    ``bytes.translate``; above that, ``_wide_rows``."""
+    size = len(table)
+    if size > 256:
+        return _wide_rows(table)
     rows = [bytes(row) for row in table]
-    pad = bytes(256 - len(table))
-    return rows, [row + pad for row in rows]
+    flat, pad = b"".join(rows), bytes(256 - size)
+    columns = [flat[z::size] for z in range(size)]
+    return _RowMaps(rows, [row + pad for row in rows], columns,
+                    [column + pad for column in columns], bytes.translate)
+
+
+def _wide_rows(table):
+    """``_rows`` at any size: rows and columns are tuples, each its own map,
+    and ``compose`` is ``_gather``."""
+    rows, columns = [*map(tuple, table)], [*zip(*table)]
+    return _RowMaps(rows, rows, columns, columns, _gather)
+
+
+def _gather(cells, row):
+    """``row`` at each index of ``cells`` (size >= 2 of them, so a tuple)."""
+    return operator.itemgetter(*cells)(row)
 
 
 class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from lingtruth import axioms
 from lingtruth.axioms import (
     Axiom,
     Classification,
@@ -171,10 +170,10 @@ def _cubic_reports(config, max_witnesses=None):
             for r in results]
 
 
-@pytest.fixture(params=["screened", "walk only"])
-def screen(request, monkeypatch):
-    if request.param == "walk only":  # as above 256 elements
-        monkeypatch.setattr(axioms, "_byte_rows", lambda table: None)
+@pytest.fixture(params=["screened", "wide"])
+def screen(request):
+    if request.param == "wide":  # tuple rows, as above 256 elements
+        request.getfixturevalue("wide_rows")
     return request.param
 
 
@@ -209,7 +208,7 @@ class TestRowScreen:
                         (name, count, bad[:cap]) for name, count, bad in expected
                     ], (op, i, j, entry, cap)
 
-    def test_walk_alone_gives_the_same_reports(self, monkeypatch):
+    def test_wide_rows_give_the_same_reports(self, wide_rows, monkeypatch):
         configs = [lia(n) for n in range(9)] + [qlia(n, i) for n in range(2, 9)
                                                for i in range(1, n)]
 
@@ -218,9 +217,9 @@ class TestRowScreen:
             return ([results[a].to_dict() for a in Axiom]
                     + [law.to_dict() for law in check_lattice_laws(config, max_witnesses=None)])
 
-        screened = [reports(config) for config in configs]
-        monkeypatch.setattr(axioms, "_byte_rows", lambda table: None)
-        assert [reports(config) for config in configs] == screened
+        wide = [reports(config) for config in configs]
+        monkeypatch.undo()  # back to byte rows
+        assert [reports(config) for config in configs] == wide
 
     def test_capped_counts_are_exact(self, screen):
         """Every report of every config with n <= 16, capped at 0, 1 and 10:
@@ -236,6 +235,31 @@ class TestRowScreen:
                     (r.name, r.total_violations, r.witnesses[:cap]) for r in every
                 ], (config, cap)
 
-    def test_screen_stops_at_a_byte(self):
-        assert axioms._byte_rows([[0] * 256] * 256) is not None
-        assert axioms._byte_rows([[0] * 257] * 257) is None
+
+def _quasi_counts(n, i):
+    """The I6 and I7 violation counts of qlia(n, i): quadratic forms in (n, i),
+    two regions split at 2i = n, fitted to exhaustive checks over n = 5..24.
+    They share no code with the checker, so they check it as far as it runs."""
+    if 2 * i <= n:
+        return (5 * n * n - 8 * n * i + 3 * i * i + 7 * n - 5 * i + 2,
+                n * n + 2 * n * i - 3 * i * i + 7 * n - 11 * i - 2)
+    return (5 * n * n - 8 * n * i + 3 * i * i + 11 * n - 9 * i + 6,
+            n * n + 2 * n * i - 3 * i * i + 7 * n - 7 * i + 2)
+
+
+def _checked_counts(n, i):
+    config = qlia(n, i)
+    return tuple(check_axiom(config, axiom, max_witnesses=0).total_violations
+                 for axiom in (Axiom.I6, Axiom.I7))
+
+
+class TestQuasiViolationCounts:
+    def test_every_config_up_to_n32(self):
+        pairs = [(n, i) for n in range(2, 33) for i in range(1, n)]
+        assert len(pairs) == 496
+        assert {pair: _checked_counts(*pair) for pair in pairs} == {
+            pair: _quasi_counts(*pair) for pair in pairs}
+
+    @pytest.mark.parametrize("n, i", [(20, 7), (31, 15), (31, 16), (32, 1), (32, 31)])
+    def test_wide_rows(self, n, i, wide_rows):
+        assert _checked_counts(n, i) == _quasi_counts(n, i)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
-from lingtruth import axioms, inference, lattice
+from lingtruth import inference
 from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
@@ -189,11 +189,12 @@ class TestTables:
         assert table.disagreements() == []
         assert sum(calls.values()) <= 2 * config.n + 2, calls
 
-    def test_byte_and_list_folds_agree(self, monkeypatch):
+    def test_byte_and_list_folds_agree(self, wide_rows, monkeypatch):
         """Up to 256 elements the direct column is folded over ``bytes`` with
-        ``bytes.translate``, above that over lists with ``itemgetter``; with
-        the byte path switched off, as above 256 elements, every config with
-        n <= 16 gives the same direct column, a list either way."""
+        ``bytes.translate`` into a ``bytearray``, above that over tuples with
+        ``itemgetter`` into a list; on tuple rows, as above 256 elements,
+        every config with n <= 16 gives the same direct column, a list
+        either way."""
         configs = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
 
         def directs():
@@ -201,15 +202,9 @@ class TestTables:
             assert all(type(table.direct) is list for table in tables)
             return [table.direct for table in tables]
 
-        narrow = directs()
-        monkeypatch.setattr(inference, "_byte_rows", lambda table: None)
-        assert directs() == narrow
-
-    def test_byte_fold_stops_at_a_byte(self):
-        """One selector owns the 256-element limit for both byte paths."""
-        assert inference._byte_rows is axioms._byte_rows is lattice._byte_rows
-        assert lattice._byte_rows(lia(127).tables.implies) is not None  # 256 elements
-        assert lattice._byte_rows(lia(128).tables.implies) is None  # 258 elements
+        wide = directs()
+        monkeypatch.undo()  # back to byte rows
+        assert directs() == wide
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

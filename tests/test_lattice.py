@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
-from lingtruth import axioms, inference, oracle
+from lingtruth import axioms, inference, lattice, oracle
 from lingtruth.errors import DomainError, ParseError
 from lingtruth.formula import Valuation, evaluate, parse
 from lingtruth.hedges import HedgeChain
@@ -281,6 +281,41 @@ class TestOpTables:
         config = qlia(5, 2)
         assert config.tables is config.tables
         assert qlia(5, 2).tables is not config.tables
+
+    @pytest.mark.parametrize("config", SMALL_CONFIGS)
+    def test_rows_compose_as_the_table(self, config):
+        """Rows, columns and their maps, on both sides of 256 elements, for
+        every operation table: a composed row or column is the table read
+        twice, and has the type of the rows."""
+        for table in config.tables[1:]:  # join, meet, implies
+            carrier = range(len(table))
+            table_columns = [[table[w][z] for w in carrier] for z in carrier]
+            # twice[x][y][z] is table[x][table[y][z]]
+            twice = [[[*map(row_x.__getitem__, row_y)] for row_y in table] for row_x in table]
+            for held in (lattice._rows, lattice._wide_rows):
+                rows, maps, columns, column_maps, compose = held(table)
+                assert [[*row] for row in rows] == table, held
+                assert [[*column] for column in columns] == table_columns, held
+                row_type = type(rows[0])
+                for x in carrier:
+                    composed = [compose(row, maps[x]) for row in rows]
+                    assert {type(row) for row in composed} == {row_type}, held
+                    assert [[*row] for row in composed] == twice[x], (held, x)
+                    # column z read by row x is twice[x][w][z] over w
+                    assert [compose(column, maps[x]) for column in columns] == [
+                        row_type(cells) for cells in zip(*twice[x])], (held, x)
+                    assert [[*compose(rows[x], column_map)] for column_map in column_maps] == [
+                        [*map(column.__getitem__, table[x])] for column in table_columns
+                    ], (held, x)
+
+    def test_rows_stop_at_a_byte(self):
+        """One function owns the 256-element limit, for the axiom screens and
+        the direct fold alike."""
+        assert axioms._rows is inference._rows is lattice._rows
+        assert type(lattice._rows([[0] * 256] * 256).rows[0]) is bytes
+        assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
+        assert type(lattice._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
+        assert type(lattice._rows(lia(128).tables.implies).rows[0]) is tuple  # 258 elements
 
 
 def paper_implies(n, a, b):
