@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lingtruth import axioms, lattice
 from lingtruth.axioms import (
     Axiom,
     Classification,
@@ -234,6 +235,11 @@ class TestRowScreen:
                 assert reports(config, cap) == [
                     (r.name, r.total_violations, r.witnesses[:cap]) for r in every
                 ], (config, cap)
+
+    def test_screen_stops_at_a_byte(self):
+        assert axioms._rows is lattice._rows
+        assert type(axioms._rows([[0] * 256] * 256).rows[0]) is bytes
+        assert type(axioms._rows([[0] * 257] * 257).rows[0]) is tuple
 
 
 def _quasi_counts(n, i):

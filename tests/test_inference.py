@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import algebra_pairs
 
-from lingtruth import inference
+from lingtruth import inference, lattice
 from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
@@ -205,6 +205,12 @@ class TestTables:
         wide = directs()
         monkeypatch.undo()  # back to byte rows
         assert directs() == wide
+
+    def test_byte_fold_stops_at_a_byte(self):
+        """The direct fold takes its 256-element limit from ``lattice._rows``."""
+        assert inference._rows is lattice._rows
+        assert type(inference._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
+        assert type(inference._rows(lia(128).tables.implies).rows[0]) is tuple  # 258 elements
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

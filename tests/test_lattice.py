@@ -309,9 +309,7 @@ class TestOpTables:
                     ], (held, x)
 
     def test_rows_stop_at_a_byte(self):
-        """One function owns the 256-element limit, for the axiom screens and
-        the direct fold alike."""
-        assert axioms._rows is inference._rows is lattice._rows
+        """Byte rows up to 256 elements, tuple rows above."""
         assert type(lattice._rows([[0] * 256] * 256).rows[0]) is bytes
         assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
         assert type(lattice._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
