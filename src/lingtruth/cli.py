@@ -98,8 +98,17 @@ def _count(text: str) -> int:
     return value
 
 
+# line breaks as repr writes them, for the arguments argparse echoes as they are
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # the usage text, then the error on one line
+        super().error(message.translate(_LINE_BREAKS))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lingtruth",
         description="linguistic truth-valued propositional logic toolkit",
     )

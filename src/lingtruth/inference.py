@@ -14,9 +14,9 @@ branch tables keyed on the polarity pair of (e(P), e(Q)):
 
 (3.x for the plain kind, 4.x for the quasi kind).  ``mt_closed`` has no
 tables of its own: axiom I3 (x -> y = y' -> x') holds in both kinds, so
-MT(P, Q) = MP(!Q, !P).  It evaluates MP on (!Q, !P) and renames the MP
-branch that fired to the MT case covering the same region, so its labels
-still name the MT case lists, keyed on the polarity pair of (e(P), e(Q)).
+MT(P, Q) = MP(!Q, !P).  It evaluates MP on (!Q, !P) and reports the MT case
+named in the last column of the MP case line that fired (the one covering
+the same region), so its labels name the MT case lists, keyed on (e(P), e(Q)).
 Like the direct forms, both closed forms reject a value outside the carrier
 with ``DomainError``.  The tables follow the case derivations rather than
 the published case lists, which contain a few symbol and scope errors;
@@ -111,9 +111,9 @@ def mt_direct(config: AlgebraConfig, p: LinguisticValue, q: LinguisticValue) -> 
 
 
 # ----------------------------------------------------------------------
-# MP closed forms: the eight case tables as data, one line per case: table |
-# guard | value | case text.  Grades i = e(P), j = e(Q) in the plain kind
-# (3.x); k = e(P), l = e(Q) and non-comparable index i in the quasi kind
+# Closed forms: the eight MP case tables as data, one line per case: table |
+# guard | value | case text | MT case.  Grades i = e(P), j = e(Q) in the plain
+# kind (3.x); k = e(P), l = e(Q) and non-comparable index i in the quasi kind
 # (4.x; 4.1 is 3.1 renamed: two true values never meet the missing link).
 # The first case whose guard holds fires.  A guard lists integer-linear
 # terms, the conditions of the case derivations; they part from the case
@@ -122,94 +122,55 @@ def mt_direct(config: AlgebraConfig, p: LinguisticValue, q: LinguisticValue) -> 
 # takes two lines.  In 4.4's last three cases P -> Q is v_(n-i)T.  Compiled,
 # a linear form is the coefficients of (first grade, second grade, n, index,
 # 1) and a guard term a form and its relation to 0 (``_case_tables``).
+# MT reads the same lines: by I3, P -> Q = !Q -> !P in both kinds, so
+# MT(P, Q) = (!Q & (!Q -> !P)) -> !P = MP(!Q, !P).  The branch it reports is
+# the MT case covering the region of the MP case that fired on (!Q, !P), the
+# last column; it is spelled out because the MT case lists do not follow from
+# the MP ones by swapping grade names.
 _TABLES = """
-3.1 | i<=j               | n        | i<=j
-3.1 | 2i<=n+j            | n-i+j    | i>=j,2i<=n+j
-3.1 |                    | i        | i>=j,2i>=n+j
-3.2 | i>=j               | n        | i>=j
-3.2 | j<=2i              | n-j+i    | i<=j<=2i
-3.2 |                    | n-i      | j>=2i
-3.3 | i+j<=n             | n        | i+j<=n
-3.3 | 2n<=2i+j           | i        | i+j>=n,n<=i+j/2
-3.3 |                    | 2n-i-j   | i+j>=n,n>=i+j/2
-3.4 | i+j>=n             | n        | i+j>=n
-3.4 | n<=2i+j            | i+j      | i+j<=n,n<=2i+j
-3.4 |                    | n-i      | i+j<=n,n>=2i+j
-4.1 | k<=l               | n        | k<=l
-4.1 | 2k<=n+l            | n-k+l    | k>=l,2k<=n+l
-4.1 |                    | k        | k>=l,2k>=n+l
-4.2 | k>=l               | n        | k>=l
-4.2 | l-k!=i, l<=2k      | n-l+k    | k<l<=2k,l-k!=i
-4.2 | l-k!=i             | n-k      | l>=2k,l-k!=i
-4.2 | 2k>=l+2            | n-l+k    | k<l,2k>l+1,l-k=i
-4.2 | k<=0               | n        | k<l,2k<=l+1,l-k=i
-4.2 |                    | n-k+1    | k<l,2k<=l+1,l-k=i
-4.3 | k+l<=n, k!=n-i     | n        | k+l<=n,k!=n-i
-4.3 | k+l<=n             | n        | k+l<=n,k=n-i
-4.3 | k!=n-i, 2n<=2k+l   | k        | k+l>n,k!=n-i,n<=k+l/2
-4.3 | k!=n-i             | 2n-k-l   | k+l>n,k!=n-i,n>=k+l/2
-4.3 | l<=2i, k+l==n+1    | n        | k+l=n+1,k=n-i
-4.3 | l<=2i              | 2n-k-l+1 | k+l>n+1,k=n-i,2(n-k)>=l-1
-4.3 |                    | k        | k+l>n,k=n-i,2(n-k)<=l-1
-4.4 | k+l>=n             | n        | k+l>=n
-4.4 | k+l!=n-i, n<=2k+l  | k+l      | k+l<n,k+l!=n-i,n<=2k+l
-4.4 | k+l!=n-i           | n-k      | k+l<n,k+l!=n-i,n>=2k+l
-4.4 | 2k+l>=n+1          | k+l      | k+l=n-i,n<2k+l
-4.4 | k<=1               | n        | k+l=n-i,n>=2k+l,k<=1
-4.4 |                    | n-k+1    | k+l=n-i,n>=2k+l,k>=2
+3.1 | i<=j               | n        | i<=j                      | 3.2:i>=j
+3.1 | 2i<=n+j            | n-i+j    | i>=j,2i<=n+j              | 3.2:i<=j,2j<=n+i
+3.1 |                    | i        | i>=j,2i>=n+j              | 3.2:i<=j,2j>=n+i
+3.2 | i>=j               | n        | i>=j                      | 3.1:i<=j
+3.2 | j<=2i              | n-j+i    | i<=j<=2i                  | 3.1:j<=i<=2j
+3.2 |                    | n-i      | j>=2i                     | 3.1:i>2j
+3.3 | i+j<=n             | n        | i+j<=n                    | 3.3:i+j<=n
+3.3 | 2n<=2i+j           | i        | i+j>=n,n<=i+j/2           | 3.3:i+j>=n,n<=j+i/2
+3.3 |                    | 2n-i-j   | i+j>=n,n>=i+j/2           | 3.3:i+j>=n,n>=j+i/2
+3.4 | i+j>=n             | n        | i+j>=n                    | 3.4:i+j>=n
+3.4 | n<=2i+j            | i+j      | i+j<=n,n<=2i+j            | 3.4:i+j<=n,n<=2j+i
+3.4 |                    | n-i      | i+j<=n,n>=2i+j            | 3.4:i+j<=n,n>=2j+i
+4.1 | k<=l               | n        | k<=l                      | 4.2:k>=l
+4.1 | 2k<=n+l            | n-k+l    | k>=l,2k<=n+l              | 4.2:k<l,2l<=n+k
+4.1 |                    | k        | k>=l,2k>=n+l              | 4.2:k<l,2l>=n+k
+4.2 | k>=l               | n        | k>=l                      | 4.1:k<=l
+4.2 | l-k!=i, l<=2k      | n-l+k    | k<l<=2k,l-k!=i            | 4.1:l<=k<=2l,k-l!=i
+4.2 | l-k!=i             | n-k      | l>=2k,l-k!=i              | 4.1:k>=2l,k-l!=i
+4.2 | 2k>=l+2            | n-l+k    | k<l,2k>l+1,l-k=i          | 4.1:k>l,2l>k+1,k-l=i
+4.2 | k<=0               | n        | k<l,2k<=l+1,l-k=i         | 4.1:k>l,2l<=k+1,k-l=i
+4.2 |                    | n-k+1    | k<l,2k<=l+1,l-k=i         | 4.1:k>l,2l<=k+1,k-l=i
+4.3 | k+l<=n, k!=n-i     | n        | k+l<=n,k!=n-i             | 4.3:k+l<=n,l!=n-i
+4.3 | k+l<=n             | n        | k+l<=n,k=n-i              | 4.3:k+l<=n,l=n-i
+4.3 | k!=n-i, 2n<=2k+l   | k        | k+l>n,k!=n-i,n<=k+l/2     | 4.3:k+l>n,l!=n-i,n<=l+k/2
+4.3 | k!=n-i             | 2n-k-l   | k+l>n,k!=n-i,n>=k+l/2     | 4.3:k+l>n,l!=n-i,n>=l+k/2
+4.3 | l<=2i, k+l==n+1    | n        | k+l=n+1,k=n-i             | 4.3:k+l=n+1,l=n-i
+4.3 | l<=2i              | 2n-k-l+1 | k+l>n+1,k=n-i,2(n-k)>=l-1 | 4.3:k+l>n+1,l=n-i,2(n-l)>=k-1
+4.3 |                    | k        | k+l>n,k=n-i,2(n-k)<=l-1   | 4.3:k+l>n,l=n-i,2(n-l)<=k-1
+4.4 | k+l>=n             | n        | k+l>=n                    | 4.4:k+l>=n
+4.4 | k+l!=n-i, n<=2k+l  | k+l      | k+l<n,k+l!=n-i,n<=2k+l    | 4.4:k+l<n,k+l!=n-i,n<=2l+k
+4.4 | k+l!=n-i           | n-k      | k+l<n,k+l!=n-i,n>=2k+l    | 4.4:k+l<n,k+l!=n-i,n>=2l+k
+4.4 | 2k+l>=n+1          | k+l      | k+l=n-i,n<2k+l            | 4.4:k+l=n-i,n<2l+k
+4.4 | k<=1               | n        | k+l=n-i,n>=2k+l,k<=1      | 4.4:k+l=n-i,n>=2l+k,l<=1
+4.4 |                    | n-k+1    | k+l=n-i,n>=2k+l,k>=2      | 4.4:k+l=n-i,n>=2l+k,l>=2
 """
-
-# ----------------------------------------------------------------------
-# MT closed forms.  By I3, P -> Q = !Q -> !P in both kinds, so
-# MT(P, Q) = (!Q & (!Q -> !P)) -> !P = MP(!Q, !P).  The MP case that fires
-# on (!Q, !P) is renamed to the MT case covering the same region, which is
-# what the branch field reports.  The renaming is spelled out because the
-# MT case lists do not follow from the MP ones by swapping grade names.
-
-_MT_BRANCHES = {
-    tuple(mp.split(":", 1)): BranchLabel(*mt.split(":", 1))
-    for mp, mt in (
-        ("3.1:i<=j", "3.2:i>=j"),
-        ("3.1:i>=j,2i<=n+j", "3.2:i<=j,2j<=n+i"),
-        ("3.1:i>=j,2i>=n+j", "3.2:i<=j,2j>=n+i"),
-        ("3.2:i>=j", "3.1:i<=j"),
-        ("3.2:i<=j<=2i", "3.1:j<=i<=2j"),
-        ("3.2:j>=2i", "3.1:i>2j"),
-        ("3.3:i+j<=n", "3.3:i+j<=n"),
-        ("3.3:i+j>=n,n<=i+j/2", "3.3:i+j>=n,n<=j+i/2"),
-        ("3.3:i+j>=n,n>=i+j/2", "3.3:i+j>=n,n>=j+i/2"),
-        ("3.4:i+j>=n", "3.4:i+j>=n"),
-        ("3.4:i+j<=n,n<=2i+j", "3.4:i+j<=n,n<=2j+i"),
-        ("3.4:i+j<=n,n>=2i+j", "3.4:i+j<=n,n>=2j+i"),
-        ("4.1:k<=l", "4.2:k>=l"),
-        ("4.1:k>=l,2k<=n+l", "4.2:k<l,2l<=n+k"),
-        ("4.1:k>=l,2k>=n+l", "4.2:k<l,2l>=n+k"),
-        ("4.2:k>=l", "4.1:k<=l"),
-        ("4.2:k<l<=2k,l-k!=i", "4.1:l<=k<=2l,k-l!=i"),
-        ("4.2:l>=2k,l-k!=i", "4.1:k>=2l,k-l!=i"),
-        ("4.2:k<l,2k>l+1,l-k=i", "4.1:k>l,2l>k+1,k-l=i"),
-        ("4.2:k<l,2k<=l+1,l-k=i", "4.1:k>l,2l<=k+1,k-l=i"),
-        ("4.3:k+l<=n,k!=n-i", "4.3:k+l<=n,l!=n-i"),
-        ("4.3:k+l<=n,k=n-i", "4.3:k+l<=n,l=n-i"),
-        ("4.3:k+l>n,k!=n-i,n<=k+l/2", "4.3:k+l>n,l!=n-i,n<=l+k/2"),
-        ("4.3:k+l>n,k!=n-i,n>=k+l/2", "4.3:k+l>n,l!=n-i,n>=l+k/2"),
-        ("4.3:k+l=n+1,k=n-i", "4.3:k+l=n+1,l=n-i"),
-        ("4.3:k+l>n+1,k=n-i,2(n-k)>=l-1", "4.3:k+l>n+1,l=n-i,2(n-l)>=k-1"),
-        ("4.3:k+l>n,k=n-i,2(n-k)<=l-1", "4.3:k+l>n,l=n-i,2(n-l)<=k-1"),
-        ("4.4:k+l>=n", "4.4:k+l>=n"),
-        ("4.4:k+l<n,k+l!=n-i,n<=2k+l", "4.4:k+l<n,k+l!=n-i,n<=2l+k"),
-        ("4.4:k+l<n,k+l!=n-i,n>=2k+l", "4.4:k+l<n,k+l!=n-i,n>=2l+k"),
-        ("4.4:k+l=n-i,n<2k+l", "4.4:k+l=n-i,n<2l+k"),
-        ("4.4:k+l=n-i,n>=2k+l,k<=1", "4.4:k+l=n-i,n>=2l+k,l<=1"),
-        ("4.4:k+l=n-i,n>=2k+l,k>=2", "4.4:k+l=n-i,n>=2l+k,l>=2"),
-    )
-}
-
+_LINES = [[field.strip() for field in line.split("|")] for line in _TABLES.strip().splitlines()]
 
 # Every branch label, one shared object each, numbered by its code: the 33
-# MP cases, then the MT case each one is renamed to, in the same order.
-_BRANCHES = (*(BranchLabel(*key) for key in _MT_BRANCHES), *_MT_BRANCHES.values())
-_MT = len(_MT_BRANCHES)  # MT code = code of the MP case on (!Q, !P) + _MT
+# distinct MP cases in line order, then the MT case of each, in the same order.
+_CASES = dict.fromkeys((table, case, mt) for table, _, _, case, mt in _LINES)
+_BRANCHES = (*(BranchLabel(table, case) for table, case, _ in _CASES),
+             *(BranchLabel(*mt.split(":", 1)) for *_, mt in _CASES))
+_MT = len(_CASES)  # MT code = code of the MP case on (!Q, !P) + _MT
 
 
 _RELATIONS = {"<=": operator.le, ">=": operator.le, "==": operator.eq, "!=": operator.ne}
@@ -230,15 +191,15 @@ def _form(text, less, names):
 def _case_tables():
     """(rule, kind, e(P) is true, e(Q) is true) -> [(guard terms, value form, code)],
     parsed on first use.  MT is MP on (!Q, !P), grade of Q first, with MT codes."""
-    codes, entries = {key: code for code, key in enumerate(_MT_BRANCHES)}, {}
-    for line in _TABLES.strip().splitlines():
-        table, guard, value, case = (field.strip() for field in line.split("|"))
+    entries = {}
+    for table, guard, value, case, _ in _LINES:
+        mp = _BRANCHES.index((table, case))  # the MP label comes first
         kind, names = (LIA, "ijn") if table[0] == "3" else (QLIA, "klni")
         p_true, q_true = table[2] in "13", table[2] in "14"  # x.1 true, true ... x.4 false, true
         terms = [(_form(*((rhs, lhs) if rel == ">=" else (lhs, rhs)), names), _RELATIONS[rel])
                  for lhs, rel, rhs in re.findall(r"([^,<>=!]+)([<>=!]=)([^,]+)", guard)]
-        for key, code in (((RuleId.MP, kind, p_true, q_true), codes[table, case]),
-                          ((RuleId.MT, kind, not q_true, not p_true), codes[table, case] + _MT)):
+        for key, code in (((RuleId.MP, kind, p_true, q_true), mp),
+                          ((RuleId.MT, kind, not q_true, not p_true), mp + _MT)):
             entries.setdefault(key, []).append((terms, _form(value, "", names), code))
     return entries
 

@@ -210,6 +210,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
                     raise DomainError(f"hedge label must be a str, got {label!r}")
             if any(not label.strip() for label in labels):
                 raise DomainError("hedge labels must not be blank")
+            if any(label != label.strip() for label in labels):  # label() would not parse back
+                raise DomainError("hedge labels must not start or end with whitespace")
             lowered = [label.lower() for label in labels]
             if len(set(lowered)) != len(lowered):
                 raise DomainError("hedge labels must be distinct")
@@ -231,8 +233,9 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
         return LinguisticValue.false(self.n)
 
     def values(self) -> tuple[LinguisticValue, ...]:
-        """All carrier elements: false chain bottom-up, then true chain."""
-        return tuple(map(self._kernel.decode, range(2 * self.n + 2)))
+        """All carrier elements: false chain bottom-up, then true chain; sized
+        first, so an n too large for a list raises ``OverflowError`` at once."""
+        return tuple(map(self._kernel.decode, [*range(2 * self.n + 2)]))
 
     @functools.cached_property
     def tables(self) -> _Rows:

@@ -108,17 +108,12 @@ def _bounds(sets: list[int]) -> list[list[int | None]]:
 def build_covers(config: AlgebraConfig) -> CoverGraph:
     """Cover edges: the two hedge chains plus one cross link per false grade
     (minus the configured non-comparable one)."""
-    n = require(config, AlgebraConfig).n
-    covers = set()
-    for g in range(n, 0, -1):
-        covers.add((LinguisticValue.false(g), LinguisticValue.false(g - 1)))
-    for g in range(n):
-        covers.add((LinguisticValue.true(g), LinguisticValue.true(g + 1)))
-    for k in range(n + 1):
-        if k == config.noncomparable:
-            continue
-        covers.add((LinguisticValue.false(k), LinguisticValue.true(n - k)))
-    return CoverGraph(config, config.values(), frozenset(covers))
+    values = require(config, AlgebraConfig).values()  # sized before any edge
+    n, false, true = config.n, LinguisticValue.false, LinguisticValue.true
+    covers = {(false(g), false(g - 1)) for g in range(n, 0, -1)}
+    covers |= {(true(g), true(g + 1)) for g in range(n)}
+    covers |= {(false(k), true(n - k)) for k in range(n + 1) if k != config.noncomparable}
+    return CoverGraph(config, values, frozenset(covers))
 
 
 class LatticeReport(namedtuple("LatticeReport", "config missing_joins missing_meets")):

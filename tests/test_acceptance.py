@@ -23,7 +23,7 @@ from lingtruth.discrepancies import full_report
 from lingtruth.errors import ParseError
 from lingtruth.formula import And, Atom, Implies, Not, Or, parse, render
 from lingtruth.inference import (
-    _MT_BRANCHES,
+    InferenceTable,
     RuleId,
     inference_table,
     mp_closed,
@@ -255,11 +255,12 @@ def test_criterion_10_every_branch_label_fires():
             for q in config.values():
                 fired["MP"].add(mp_closed(config, p, q)[1])
                 fired["MT"].add(mt_closed(config, p, q)[1])
-    # the 33 MP cases are the keys of the MT renaming, the 33 MT cases its values
+    # the labels are the 33 MP cases, then the MT case each is renamed to
+    mp_labels, mt_labels = InferenceTable.labels[:33], InferenceTable.labels[33:]
     ok = (
-        len(fired["MP"]) == len(fired["MT"]) == len(_MT_BRANCHES) == 33
-        and {(b.table, b.case) for b in fired["MP"]} == set(_MT_BRANCHES)
-        and fired["MT"] == set(_MT_BRANCHES.values())
+        len(fired["MP"]) == len(fired["MT"]) == len(set(mp_labels)) == len(mt_labels) == 33
+        and fired["MP"] == set(mp_labels)
+        and fired["MT"] == set(mt_labels)
     )
     _report(10, "all 33 MP and 33 MT case labels fire", ok,
             "" if ok else f" MP {len(fired['MP'])}, MT {len(fired['MT'])}")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -412,15 +413,27 @@ def test_out_of_memory_is_exit_2(capsys, monkeypatch):
     assert run(capsys, "infer", "--rule", "mp") == (2, "", "error: out of memory\n")
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize("argv", [["infer", "--rule", "mp", "--n", "99999999999999999999"],
-                                  ["check", "--n", "9223372036854775807"]], ids=["infer", "check"])
-def test_size_past_a_list_is_exit_2(capsys, argv):
+                                  ["check", "--n", "9223372036854775807"],
+                                  ["hasse", "--n", "99999999999999999999", "--format", "dot"],
+                                  ["hasse", "--n", "99999999999999999999", "--format", "json"]],
+                         ids=["infer", "check", "hasse-dot", "hasse-json"])
+def test_size_past_a_list_is_exit_2(argv):
     """An n whose carrier is too long for any list is one error line and
     exit 2, not a traceback and exit 1 (which means a disagreement or a
-    violation); the length is refused before anything is allocated."""
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: too large: ") and err.count("\n") == 1
+    violation); the length is refused before anything is allocated.  The
+    command runs in a process with bounded time and address space, so one
+    that builds anything of that size fails here instead of growing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "lingtruth.cli", *argv], capture_output=True,
+                          env=env, timeout=30, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: too large: ") and proc.stderr.count(b"\n") == 1
 
 
 class TestParser:
@@ -446,6 +459,16 @@ class TestParser:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+
+    def test_usage_error_stays_on_one_line(self, capsys):
+        """argparse echoes an unknown argument as it is; its line breaks are
+        escaped, so the error is the one line after the usage text."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--n", "0", "P", "a\nb\r\u2028c"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.splitlines()[-1] == "lingtruth: error: unrecognized arguments: a\\nb\\r\\u2028c"
 
     def test_assignments_do_not_carry_over(self, capsys):
         """The ``-a`` list of one call is not the default of the next."""
@@ -509,24 +532,16 @@ class TestCsvField:
         assert cli._csv_field(text) == _csv_writer_field(text)
 
 
-@st.composite
-def _infer_argv(draw):
-    """``infer`` command lines at n <= 10, mostly valid: either rule (or,
-    seldom, none), every format, --diff-only or not, the quasi kind with a
-    --noncomp inside or outside 1..n-1, seldom --qlia or --noncomp alone,
-    and --labels of mostly n + 1 names with quotes, a comma in a name
-    splitting it in two."""
-    n = draw(st.integers(-1, 10))
-    argv = ["infer", "--n", str(n), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
-    if draw(st.integers(0, 9)):
-        argv += ["--rule", draw(st.sampled_from(["mp", "mt"]))]
+def _algebra_flags(draw, n):
+    """The quasi kind with a --noncomp inside or outside 1..n-1, seldom
+    --qlia or --noncomp alone, and --labels of mostly n + 1 names with
+    quotes, a comma in a name splitting it in two."""
+    argv = []
     if draw(st.booleans()):
         noncomp = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, 11))
         argv += ["--qlia", "--noncomp", str(noncomp)]
     elif not draw(st.integers(0, 9)):
         argv += draw(st.sampled_from([["--qlia"], ["--noncomp", "1"]]))
-    if draw(st.booleans()):
-        argv.append("--diff-only")
     if draw(st.booleans()):
         count = max(n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
         decor = st.sampled_from(["", "'", '"', '""', " -"])
@@ -537,15 +552,64 @@ def _infer_argv(draw):
     return argv
 
 
+@st.composite
+def _infer_argv(draw):
+    """``infer`` command lines at n <= 10, mostly valid: either rule (or,
+    seldom, none), every format, --diff-only or not, and the algebra flags
+    of ``_algebra_flags``."""
+    n = draw(st.integers(-1, 10))
+    argv = ["infer", "--n", str(n), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if draw(st.integers(0, 9)):
+        argv += ["--rule", draw(st.sampled_from(["mp", "mt"]))]
+    argv += _algebra_flags(draw, n)
+    if draw(st.booleans()):
+        argv.append("--diff-only")
+    return argv
+
+
+# formula text: mostly well-formed pieces, in any order
+_FORMULA_PIECES = st.sampled_from(["P", "Q", "R", "!", "~", "&", "|", "->", "(", ")", " ",
+                                   "P1", "_", "-", ">", "v1T", "\n", "é"])
+# atom assignments: canonical and labelled values, in range or not, and malformed ones
+_ASSIGNMENTS = st.sampled_from(["P=v1T", "Q=v0F", "R=v2T", "P=v9T", "Q = h1 true", "P=h0 False",
+                                "P=", "=v1T", "P", "1=v1T", "Q=vT", "P=h1 True "])
+
+
+@st.composite
+def _command_argv(draw):
+    """Command lines of the other five commands at n in -1..6, mostly valid:
+    their formats, ``check``'s witness cap, ``eval``'s formula and
+    assignments, the algebra flags of ``_algebra_flags``, and seldom an
+    unknown option."""
+    command = draw(st.sampled_from(["check", "eval", "hasse", "verify-examples", "discrepancies"]))
+    argv = [command]
+    if command in ("check", "eval", "hasse"):
+        n = draw(st.integers(-1, 6))
+        argv += ["--n", str(n), *_algebra_flags(draw, n)]
+    if command != "discrepancies" and draw(st.integers(0, 4)):
+        formats = ["dot", "json"] if command == "hasse" else ["text", "json"]
+        argv += ["--format", draw(st.sampled_from(formats))]
+    if command == "check" and draw(st.booleans()):
+        argv.append(f"--max-witnesses={draw(st.sampled_from(['0', '1', '3', '-1', 'x']))}")
+    if command == "eval":
+        for assignment in draw(st.lists(_ASSIGNMENTS, max_size=3)):
+            argv += ["-a", assignment]
+    if not draw(st.integers(0, 19)):
+        argv.append(draw(st.sampled_from(["--bogus", "--n", "--format=xml", "extra"])))
+    if command == "eval":  # after "--", so that a formula may start with "-"
+        argv += ["--", "".join(draw(st.lists(_FORMULA_PIECES, max_size=10)))]
+    return argv
+
+
 def _exit_and_out(argv):
-    """``cli.main``'s exit code (a SystemExit's included) and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """``cli.main``'s exit code (a SystemExit's included), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=500, deadline=None)
@@ -553,6 +617,25 @@ def _exit_and_out(argv):
 def test_infer_argv_fuzz(argv):
     """Any such command line ends in exit 0, 1 or 2, raises nothing else,
     and prints the same on a second run."""
-    code, out = _exit_and_out(argv)
+    code, out, _ = _exit_and_out(argv)
     assert code in (0, 1, 2)
-    assert _exit_and_out(argv) == (code, out)
+    assert _exit_and_out(argv)[:2] == (code, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_argv())
+def test_command_argv_fuzz(argv):
+    """Any such command line ends in exit 0, 1 or 2, raises nothing else,
+    prints the same on a second run, and on exit 2 writes one ``error:``
+    line, or argparse's usage text followed by its error line."""
+    code, out, err = _exit_and_out(argv)
+    assert code in (0, 1, 2)
+    assert _exit_and_out(argv)[:2] == (code, out)
+    if code == 2:
+        lines = err.splitlines()
+        if lines[0].startswith("usage: "):
+            # the subcommand's parser names it; the top one, for unknown options
+            assert lines[-1].startswith((f"lingtruth {argv[0]}: error: ", "lingtruth: error: "))
+            assert sum("error:" in line for line in lines) == 1
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,7 +10,6 @@ from lingtruth import inference, lattice
 from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
-    _MT_BRANCHES,
     BranchLabel,
     InferenceTable,
     RuleId,
@@ -341,16 +340,19 @@ REFERENCE_TABLES = {
 RENAMED_41 = {"i<=j": "k<=l", "i>=j,2i<=n+j": "k>=l,2k<=n+l", "i>=j,2i>=n+j": "k>=l,2k>=n+l"}
 # a label as (table, case text), for each branch code
 LABEL_NAMES = [(label.table, label.case) for label in InferenceTable.labels]
+# the MP case (table, case text) -> the MT case it is renamed to: the labels
+# are the 33 MP cases, then the MT case of each in the same order
+MT_RENAMING = dict(zip(InferenceTable.labels[:33], InferenceTable.labels[33:]))
 
 
 @functools.cache
 def reference_label(rule, table, case):
     """(table, case text) of the reference's case; an MT label is the MP
-    case on (!Q, !P) renamed by ``_MT_BRANCHES``."""
+    case on (!Q, !P) renamed by ``MT_RENAMING``."""
     key = (table, RENAMED_41[case] if table == "4.1" else case)
     if rule is RuleId.MP:
         return key
-    return _MT_BRANCHES[key].table, _MT_BRANCHES[key].case
+    return MT_RENAMING[key].table, MT_RENAMING[key].case
 
 
 def reference_cells(config, rule, p_true, i, q_true, q_grades):
@@ -452,9 +454,9 @@ class TestCaseTableReference:
 
 class TestBoundaryTraps:
     """Cells where the case texts overlap and the code's conditions pick one
-    case.  The expected labels are the code's, named through
-    ``_MT_BRANCHES`` and not read off the case tables' data; each cell is
-    checked in the scalar reader and in the table, against the direct value."""
+    case.  The expected labels are the code's; each MT one, named through
+    ``MT_RENAMING``, is also pinned as literal text; each cell is checked in
+    the scalar reader and in the table, against the direct value."""
 
     @staticmethod
     def check(config, rule, p, q, value, label):
@@ -471,8 +473,8 @@ class TestBoundaryTraps:
         config, k, l = qlia(n, i), n - i, 2 * i + 1
         key = ("4.3", "k+l>n,k=n-i,2(n-k)<=l-1")
         self.check(config, RuleId.MP, T(k), F(l), T(k), BranchLabel(*key))
-        self.check(config, RuleId.MT, T(l), F(k), T(k), _MT_BRANCHES[key])
-        assert str(_MT_BRANCHES[key]) == "4.3:k+l>n,l=n-i,2(n-l)<=k-1"
+        self.check(config, RuleId.MT, T(l), F(k), T(k), MT_RENAMING[key])
+        assert str(MT_RENAMING[key]) == "4.3:k+l>n,l=n-i,2(n-l)<=k-1"
 
     @pytest.mark.parametrize("n, i", [(3, 1), (9, 4), (40, 13), (41, 39)])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -483,8 +485,8 @@ class TestBoundaryTraps:
         key = ("4.2", "k<l,2k<=l+1,l-k=i")
         value = T(min(n, n - k + 1))
         self.check(config, RuleId.MP, F(k), F(l), value, BranchLabel(*key))
-        self.check(config, RuleId.MT, T(l), T(k), value, _MT_BRANCHES[key])
-        assert str(_MT_BRANCHES[key]) == "4.1:k>l,2l<=k+1,k-l=i"
+        self.check(config, RuleId.MT, T(l), T(k), value, MT_RENAMING[key])
+        assert str(MT_RENAMING[key]) == "4.1:k>l,2l<=k+1,k-l=i"
 
 
 class TestBoundaryCoincidence:

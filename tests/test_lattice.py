@@ -58,6 +58,18 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             lia(1, labels=("low", blank))
 
+    @pytest.mark.parametrize("label", [" a", "a ", "a\n", "\ta b"])
+    def test_labels_must_not_start_or_end_with_whitespace(self, label):
+        """Such a label would not parse back: ``label`` of a value gives
+        text that ``parse_value`` strips and then cannot match."""
+        with pytest.raises(DomainError, match="whitespace"):
+            lia(1, labels=(label, "b"))
+
+    def test_inner_whitespace_round_trips(self):
+        config = lia(1, labels=("a  b", "c"))
+        for value in config.values():
+            assert config.parse_value(config.label(value)) == value
+
     @pytest.mark.parametrize("labels", [(1, 2), ("low", None), ("low", b"high"), "ab", 5])
     def test_labels_must_be_strings(self, labels):
         with pytest.raises(DomainError, match="hedge label"):
