@@ -21,7 +21,6 @@ every later call in the process; parsing leaves no state in it.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import functools
 import io
@@ -303,62 +302,57 @@ def _csv_field(text: str) -> str:
     return out.getvalue()
 
 
-def _picker(positions):
-    """``operator.itemgetter(*positions)``, but a tuple also for one position."""
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda seq: (seq[position],)
-    return operator.itemgetter(*positions)
-
-
 def _row_chunks(table, keys, quote, seps, agree, between="") -> list[str]:
-    """The rows in ``keys`` (ascending) as text, ``between`` between rows:
-    seps[0], then the row's e(P), e(Q), direct, closed and branch texts,
-    each followed by the next string of ``seps``, then ``agree[True]`` or
-    ``agree[False]``.  One chunk per e(P) block (the at most 2n + 2 rows
-    sharing an e(P)) that holds a row of ``keys``.
+    """The rows in ``keys`` as text, ``between`` between rows: seps[0], then
+    the row's e(P), e(Q), direct, closed and branch texts, each followed by
+    the next string of ``seps``, then ``agree[True]`` or ``agree[False]``.
+    ``keys`` is every row of the table or, ascending, the rows whose direct
+    and closed values differ.
 
     Each carrier value and branch label goes through ``quote`` once per
     table, pre-joined to the separators around it: an e(P) text, an e(Q)
-    text, a "direct, closed" text per carrier value with both the same, and
-    a "branch, agree true, between" text per label.  A block's rows are
-    four slots each of a list filled by ``itemgetter`` gathers over its
-    columns, and one join makes the chunk.  The rows whose direct and closed
-    values differ then get those two slots patched with the split texts and
-    ``agree[False]`` before the join; that is the only place a disagreement
-    is handled.  Only one block's slot list is alive at once."""
+    text, a "direct, closed" text per carrier value with both the same, a
+    direct and a closed text for the values of a split row, and a "branch,
+    agree, between" text per label and agreement.  Nothing follows the last
+    row.  There are two paths:
+
+    * the whole table: one chunk per e(P) block (the 2n + 2 rows sharing an
+      e(P)), four slots a row of a list filled from slices of the three
+      columns with ``itemgetter``, and one join.  The rows whose direct and
+      closed values differ get those two slots patched with the split texts
+      and ``agree[False]`` before the join;
+    * fewer rows (``--diff-only``): they are the disagreements, so each is a
+      split row, joined as one chunk from its five texts."""
     values = [quote(canonical(v)) for v in table.values]
     size = len(values)
     p_text = [seps[0] + v + seps[1] for v in values]
     q_text = [v + seps[2] for v in values]
-    same_text = [v + seps[3] + v + seps[4] for v in values]
     direct_text = [v + seps[3] for v in values]
     closed_text = [v + seps[4] for v in values]
     tails = [quote(str(label)) + seps[5] for label in table.labels]
-    agreed = [tail + agree[True] + between for tail in tails]
     split = [tail + agree[False] + between for tail in tails]
-    chunks = []
-    bounds = [bisect.bisect_left(keys, start) for start in range(0, len(table) + 1, size)]
-    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if lo == hi:
-            continue
-        start, block = p * size, keys[lo:hi]
-        if len(block) == size:  # the whole block
-            rows, q_slots = operator.itemgetter(slice(start, start + size)), q_text
-        else:  # a few --diff-only rows
-            rows, q_slots = _picker(block), _picker([k - start for k in block])(q_text)
-        direct, closed, branch = rows(table.direct), rows(table.closed), rows(table.branch)
-        slots = [p_text[p]] * (4 * len(block))
-        slots[1::4] = q_slots
-        slots[2::4] = _picker(closed)(same_text)
-        slots[3::4] = _picker(branch)(agreed)
-        if direct != closed:
-            for j in itertools.compress(range(len(block)), map(operator.ne, direct, closed)):
-                slots[4 * j + 2] = direct_text[direct[j]] + closed_text[closed[j]]
-                slots[4 * j + 3] = split[branch[j]]
-        if hi == len(keys):  # the last row: nothing follows it
-            slots[-1] = slots[-1].removesuffix(between)
-        chunks.append("".join(slots))
+    if len(keys) < len(table):
+        direct, closed, branch = table.direct, table.closed, table.branch
+        chunks = [p_text[k // size] + q_text[k % size] + direct_text[direct[k]]
+                  + closed_text[closed[k]] + split[branch[k]] for k in keys]
+    else:
+        same_text = [v + seps[3] + v + seps[4] for v in values]
+        agreed = [tail + agree[True] + between for tail in tails]
+        chunks = []
+        for p, start in enumerate(range(0, len(table), size)):
+            block = slice(start, start + size)
+            direct, closed, branch = table.direct[block], table.closed[block], table.branch[block]
+            slots = [p_text[p]] * (4 * size)
+            slots[1::4] = q_text
+            slots[2::4] = operator.itemgetter(*closed)(same_text)
+            slots[3::4] = operator.itemgetter(*branch)(agreed)
+            if direct != closed:
+                for j in itertools.compress(range(size), map(operator.ne, direct, closed)):
+                    slots[4 * j + 2] = direct_text[direct[j]] + closed_text[closed[j]]
+                    slots[4 * j + 3] = split[branch[j]]
+            chunks.append("".join(slots))
+    if chunks:  # nothing follows the last row
+        chunks[-1] = chunks[-1].removesuffix(between)
     return chunks
 
 

@@ -337,7 +337,9 @@ def _shaped(size: int, kind, op):
     A binary operation maps the cells of each entry of its vector operand
     through one row or column of ``op``, one ``compose`` of ``lattice._rows``
     each, built once per operation; the matrix is a ``bytearray`` while the
-    rows are ``bytes``, a list otherwise."""
+    rows are ``bytes``, a list otherwise.  No node of MP or MT combines two
+    vectors over one atom, or two matrices, so a binary node always yields
+    the matrix."""
     if kind is Not:
         return lambda x: (x[0], list(map(op.__getitem__, x[1])))
     # the matrix cells of entry k of a vector: a block over P, a stride over Q
@@ -346,13 +348,11 @@ def _shaped(size: int, kind, op):
 
     def apply(x, y):
         # entry v of the vector operand maps its cells by row v of op (vector on
-        # the left) or column v (on the right); no schema combines two matrices
+        # the left) or column v (on the right)
         left = x[0] is not None
         (axis, vector), (other_axis, other) = (x, y) if left else (y, x)
         rows, maps, _, column_maps, compose = held()
         by = maps if left else column_maps
-        if other_axis == axis:  # both over one atom: a vector again
-            return axis, [by[v][w] for v, w in zip(vector, other)]
         row_type = type(rows[0])  # cells to compose have the rows' type
         other = row_type(other)
         out = bytearray(size * size) if row_type is bytes else [0] * (size * size)

@@ -266,6 +266,15 @@ class TestQuasiViolationCounts:
         assert {pair: _checked_counts(*pair) for pair in pairs} == {
             pair: _quasi_counts(*pair) for pair in pairs}
 
+    def test_seeded_configs_up_to_n127(self):
+        """Past n = 32 up to n = 127, the most byte rows take: the 2i = n seam,
+        the edge indices at n = 127 and six seeded configs."""
+        draw = random.Random(127)
+        pairs = [(126, 63), (127, 63), (127, 64), (127, 1), (127, 126)]
+        pairs += [(n, draw.randint(1, n - 1)) for n in sorted(draw.sample(range(33, 127), 6))]
+        assert {pair: _checked_counts(*pair) for pair in pairs} == {
+            pair: _quasi_counts(*pair) for pair in pairs}
+
     @pytest.mark.parametrize("n, i", [(20, 7), (31, 15), (31, 16), (32, 1), (32, 31)])
     def test_wide_rows(self, n, i, wide_rows):
         assert _checked_counts(n, i) == _quasi_counts(n, i)

@@ -44,12 +44,15 @@ def run(capsys, *argv):
 
 # rows to plant disagreements at, as (e(P) block, e(Q) position), counted
 # from the end when negative: several in one block, its first and last
-# rows among them; one in each of several blocks; one alone; the last row
+# rows among them; one in each of several blocks; one alone; the last row;
+# the first row; every row of n = 8, which --diff-only writes as a whole table
 PLANTED = {
     "one-block": [(2, 0), (2, 5), (2, 6), (2, 17)],
     "across-blocks": [(0, 3), (1, 3), (5, 7), (10, 17)],
     "alone": [(7, 4)],
     "last-row": [(1, 1), (-1, -1)],
+    "first-row": [(0, 0)],
+    "every-row": [(p, q) for p in range(18) for q in range(18)],
 }
 FIELDS = ("p", "q", "rule", "direct", "closed", "branch", "agree")
 
@@ -274,8 +277,8 @@ class TestInfer:
     @pytest.mark.parametrize("kind", [[], ["--qlia", "--noncomp", "3"]], ids=["lia", "qlia"])
     def test_planted_rows_match_a_row_by_row_writer(self, capsys, monkeypatch, kind, planted,
                                                     fmt):
-        """The per-block writer, planted disagreements in either column
-        included, writes what a row-by-row writer over the rows does."""
+        """The writer, planted disagreements in either column included,
+        writes what a row-by-row writer over the rows does."""
         config = AlgebraConfig(n=8, noncomparable=int(kind[-1]) if kind else None)
         rule = RuleId.MT if kind else RuleId.MP
         table = inference_table(config, rule)
@@ -283,7 +286,7 @@ class TestInfer:
         keys = sorted((block % size) * size + q % size for block, q in PLANTED[planted])
         for number, k in enumerate(keys):  # alternately the direct and the closed value
             column, other = ((table.direct, table.closed), (table.closed, table.direct))[number % 2]
-            column[k] = (other[k] + 1 + number) % size
+            column[k] = (other[k] + 1 + number % (size - 1)) % size
         assert table.disagreements() == keys
         monkeypatch.setattr(cli, "inference_table", lambda config, rule: table)
         fmt, _, diff = fmt.partition("-")
@@ -534,15 +537,15 @@ class TestCsvField:
 
 def _algebra_flags(draw, n):
     """The quasi kind with a --noncomp inside or outside 1..n-1, seldom
-    --qlia or --noncomp alone, and --labels of mostly n + 1 names with
-    quotes, a comma in a name splitting it in two."""
+    --qlia or --noncomp alone, and up to n = 40 --labels of mostly n + 1
+    names with quotes, a comma in a name splitting it in two."""
     argv = []
     if draw(st.booleans()):
         noncomp = draw(st.integers(1, max(n - 1, 1)) | st.integers(-1, 11))
         argv += ["--qlia", "--noncomp", str(noncomp)]
     elif not draw(st.integers(0, 9)):
         argv += draw(st.sampled_from([["--qlia"], ["--noncomp", "1"]]))
-    if draw(st.booleans()):
+    if n <= 40 and draw(st.booleans()):
         count = max(n + 1 + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
         decor = st.sampled_from(["", "'", '"', '""', " -"])
         labels = [f"{draw(decor)}h{k}{draw(decor)}" for k in range(count)]
@@ -554,10 +557,10 @@ def _algebra_flags(draw, n):
 
 @st.composite
 def _infer_argv(draw):
-    """``infer`` command lines at n <= 10, mostly valid: either rule (or,
-    seldom, none), every format, --diff-only or not, and the algebra flags
-    of ``_algebra_flags``."""
-    n = draw(st.integers(-1, 10))
+    """``infer`` command lines at n <= 10 and seldom up to 40, mostly valid:
+    either rule (or, seldom, none), every format, --diff-only or not, and
+    the algebra flags of ``_algebra_flags``."""
+    n = draw(st.integers(-1, 10)) if draw(st.integers(0, 9)) else draw(st.integers(11, 40))
     argv = ["infer", "--n", str(n), "--format", draw(st.sampled_from(["text", "json", "csv"]))]
     if draw(st.integers(0, 9)):
         argv += ["--rule", draw(st.sampled_from(["mp", "mt"]))]
@@ -577,14 +580,18 @@ _ASSIGNMENTS = st.sampled_from(["P=v1T", "Q=v0F", "R=v2T", "P=v9T", "Q = h1 true
 
 @st.composite
 def _command_argv(draw):
-    """Command lines of the other five commands at n in -1..6, mostly valid:
-    their formats, ``check``'s witness cap, ``eval``'s formula and
-    assignments, the algebra flags of ``_algebra_flags``, and seldom an
-    unknown option."""
+    """Command lines of the other five commands at n in -1..6, seldom up to
+    40 (up to 10**6 for ``eval``, which builds no carrier), mostly valid:
+    their formats, ``check``'s witness cap, ``eval``'s formula, seldom
+    nested a few thousand deep, and assignments, the algebra flags of
+    ``_algebra_flags``, and seldom an unknown option."""
     command = draw(st.sampled_from(["check", "eval", "hasse", "verify-examples", "discrepancies"]))
     argv = [command]
     if command in ("check", "eval", "hasse"):
-        n = draw(st.integers(-1, 6))
+        if draw(st.integers(0, 9)):
+            n = draw(st.integers(-1, 6))
+        else:
+            n = draw(st.integers(7, 10**6 if command == "eval" else 40))
         argv += ["--n", str(n), *_algebra_flags(draw, n)]
     if command != "discrepancies" and draw(st.integers(0, 4)):
         formats = ["dot", "json"] if command == "hasse" else ["text", "json"]
@@ -597,7 +604,12 @@ def _command_argv(draw):
     if not draw(st.integers(0, 19)):
         argv.append(draw(st.sampled_from(["--bogus", "--n", "--format=xml", "extra"])))
     if command == "eval":  # after "--", so that a formula may start with "-"
-        argv += ["--", "".join(draw(st.lists(_FORMULA_PIECES, max_size=10)))]
+        formula = "".join(draw(st.lists(_FORMULA_PIECES, max_size=10)))
+        if not draw(st.integers(0, 9)):  # past the default recursion limit
+            depth = draw(st.integers(1000, 5000))
+            formula = draw(st.sampled_from(["!" * depth + formula,
+                                            "(" * depth + formula + ")" * depth]))
+        argv += ["--", formula]
     return argv
 
 
