@@ -6,7 +6,7 @@ runs over the same algebra produce identical reports, including the order
 of counterexamples.  They read the config's operation rows
 (``AlgebraConfig.tables``, the rows `lingtruth.inference` folds), built
 once per config from the carrier index and certified pair by pair by
-`lingtruth.oracle`, so every operation is a list lookup on carrier indices;
+`lingtruth.oracle`, so every operation is a row lookup on carrier indices;
 the carrier size N comes from the rows, top is index N - 1 and x <= y is
 x v y = y.  Row lookups are hoisted out of the inner loop, and only the
 violations kept as witnesses are decoded into ``LinguisticValue``s.
@@ -15,17 +15,20 @@ violation count is always exact; pass ``max_witnesses=None`` to keep every
 witness.  A bad cap or axiom raises ``DomainError`` first.
 
 The cubic families (I1, I6, I7 and associativity) screen whole rows
-before they walk cells.  ``lattice._rows`` holds a table's rows and columns
-so that composing two is one call in C (``bytes.translate`` up to 256
-carrier elements, ``operator.itemgetter`` above; it alone decides which).
-I1 and associativity compare the whole z row of a pair (x, y) at once; I6
-and I7 compare the whole y column of a pair (x, z), walk columns, and sort
-each x's violations by (y, z).  Only a row or column that differs is
-walked cell by cell, so counts and witness order are those of the plain
-triple loop.  Once the kept witnesses are collected (I6 and I7 test that
-at the start of each x, whose violations are sorted), a row or column that
-differs is only counted, as the number of cells where its two sides
-differ, and builds no witness tuples.
+before they walk cells, and so do I3, commutativity and absorption.
+``lattice._rows`` holds a table's rows and columns so that composing two is
+one call in C (``bytes.translate`` up to 256 carrier elements,
+``operator.itemgetter`` above; it alone decides which), and
+``lattice._held`` keeps what it holds once per config and table.  I1 and
+associativity compare the whole z row of a pair (x, y) at once, and the
+pair checks the whole y row of an x; I6 and I7 compare the whole y column
+of a pair (x, z), walk columns, and sort each x's violations by (y, z).
+Only a row or column that differs is walked cell by cell, so counts and
+witness order are those of the plain loops.  Once the kept witnesses are
+collected (I6 and I7 test that at the start of each x, whose violations are
+sorted), a row or column of a cubic family that differs is only counted, as
+the number of cells where its two sides differ, and builds no witness
+tuples.
 
 The axioms, for all x, y, z:
 
@@ -48,7 +51,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, _rows, canonical
+from .lattice import AlgebraConfig, LinguisticValue, _held, canonical
 
 
 class Axiom(enum.Enum):
@@ -132,7 +135,7 @@ def check_axiom(
     bad, uncollected = [], 0
 
     if axiom is Axiom.I1:
-        rows, maps, _, _, compose = _rows(imp)
+        rows, maps, _, _, compose = _held(config, imp)
         for x in carrier:
             for y in carrier:
                 # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
@@ -149,12 +152,12 @@ def check_axiom(
             if lhs != top:
                 bad.append((x, None, None, lhs, top))
     elif axiom is Axiom.I3:
+        rows, _, _, column_maps, compose = _held(config, imp)
         for x in carrier:
-            for y in carrier:
-                lhs = imp[x][y]
-                rhs = imp[neg[y]][neg[x]]
-                if lhs != rhs:
-                    bad.append((x, y, None, lhs, rhs))
+            # the y row at once: imp[x] against column neg[x] of imp read at neg
+            lhs, rhs = rows[x], compose(neg, column_maps[neg[x]])
+            if lhs != rhs:
+                bad += [(x, y, None, l, r) for y, l, r in zip(carrier, lhs, rhs) if l != r]
     elif axiom is Axiom.I4:
         for x in carrier:
             for y in carrier:
@@ -169,8 +172,8 @@ def check_axiom(
                     bad.append((x, y, None, lhs, rhs))
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
-        _, _, columns, column_maps, compose = _rows(imp)  # columns[z][w] is imp[w][z]
-        inner_rows, outer_maps = _rows(inner).rows, _rows(outer).maps
+        _, _, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
+        inner_rows, outer_maps = _held(config, inner).rows, _held(config, outer).maps
         for x in carrier:
             imp_x, inner_x = imp[x], inner_rows[x]
             full, found = len(bad) >= cap, []  # x's violations are sorted: cap per x
@@ -209,17 +212,17 @@ def check_lattice_laws(
         results.append(_collect(f"{name}-idempotent", config, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
+        rows, _, columns, _, _ = _held(config, op)  # the y row at once: op[x] against column x
         bad = [
-            (x, y, None, op[x][y], op[y][x])
-            for x in carrier
-            for y in carrier
-            if op[x][y] != op[y][x]
+            (x, y, None, l, r)
+            for x in carrier if rows[x] != columns[x]
+            for y, l, r in zip(carrier, rows[x], columns[x]) if l != r
         ]
         results.append(_collect(f"{name}-commutative", config, bad, max_witnesses))
 
     cap = float("inf") if max_witnesses is None else max_witnesses
     for name, op in (("join", join), ("meet", meet)):
-        rows, maps, _, _, compose = _rows(op)
+        rows, maps, _, _, compose = _held(config, op)
         bad, uncollected = [], 0
         for x in carrier:
             op_x = op[x]
@@ -235,12 +238,12 @@ def check_lattice_laws(
         results.append(_collect(f"{name}-associative", config, bad, max_witnesses, uncollected))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
-        bad = [
-            (x, y, None, outer[x][inner[x][y]], x)
-            for x in carrier
-            for y in carrier
-            if outer[x][inner[x][y]] != x
-        ]
+        _, maps, _, _, compose = _held(config, outer)
+        inner_rows, bad = _held(config, inner).rows, []
+        for x in carrier:
+            lhs = compose(inner_rows[x], maps[x])  # the y row at once: outer[x] after inner[x]
+            if lhs.count(x) != len(lhs):
+                bad += [(x, y, None, l, x) for y, l in zip(carrier, lhs) if l != x]
         results.append(_collect(f"{name}-absorption", config, bad, max_witnesses))
 
     return results

@@ -30,21 +30,22 @@ tree over the config's operation rows (``AlgebraConfig.tables``), each node a
 vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
 operand a connective maps one row or column of its operation over a block
 or a strided column, O(N) steps in Python per table, each one
-``compose`` of ``lattice._rows`` (as for the axiom screens); the direct
-column is a list.  `lingtruth.formula` states which operation each
-connective runs, for this walk and for ``evaluate``.  It never calls
-``mp_direct``, ``mt_direct`` or the kernel (the tests check it against
-them); the axiom checks reuse the same rows.
+``compose`` of ``lattice._rows`` (as for the axiom screens), held once per
+config; the direct column is the ``bytearray`` it folds into up to 256
+carrier elements, and a list above.  `lingtruth.formula` states which
+operation each connective runs, for this walk and for ``evaluate``.  It
+never calls ``mp_direct``, ``mt_direct`` or the kernel (the tests check it
+against them); the axiom checks reuse the same rows.
 The closed and branch columns read the case tables that ``mp_closed`` and
 ``mt_closed`` read, held as data: within a row half each case covers a few
 runs of the column, each filled as one slice or repeat, so a table takes
-O(N · cases) steps in Python.  Neither value column is derived from the
-other, so a row's ``agree`` compares two independent computations; they
-must agree everywhere, and the test suite checks this exhaustively for
-every verified algebra size.  An ``InferenceRow`` is built only when a row
-is indexed or iterated; the CLI writers read the columns.  A rule that is
-not a ``RuleId``, or a config that is not an ``AlgebraConfig``, raises
-``DomainError``.
+O(N · cases) steps in Python, into compact columns (``InferenceTable``).
+Neither value column is derived from the other, so a row's ``agree``
+compares two independent computations; they must agree everywhere, and the
+test suite checks this exhaustively for every verified algebra size.  An
+``InferenceRow`` is built only when a row is indexed or iterated; the CLI
+writers read the columns.  A rule that is not a ``RuleId``, or a config
+that is not an ``AlgebraConfig``, raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, require
 from .formula import Not, Valuation, _fold, _operations, evaluate, parse
-from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, _rows, canonical, lia, qlia
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, _held, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -242,13 +243,16 @@ def _mask(a, b, relation):
     return point if relation is operator.eq else ~point
 
 
-def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], list[int]]:
+def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[bytearray | list, bytearray]:
     """Carrier index of the closed-form value and branch code of every row,
     in carrier order.  A row half fixes the row grade, so a guard holds on an
     interval of the column position c with at most one hole or point, kept
     as a bit set.  A case fires on its guard's bits less those of the cases
     before it; each run of them is one slice of a ramp of carrier indices
-    (or one repeated index) and one repeated code."""
+    (or one repeated index, ``ramp[b:b + 1] * k``) and one repeated code.
+    The codes are below 256, so ``branch`` is a ``bytearray``; so is
+    ``closed`` while every index fits in a byte (up to 256 carrier elements),
+    and above that a list."""
     n, s, nc = config.n, config.n + 1, config.noncomparable or 0
     t, g = (1, 0) if rule is RuleId.MP else (0, 1)  # argument positions: column, row grade
 
@@ -256,12 +260,14 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], lis
         a, rest = form[t], form[2] * n + form[3] * nc + form[4] + lift
         return (a, form[g], rest) if rising else (-a, form[g], rest + a * n)
 
-    ramp, closed, branch = list(range(2 * s)), [], []
+    small = s <= 128  # every carrier index fits in a byte
+    ramp = (bytes if small else list)(range(2 * s))
+    closed, branch = bytearray() if small else [], bytearray()
     # carrier order: false grades n down to 0, then true grades 0 up to n, for
     # e(P) and, within a row, for e(Q), whose grade at column c is c or n - c
     for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
         halves = [[([(*bind(form, q_true), relation) for form, relation in terms],
-                    bind(value, q_true, s), code)
+                    bind(value, q_true, s), bytes((code,)))
                    for terms, value, code in _case_tables()[rule, config.kind, p_true, q_true]]
                   for q_true in (False, True)]
         for row in p_grades:
@@ -278,8 +284,9 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[list[int], lis
                         bits &= -high
                         runs.append((lo, high.bit_length() - 2, a, ga * row + b, code))
                 for lo, hi, a, b, code in sorted(runs):
-                    closed += ramp[a * lo + b:a * hi + a + b:a] if a else [b] * (hi - lo + 1)
-                    branch += [code] * (hi - lo + 1)
+                    k = hi - lo + 1
+                    closed += ramp[a * lo + b:a * hi + a + b:a] if a else ramp[b:b + 1] * k
+                    branch += code * k
     return closed, branch
 
 
@@ -291,16 +298,19 @@ class InferenceTable(Sequence):
     the schema's value; ``closed[k]``, of the closed-form value, and
     ``branch[k]``, the index in ``labels`` of the case that fired (MP case c
     at c, its MT renaming at c + 33), are filled by runs from the case
-    tables.  Indexing and iteration build each ``InferenceRow`` on demand.
-    Its length is its row count, so it is not a tuple; two tables are
-    equal only when they are the same object.
+    tables.  The columns are held compactly: up to 256 carrier elements all
+    three are ``bytearray``s; above that ``direct`` and ``closed`` are lists
+    and ``branch`` stays a ``bytearray`` (every code is below 66).  Indexing
+    and iteration build each ``InferenceRow`` on demand.  Its length is its
+    row count, so it is not a tuple; two tables are equal only when they are
+    the same object.
     """
 
     __slots__ = ("config", "rule", "direct", "closed", "branch")
     labels = _BRANCHES
 
-    def __init__(self, config: AlgebraConfig, rule: RuleId, direct: list[int],
-                 closed: list[int], branch: list[int]):
+    def __init__(self, config: AlgebraConfig, rule: RuleId, direct: Sequence[int],
+                 closed: Sequence[int], branch: Sequence[int]):
         self.config, self.rule = config, rule
         self.direct, self.closed, self.branch = direct, closed, branch
 
@@ -324,34 +334,38 @@ class InferenceTable(Sequence):
         return map(self.__getitem__, range(len(self)))
 
     def disagreements(self) -> list[int]:
-        """The rows whose direct and closed-form values differ."""
+        """The rows whose direct and closed-form values differ: none after one
+        whole-column compare, as on every correct table, else by a walk."""
+        if self.direct == self.closed:
+            return []
         unequal = map(operator.ne, self.direct, self.closed)
         return list(itertools.compress(range(len(self)), unequal))
 
 
-def _shaped(size: int, kind, op):
-    """``kind``'s operation (``op``: a negation vector or rows) on operands
-    (axis, entries): a vector over e(P) or e(Q) (axis "P", "Q") or the matrix
-    of all rows, entry p·size + q (axis None).
+def _shaped(config: AlgebraConfig, kind, op):
+    """``kind``'s operation (``op``: a negation vector or a table of
+    ``config.tables``) on operands (axis, entries): a vector over e(P) or
+    e(Q) (axis "P", "Q") or the matrix of all rows, entry p·size + q (axis
+    None).
 
     A binary operation maps the cells of each entry of its vector operand
     through one row or column of ``op``, one ``compose`` of ``lattice._rows``
-    each, built once per operation; the matrix is a ``bytearray`` while the
-    rows are ``bytes``, a list otherwise.  No node of MP or MT combines two
-    vectors over one atom, or two matrices, so a binary node always yields
-    the matrix."""
+    each, held once per config (``lattice._held``); the matrix is a
+    ``bytearray`` while the rows are ``bytes``, a list otherwise.  No node of
+    MP or MT combines two vectors over one atom, or two matrices, so a binary
+    node always yields the matrix."""
     if kind is Not:
         return lambda x: (x[0], list(map(op.__getitem__, x[1])))
     # the matrix cells of entry k of a vector: a block over P, a stride over Q
+    size = len(op)
     cells = {"P": lambda k: slice(k * size, (k + 1) * size), "Q": lambda k: slice(k, None, size)}
-    held = functools.cache(lambda: _rows(op))
 
     def apply(x, y):
         # entry v of the vector operand maps its cells by row v of op (vector on
         # the left) or column v (on the right)
         left = x[0] is not None
         (axis, vector), (other_axis, other) = (x, y) if left else (y, x)
-        rows, maps, _, column_maps, compose = held()
+        rows, maps, _, column_maps, compose = _held(config, op)
         by = maps if left else column_maps
         row_type = type(rows[0])  # cells to compose have the rows' type
         other = row_type(other)
@@ -370,10 +384,10 @@ def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     size = 2 * require(config, AlgebraConfig).n + 2
     # the schema folded as in ``evaluate``, over shaped operands: O(size)
     # maps of whole rows or columns of the operations, not one call per cell
-    ops = {kind: _shaped(size, kind, op) for kind, op in _operations(config.tables).items()}
+    ops = {kind: _shaped(config, kind, op) for kind, op in _operations(config.tables).items()}
     atoms = {name: (name, range(size)) for name in "PQ"}
     _, direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops)
-    return InferenceTable(config, rule, list(direct), *_closed_columns(config, rule))
+    return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
 
 
 # ----------------------------------------------------------------------

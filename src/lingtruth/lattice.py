@@ -36,12 +36,14 @@ carrier indices, built once per config on first use.  The ``AlgebraConfig``
 methods and `lingtruth.formula`'s evaluation run on it; values are encoded
 into it, raising ``DomainError`` for anything but a ``LinguisticValue`` with
 grade in 0..n, and only results are decoded.  ``AlgebraConfig.tables`` codes
-the algebra a second time, as lists of whole rows sliced from per-config
-chain ramps and built once per config on first use.  `lingtruth.inference`
-folds the MP/MT schemas over these rows, and the checks in
-`lingtruth.axioms` and `lingtruth.oracle` read the same rows; the oracle
-re-derives joins, meets and the order from the cover graph alone and so
-certifies them.  The tests compare the two codings.
+the algebra a second time, as whole rows sliced from per-config chain ramps
+and built once per config on first use: ``bytes`` rows up to 256 carrier
+elements and tuple rows above, so that ``_rows`` composes them as they are,
+and ``_held`` keeps each table's ``_rows`` once per config.
+`lingtruth.inference` folds the MP/MT schemas over these rows, and the
+checks in `lingtruth.axioms` and `lingtruth.oracle` read the same rows; the
+oracle re-derives joins, meets and the order from the cover graph alone and
+so certifies them.  The tests compare the two codings.
 """
 
 from __future__ import annotations
@@ -147,11 +149,13 @@ def _rows(table):
     with ``==``.  This is the one place that knows the 256-element limit:
     while every index fits in a byte, rows and columns are ``bytes``, each
     map is one padded to a 256-byte translate table and ``compose`` is
-    ``bytes.translate``; above that, ``_wide_rows``."""
+    ``bytes.translate``; above that, ``_wide_rows``.  Rows that are already
+    ``bytes``, as ``tables`` builds them, are kept; others (a table of lists
+    planted by a test) are converted."""
     size = len(table)
     if size > 256:
         return _wide_rows(table)
-    rows = [bytes(row) for row in table]
+    rows = table if {*map(type, table)} == {bytes} else [*map(bytes, table)]
     flat, pad = b"".join(rows), bytes(256 - size)
     columns = [flat[z::size] for z in range(size)]
     return _RowMaps(rows, [row + pad for row in rows], columns,
@@ -160,9 +164,21 @@ def _rows(table):
 
 def _wide_rows(table):
     """``_rows`` at any size: rows and columns are tuples, each its own map,
-    and ``compose`` is ``_gather``."""
+    and ``compose`` is ``_gather``.  ``tuple`` keeps a tuple row as it is."""
     rows, columns = [*map(tuple, table)], [*zip(*table)]
     return _RowMaps(rows, rows, columns, columns, _gather)
+
+
+def _held(config, table):
+    """``_rows(table)`` for a table of ``config.tables``, built on first use
+    and kept in the config's instance dict beside the tables, so that each
+    operation's rows are held once per config.  An entry is reused only for
+    the same table object and the same ``_rows``, so a table planted in
+    place of the built one, or a ``_rows`` swapped in, is held anew."""
+    held, key = vars(config).setdefault("_held", {}), (id(table), _rows)
+    if key not in held:  # the entry keeps ``table`` alive, so its id names no other table
+        held[key] = table, _rows(table)
+    return held[key][1]
 
 
 def _gather(cells, row):
@@ -177,7 +193,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     ``noncomparable`` selects the quasi kind: the index i whose pair
     (v_iF, v_(n-i)T) is non-comparable.  ``labels`` optionally names the
     hedge grades, weakest first, for display and parsing.  No ``__slots__``:
-    the tables and the kernel are cached in the instance dict.
+    the tables, their held rows (``_held``) and the kernel are cached in the
+    instance dict.
     """
 
     def __new__(cls, n: int, noncomparable: int | None = None,
@@ -239,32 +256,42 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
 
     @functools.cached_property
     def tables(self) -> _Rows:
-        """The operations as lists of rows over carrier indices, built on first
-        use and shared, so never mutated: ``join[x][y]`` is the index of
-        x v y, likewise ``meet`` and ``implies``, and ``negate`` is read off
-        column 0 of ``implies``.  Row x = (b, p) has halves b' = 0, 1 over
-        p': max(p, p') is a plateau and a range, min(p, p') a range and a
-        plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit 1."""
+        """The operations as rows over carrier indices, built on first use and
+        shared, so never mutated: ``join[x][y]`` is the index of x v y,
+        likewise ``meet`` and ``implies``, and ``negate`` is read off column 0
+        of ``implies``.  Each row, and ``negate``, is ``bytes`` while every
+        index fits in a byte (up to 256 carrier elements) and a tuple above,
+        the types ``_rows`` composes.  Row x = (b, p) has halves b' = 0, 1
+        over p': max(p, p') is a plateau and a range, min(p, p') a range and
+        a plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit
+        1; a plateau of k entries v is ``up[v:v + 1] * k``."""
         n, s = self.n, self.n + 1
-        up = [*range(2 * s)]
-        ramp = [min(n, t) for t in range(2 * n + 1)]  # min(n, t); row p reads t = n-p..2n-p
-        lifted = [s + t for t in ramp]
+        seq = bytes if s <= 128 else tuple
+        up = seq(range(2 * s))
+        ramp = seq(min(n, t) for t in range(2 * n + 1))  # min(n, t); row p reads t = n-p..2n-p
+        lifted = seq(s + t for t in ramp)
         join, meet, implies = [None] * 2 * s, [None] * 2 * s, [None] * 2 * s
         for p in range(s):  # rows x = p (b = 0) and x = s + p (b = 1)
-            low, high = [p] * (p + 1) + up[p + 1:s], [s + p] * (p + 1) + up[s + p + 1:]
+            low, high = up[p:p + 1] * p + up[p:s], up[s + p:s + p + 1] * p + up[s + p:]
             join[p], join[s + p] = low + high, high + high
-            low, high = up[:p] + [p] * (s - p), up[s:s + p] + [s + p] * (s - p)
+            low, high = up[:p] + up[p:p + 1] * (s - p), up[s:s + p] + up[s + p:s + p + 1] * (s - p)
             meet[p], meet[s + p] = low + low, low + high
             low, high = ramp[n - p:2 * n - p + 1], lifted[n - p:2 * n - p + 1]
             implies[p], implies[s + p] = high + high, low + high
         if self.noncomparable is not None:
-            # v_iF = (0, m) and v_(n-i)T = (1, m) lose their cross link
+            # v_iF = (0, m) and v_(n-i)T = (1, m) lose their cross link; each
+            # patched row is rebuilt once, from slices
             m = n - self.noncomparable
-            for k in range(m + 1):  # v_iF v v_kT, k <= n-i, rises above v_(n-i)T
-                join[m][s + k] = join[s + k][m] = s + m + 1
-            for p in range(m, s):  # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
-                meet[s + m][p] = meet[p][s + m] = m - 1
-        return _Rows([row[0] for row in implies], join, meet, implies)
+            raised, sunk = up[s + m + 1:s + m + 2], up[m - 1:m]
+            # v_iF v v_kT, k <= n-i, rises above v_(n-i)T
+            join[m] = join[m][:s] + raised * (m + 1) + join[m][s + m + 1:]
+            for k in range(s, s + m + 1):
+                join[k] = join[k][:m] + raised + join[k][m + 1:]
+            # v_(n-i)T ^ v_gF, g <= i, sinks below v_iF
+            meet[s + m] = meet[s + m][:m] + sunk * (s - m) + meet[s + m][s:]
+            for p in range(m, s):
+                meet[p] = meet[p][:s + m] + sunk + meet[p][s + m + 1:]
+        return _Rows(seq(row[0] for row in implies), join, meet, implies)
 
     @functools.cached_property
     def _kernel(self) -> _Kernel:

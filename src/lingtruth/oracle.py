@@ -267,8 +267,10 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
         leq_row = list(map(operator.eq, join_row, positions))
         # the whole row at once; bit j of up is byte j of oracle_leq
         oracle_leq = format(up, f"0{size}b")[::-1].encode()
+        # the rows may be bytes and the bounds a list that may hold None, so
+        # the rows are compared as lists
         if (stated_join == joins and stated_meet == meets
-                and join_row == joins and meet_row == meets
+                and [*join_row] == joins and [*meet_row] == meets
                 and bytes(leq_row).translate(_DIGITS) == oracle_leq
                 and bytes(map(top.__eq__, implies_row)).translate(_DIGITS) == oracle_leq):
             continue

@@ -437,5 +437,23 @@ def test_criterion_16_parser_outcomes_are_pinned():
             "" if ok else f" got {digest}")
 
 
+# sha256 of ``verify-examples`` output in each format
+VERIFY_EXAMPLES_SHA256 = {
+    "text": "0a44e1bc0eeff3d1a4630c8da82c8e0e0406b45ae78246f0db8e463c2e1aea59",
+    "json": "0ec2144881f17e0de5a8cfe89ef19d74328316c7d7e195cf40cee2bf9cf13082",
+}
+
+
+def test_criterion_17_verify_examples_output_is_pinned(capsys):
+    changed = []
+    for fmt, expected in VERIFY_EXAMPLES_SHA256.items():
+        code = cli.main(["verify-examples", "--format", fmt])
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if (code, digest) != (0, expected):
+            changed.append(f"{fmt}: exit {code}, sha256 {digest}")
+    _report(17, "verify-examples output byte-identical to the pinned digests", not changed,
+            "" if not changed else f" got {changed}")
+
+
 if __name__ == "__main__":
     pytest.main([__file__, "-s", "-v"])

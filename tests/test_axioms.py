@@ -158,6 +158,34 @@ def _naive(tables, name):
             if (pair := sides(x, y, z))[0] != pair[1]]
 
 
+def _naive_pairs(tables, name):
+    """Violations (x, y, None, lhs, rhs) of one row-screened pair check by a
+    plain double loop, in the order x, then y."""
+    neg, join, meet, imp = tables
+    sides = {
+        "I3": lambda x, y: (imp[x][y], imp[neg[y]][neg[x]]),
+        "join-commutative": lambda x, y: (join[x][y], join[y][x]),
+        "meet-commutative": lambda x, y: (meet[x][y], meet[y][x]),
+        "join-absorption": lambda x, y: (join[x][meet[x][y]], x),
+        "meet-absorption": lambda x, y: (meet[x][join[x][y]], x),
+    }[name]
+    carrier = range(len(imp))
+    return [(x, y, None, *pair) for x in carrier for y in carrier
+            if (pair := sides(x, y))[0] != pair[1]]
+
+
+def _pair_reports(config, max_witnesses=None):
+    """The I3, commutativity and absorption reports, as (name, count,
+    witnesses as carrier-index tuples, None where a check has no z)."""
+    index = {v: k for k, v in enumerate(config.values())}
+    results = [check_axiom(config, Axiom.I3, max_witnesses)]
+    results += [law for law in check_lattice_laws(config, max_witnesses)
+                if law.name.endswith(("commutative", "absorption"))]
+    return [(r.name, r.total_violations,
+             [tuple(None if v is None else index[v] for v in w) for w in r.witnesses])
+            for r in results]
+
+
 def _cubic_reports(config, max_witnesses=None):
     """The I1, I6, I7 and associativity reports, as (name, count, witnesses
     as carrier-index tuples)."""
@@ -209,6 +237,38 @@ class TestRowScreen:
                         (name, count, bad[:cap]) for name, count, bad in expected
                     ], (op, i, j, entry, cap)
 
+    @pytest.mark.parametrize("config", [lia(3), qlia(4, 2), qlia(6, 1)], ids=str)
+    def test_single_wrong_entries_in_pair_checks_are_all_reported(self, config, screen):
+        """As above for the pair checks that screen whole rows: one wrong
+        entry planted in implies, join or meet, on the diagonal and at random
+        cells, and the I3, commutativity and absorption reports equal the
+        plain double loop's, count and witnesses, capped or not."""
+        rng = random.Random(f"pairs {config.n} {config.noncomparable}")
+        size = 2 * config.n + 2
+        cells = [(x, x) for x in range(size)]
+        cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
+        names = ("I3", "join-commutative", "meet-commutative", "join-absorption",
+                 "meet-absorption")
+        caught = 0  # plantings that break some pair check (a cell x -> y = y' -> x' may not)
+        for op in ("implies", "join", "meet"):
+            for i, j in cells:
+                planted = AlgebraConfig(*config)  # fresh table cache
+                tables = planted.tables
+                table = getattr(tables, op)
+                entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
+                # the cached rows live in the instance dict
+                tables = vars(planted)["tables"] = tables._replace(
+                    **{op: _with_entry(table, i, j, entry)})
+                expected = [(name, len(bad), bad) for name, bad in (
+                    (name, _naive_pairs(tables, name)) for name in names)]
+                caught += any(count for _, count, _ in expected)
+                assert _pair_reports(planted) == expected, (op, i, j, entry)
+                for cap in (0, 1):
+                    assert _pair_reports(planted, cap) == [
+                        (name, count, bad[:cap]) for name, count, bad in expected
+                    ], (op, i, j, entry, cap)
+        assert caught > len(cells) * 2
+
     def test_wide_rows_give_the_same_reports(self, wide_rows, monkeypatch):
         configs = [lia(n) for n in range(9)] + [qlia(n, i) for n in range(2, 9)
                                                for i in range(1, n)]
@@ -237,9 +297,13 @@ class TestRowScreen:
                 ], (config, cap)
 
     def test_screen_stops_at_a_byte(self):
-        assert axioms._rows is lattice._rows
-        assert type(axioms._rows([[0] * 256] * 256).rows[0]) is bytes
-        assert type(axioms._rows([[0] * 257] * 257).rows[0]) is tuple
+        """The screens read the rows ``lattice._held`` keeps, which
+        ``lattice._rows`` builds: byte rows up to 256 elements, tuples above."""
+        assert axioms._held is lattice._held
+        assert type(lattice._rows([[0] * 256] * 256).rows[0]) is bytes
+        assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
+        for config, row_type in ((lia(127), bytes), (lia(128), tuple)):  # 256, 258 elements
+            assert type(axioms._held(config, config.tables.implies).rows[0]) is row_type
 
 
 def _quasi_counts(n, i):

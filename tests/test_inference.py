@@ -161,7 +161,8 @@ class TestTables:
         monkeypatch.setattr(AlgebraConfig, "tables", counted)
         config = AlgebraConfig(4, noncomparable)
         table = inference_table(config, rule)
-        assert [table.values.index(row.closed) for row in table] == table.closed == table.direct
+        indices = [table.values.index(row.closed) for row in table]
+        assert indices == [*table.closed] == [*table.direct]
         assert table.disagreements() == [] and table[-1] == table[len(table) - 1]
         assert builds == [config]
         check_all_axioms(config)
@@ -192,24 +193,34 @@ class TestTables:
         """Up to 256 elements the direct column is folded over ``bytes`` with
         ``bytes.translate`` into a ``bytearray``, above that over tuples with
         ``itemgetter`` into a list; on tuple rows, as above 256 elements,
-        every config with n <= 16 gives the same direct column, a list
-        either way."""
+        every config with n <= 16 gives the same direct column, value by
+        value, a list there and a ``bytearray`` on byte rows."""
         configs = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
 
-        def directs():
+        def directs(column_type):
             tables = [inference_table(config, rule) for config in configs for rule in RuleId]
-            assert all(type(table.direct) is list for table in tables)
-            return [table.direct for table in tables]
+            assert all(type(table.direct) is column_type for table in tables)
+            return [[*table.direct] for table in tables]
 
-        wide = directs()
+        wide = directs(list)
         monkeypatch.undo()  # back to byte rows
-        assert directs() == wide
+        assert directs(bytearray) == wide
 
     def test_byte_fold_stops_at_a_byte(self):
-        """The direct fold takes its 256-element limit from ``lattice._rows``."""
-        assert inference._rows is lattice._rows
-        assert type(inference._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
-        assert type(inference._rows(lia(128).tables.implies).rows[0]) is tuple  # 258 elements
+        """The direct fold takes its 256-element limit from ``lattice._rows``,
+        through the rows ``lattice._held`` keeps per config."""
+        assert inference._held is lattice._held
+        for config, row_type in ((lia(127), bytes), (lia(128), tuple)):  # 256, 258 elements
+            assert type(inference._held(config, config.tables.implies).rows[0]) is row_type
+
+    def test_columns_are_compact(self):
+        """Up to 256 elements all three columns are ``bytearray``s; above,
+        the value columns are lists and ``branch`` stays a ``bytearray``."""
+        for config, value_type in ((lia(127), bytearray), (lia(128), list)):  # 256, 258 elements
+            table = inference_table(config, RuleId.MP)
+            assert (type(table.direct), type(table.closed), type(table.branch)) == (
+                value_type, value_type, bytearray), config
+            assert len(table.direct) == len(table.closed) == len(table.branch) == len(table)
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 
 import pytest
@@ -272,18 +273,22 @@ class TestOpTables:
 
     @pytest.mark.parametrize("config", [
         lia(127), qlia(127, 60), lia(128), qlia(128, 60), lia(200), qlia(200, 100),
+        pytest.param(qlia(127, 1), id="QLIA-127-1"),
+        pytest.param(qlia(127, 126), id="QLIA-127-126"),
     ], ids=lambda c: f"{c.kind}-{c.n}")
     def test_tables_match_the_kernel_above_the_exhaustive_range(self, config):
         """Seeded whole rows and columns, with those through both ends of
         the removed link (v_iF, v_(n-i)T; v_0F and v_nT for LIA), against
-        the scalar kernel; the tests above stop at n = 16."""
+        the scalar kernel; the tests above stop at n = 16.  At qlia(127, 1)
+        and qlia(127, 126) the patched rows sit at the ends of the byte
+        rows."""
         kernel, tables = config._kernel, config.tables
         size, i = 2 * config.n + 2, config.noncomparable or 0
         ends = [kernel.encode(F(i)), kernel.encode(T(config.n - i))]
         pairs = {(x, y) for x in random.Random(config.n).sample(range(size), 24) + ends
                  for y in range(size)}
         pairs |= {(y, x) for x, y in pairs}
-        assert tables.negate == [kernel.negate(x) for x in range(size)]
+        assert [*tables.negate] == [kernel.negate(x) for x in range(size)]
         for x, y in pairs:
             assert tables.join[x][y] == kernel.join(x, y)
             assert tables.meet[x][y] == kernel.meet(x, y)
@@ -306,7 +311,7 @@ class TestOpTables:
             twice = [[[*map(row_x.__getitem__, row_y)] for row_y in table] for row_x in table]
             for held in (lattice._rows, lattice._wide_rows):
                 rows, maps, columns, column_maps, compose = held(table)
-                assert [[*row] for row in rows] == table, held
+                assert [[*row] for row in rows] == [[*row] for row in table], held
                 assert [[*column] for column in columns] == table_columns, held
                 row_type = type(rows[0])
                 for x in carrier:
@@ -326,6 +331,40 @@ class TestOpTables:
         assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
         assert type(lattice._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
         assert type(lattice._rows(lia(128).tables.implies).rows[0]) is tuple  # 258 elements
+
+    def test_tables_are_built_in_the_type_rows_compose(self):
+        """Every row of join, meet and implies, and negate, is ``bytes`` up to
+        256 elements and a tuple above; ``_rows`` keeps such rows as they are."""
+        for config, row_type in ((lia(127), bytes), (qlia(127, 60), bytes),
+                                 (lia(128), tuple), (qlia(128, 60), tuple)):
+            tables = config.tables
+            assert type(tables.negate) is row_type, config
+            for table in tables[1:]:
+                assert {*map(type, table)} == {row_type}, config
+                rows = lattice._rows(table).rows
+                assert all(map(operator.is_, rows, table)), config
+
+    def test_rows_are_held_once_per_config(self, monkeypatch):
+        """``_held`` builds each operation table's rows once per config: a
+        whole ``check`` and both inference tables call ``_rows`` once for each
+        of join, meet and implies.  A table planted in place of the built one
+        or a swapped ``_rows`` gets rows of its own."""
+        built, build = [], lattice._rows
+        monkeypatch.setattr(lattice, "_rows", lambda table: built.append(table) or build(table))
+        config = qlia(6, 2)
+        tables = config.tables
+        axioms.check_all_axioms(config)
+        axioms.check_lattice_laws(config)
+        for rule in inference.RuleId:
+            inference.inference_table(config, rule)
+        assert sorted(map(id, built)) == sorted(map(id, tables[1:]))
+        held = lattice._held(config, tables.implies)
+        assert lattice._held(config, tables.implies) is held
+        planted = [bytearray(row) for row in tables.implies]
+        planted[0][0] ^= 1
+        assert [*lattice._held(config, planted).rows[0]] == [*planted[0]]
+        monkeypatch.setattr(lattice, "_rows", lattice._wide_rows)
+        assert type(lattice._held(config, tables.implies).rows[0]) is tuple
 
 
 def paper_implies(n, a, b):
