@@ -16,9 +16,8 @@ witness.  A bad cap or axiom raises ``DomainError`` first.
 
 The cubic families (I1, I6, I7 and associativity) screen whole rows
 before they walk cells, and so do I3, commutativity and absorption.
-``lattice._rows`` holds a table's rows and columns so that composing two is
-one call in C (``bytes.translate`` up to 256 carrier elements,
-``operator.itemgetter`` above; it alone decides which), and
+``lattice._rows`` holds a table's columns and maps so that composing two
+rows is one call in C, whatever type ``tables`` built them in, and
 ``lattice._held`` keeps what it holds once per config and table.  I1 and
 associativity compare the whole z row of a pair (x, y) at once, and the
 pair checks the whole y row of an x; I6 and I7 compare the whole y column
@@ -135,11 +134,11 @@ def check_axiom(
     bad, uncollected = [], 0
 
     if axiom is Axiom.I1:
-        rows, maps, _, _, compose = _held(config, imp)
+        maps, _, _, compose = _held(config, imp)
         for x in carrier:
             for y in carrier:
                 # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
-                lhs, rhs = compose(rows[y], maps[x]), compose(rows[x], maps[y])
+                lhs, rhs = compose(imp[y], maps[x]), compose(imp[x], maps[y])
                 if lhs == rhs:
                     continue
                 if len(bad) >= cap:
@@ -152,10 +151,10 @@ def check_axiom(
             if lhs != top:
                 bad.append((x, None, None, lhs, top))
     elif axiom is Axiom.I3:
-        rows, _, _, column_maps, compose = _held(config, imp)
+        _, _, column_maps, compose = _held(config, imp)
         for x in carrier:
             # the y row at once: imp[x] against column neg[x] of imp read at neg
-            lhs, rhs = rows[x], compose(neg, column_maps[neg[x]])
+            lhs, rhs = imp[x], compose(neg, column_maps[neg[x]])
             if lhs != rhs:
                 bad += [(x, y, None, l, r) for y, l, r in zip(carrier, lhs, rhs) if l != r]
     elif axiom is Axiom.I4:
@@ -172,10 +171,10 @@ def check_axiom(
                     bad.append((x, y, None, lhs, rhs))
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
-        _, _, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
-        inner_rows, outer_maps = _held(config, inner).rows, _held(config, outer).maps
+        _, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
+        outer_maps = _held(config, outer).maps
         for x in carrier:
-            imp_x, inner_x = imp[x], inner_rows[x]
+            imp_x, inner_x = imp[x], inner[x]
             full, found = len(bad) >= cap, []  # x's violations are sorted: cap per x
             for z in carrier:
                 # the y column at once: imp[inner_x[y]][z] against outer[imp_x[z]][imp[y][z]]
@@ -212,23 +211,23 @@ def check_lattice_laws(
         results.append(_collect(f"{name}-idempotent", config, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
-        rows, _, columns, _, _ = _held(config, op)  # the y row at once: op[x] against column x
+        columns = _held(config, op).columns  # the y row at once: op[x] against column x
         bad = [
             (x, y, None, l, r)
-            for x in carrier if rows[x] != columns[x]
-            for y, l, r in zip(carrier, rows[x], columns[x]) if l != r
+            for x in carrier if op[x] != columns[x]
+            for y, l, r in zip(carrier, op[x], columns[x]) if l != r
         ]
         results.append(_collect(f"{name}-commutative", config, bad, max_witnesses))
 
     cap = float("inf") if max_witnesses is None else max_witnesses
     for name, op in (("join", join), ("meet", meet)):
-        rows, maps, _, _, compose = _held(config, op)
+        maps, _, _, compose = _held(config, op)
         bad, uncollected = [], 0
         for x in carrier:
             op_x = op[x]
             for y in carrier:
                 # the z row at once: op[op_x[y]] against op[x] after op[y]
-                lhs, rhs = rows[op_x[y]], compose(rows[y], maps[x])
+                lhs, rhs = op[op_x[y]], compose(op[y], maps[x])
                 if lhs == rhs:
                     continue
                 if len(bad) >= cap:
@@ -238,10 +237,10 @@ def check_lattice_laws(
         results.append(_collect(f"{name}-associative", config, bad, max_witnesses, uncollected))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
-        _, maps, _, _, compose = _held(config, outer)
-        inner_rows, bad = _held(config, inner).rows, []
+        maps, _, _, compose = _held(config, outer)
+        bad = []
         for x in carrier:
-            lhs = compose(inner_rows[x], maps[x])  # the y row at once: outer[x] after inner[x]
+            lhs = compose(inner[x], maps[x])  # the y row at once: outer[x] after inner[x]
             if lhs.count(x) != len(lhs):
                 bad += [(x, y, None, l, x) for y, l in zip(carrier, lhs) if l != x]
         results.append(_collect(f"{name}-absorption", config, bad, max_witnesses))

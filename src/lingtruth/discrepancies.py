@@ -3,18 +3,15 @@
 The closed-form operations and inference tables implement the case
 *derivations*; a few of the stated case lists they come from contain symbol
 or scope errors that the derivations and the brute-force order oracle both
-contradict.  Each record below documents one such correction.  On top of
-the static notes, ``full_report`` runs the oracle cross-check so that the
-scope correction in the quasi-kind join (rule 2.4, item 3) is also
-confirmed pair by pair.
+contradict.  Each record below documents one such correction.  The scope
+correction in the quasi-kind join (rule 2.4, item 3) is also confirmed pair
+by pair: `lingtruth.oracle.cross_check_ops` reports each pair where the
+stated join differs from the oracle, as ``check --format json`` shows.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-
-from .lattice import lia, qlia
-from .oracle import build_covers, cross_check_ops
 
 
 class StatementNote(namedtuple("StatementNote", "id table subject stated used detail")):
@@ -104,15 +101,3 @@ STATEMENT_NOTES: tuple[StatementNote, ...] = (
     ),
 )
 
-
-_REPORT_CONFIGS = (lia(4), qlia(4, 2), qlia(5, 2))
-
-
-def full_report() -> dict:
-    """Static correction notes plus computed stated-vs-oracle mismatches."""
-    return {
-        "notes": [note.to_dict() for note in STATEMENT_NOTES],
-        "computed": [
-            cross_check_ops(build_covers(config)).to_dict() for config in _REPORT_CONFIGS
-        ],
-    }

@@ -31,8 +31,9 @@ vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
 operand a connective maps one row or column of its operation over a block
 or a strided column, O(N) steps in Python per table, each one
 ``compose`` of ``lattice._rows`` (as for the axiom screens), held once per
-config; the direct column is the ``bytearray`` it folds into up to 256
-carrier elements, and a list above.  `lingtruth.formula` states which
+config.  The column types follow the rows' type, which ``tables`` picks:
+the direct column is the ``bytearray`` the fold writes into on ``bytes``
+rows and a list on tuple rows.  `lingtruth.formula` states which
 operation each connective runs, for this walk and for ``evaluate``.  It
 never calls ``mp_direct``, ``mt_direct`` or the kernel (the tests check it
 against them); the axiom checks reuse the same rows.
@@ -251,8 +252,8 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[bytearray | li
     before it; each run of them is one slice of a ramp of carrier indices
     (or one repeated index, ``ramp[b:b + 1] * k``) and one repeated code.
     The codes are below 256, so ``branch`` is a ``bytearray``; so is
-    ``closed`` while every index fits in a byte (up to 256 carrier elements),
-    and above that a list."""
+    ``closed`` while ``config.tables`` holds ``bytes`` rows, and a list
+    otherwise."""
     n, s, nc = config.n, config.n + 1, config.noncomparable or 0
     t, g = (1, 0) if rule is RuleId.MP else (0, 1)  # argument positions: column, row grade
 
@@ -260,9 +261,9 @@ def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[bytearray | li
         a, rest = form[t], form[2] * n + form[3] * nc + form[4] + lift
         return (a, form[g], rest) if rising else (-a, form[g], rest + a * n)
 
-    small = s <= 128  # every carrier index fits in a byte
-    ramp = (bytes if small else list)(range(2 * s))
-    closed, branch = bytearray() if small else [], bytearray()
+    seq = type(config.tables.negate)  # bytes while every carrier index fits in one
+    ramp = seq(range(2 * s))
+    closed, branch = bytearray() if seq is bytes else [], bytearray()
     # carrier order: false grades n down to 0, then true grades 0 up to n, for
     # e(P) and, within a row, for e(Q), whose grade at column c is c or n - c
     for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
@@ -365,9 +366,9 @@ def _shaped(config: AlgebraConfig, kind, op):
         # the left) or column v (on the right)
         left = x[0] is not None
         (axis, vector), (other_axis, other) = (x, y) if left else (y, x)
-        rows, maps, _, column_maps, compose = _held(config, op)
+        maps, _, column_maps, compose = _held(config, op)
         by = maps if left else column_maps
-        row_type = type(rows[0])  # cells to compose have the rows' type
+        row_type = type(op[0])  # cells to compose have the rows' type
         other = row_type(other)
         out = bytearray(size * size) if row_type is bytes else [0] * (size * size)
         for k, v in enumerate(vector):

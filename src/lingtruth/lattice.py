@@ -37,9 +37,10 @@ methods and `lingtruth.formula`'s evaluation run on it; values are encoded
 into it, raising ``DomainError`` for anything but a ``LinguisticValue`` with
 grade in 0..n, and only results are decoded.  ``AlgebraConfig.tables`` codes
 the algebra a second time, as whole rows sliced from per-config chain ramps
-and built once per config on first use: ``bytes`` rows up to 256 carrier
-elements and tuple rows above, so that ``_rows`` composes them as they are,
-and ``_held`` keeps each table's ``_rows`` once per config.
+and built once per config on first use.  It alone picks the rows' type,
+``bytes`` up to 256 carrier elements and tuples above; ``_rows`` holds a
+table for composing whole rows of that type, and ``_held`` keeps it once
+per config.
 `lingtruth.inference` folds the MP/MT schemas over these rows, and the
 checks in `lingtruth.axioms` and `lingtruth.oracle` read the same rows; the
 oracle re-derives joins, meets and the order from the cover graph alone and
@@ -136,49 +137,40 @@ _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
 _Rows = namedtuple("_Rows", "negate join meet implies")
 
 
-_RowMaps = namedtuple("_RowMaps", "rows maps columns column_maps compose")
+_RowMaps = namedtuple("_RowMaps", "maps columns column_maps compose")
 
 
 def _rows(table):
     """A square table of carrier indices (one of ``AlgebraConfig.tables``)
-    held for composing whole rows: ``rows[y]`` is row y, ``columns[z]`` is
-    column z (``columns[z][w] == table[w][z]``), and ``compose(cells,
-    maps[x])`` is row x read at each of ``cells``, so that ``compose(rows[y],
-    maps[x])[z] == table[x][table[y][z]]``; ``column_maps`` do the same for
-    the columns.  A composed row has the type of ``rows``, so the two compare
-    with ``==``.  This is the one place that knows the 256-element limit:
-    while every index fits in a byte, rows and columns are ``bytes``, each
-    map is one padded to a 256-byte translate table and ``compose`` is
-    ``bytes.translate``; above that, ``_wide_rows``.  Rows that are already
-    ``bytes``, as ``tables`` builds them, are kept; others (a table of lists
-    planted by a test) are converted."""
+    held for composing whole rows: ``columns[z]`` is column z
+    (``columns[z][w] == table[w][z]``), and ``compose(cells, maps[x])`` is
+    row x read at each of ``cells``, so that ``compose(table[y], maps[x])[z]
+    == table[x][table[y][z]]``; ``column_maps`` do the same for the columns.
+    A composed row has the type of the table's rows, so the two compare with
+    ``==``.  ``bytes`` rows are composed by ``bytes.translate``, each map one
+    padded to a 256-byte translate table; any other rows (the tuples
+    ``tables`` builds above 256 carrier elements) by ``_gather``, each row
+    and column its own map.  The rows are held as they are."""
     size = len(table)
-    if size > 256:
-        return _wide_rows(table)
-    rows = table if {*map(type, table)} == {bytes} else [*map(bytes, table)]
-    flat, pad = b"".join(rows), bytes(256 - size)
+    if type(table[0]) is not bytes:
+        columns = [*zip(*table)]
+        return _RowMaps(table, columns, columns, _gather)
+    flat, pad = b"".join(table), bytes(256 - size)
     columns = [flat[z::size] for z in range(size)]
-    return _RowMaps(rows, [row + pad for row in rows], columns,
+    return _RowMaps([row + pad for row in table], columns,
                     [column + pad for column in columns], bytes.translate)
-
-
-def _wide_rows(table):
-    """``_rows`` at any size: rows and columns are tuples, each its own map,
-    and ``compose`` is ``_gather``.  ``tuple`` keeps a tuple row as it is."""
-    rows, columns = [*map(tuple, table)], [*zip(*table)]
-    return _RowMaps(rows, rows, columns, columns, _gather)
 
 
 def _held(config, table):
     """``_rows(table)`` for a table of ``config.tables``, built on first use
     and kept in the config's instance dict beside the tables, so that each
     operation's rows are held once per config.  An entry is reused only for
-    the same table object and the same ``_rows``, so a table planted in
-    place of the built one, or a ``_rows`` swapped in, is held anew."""
-    held, key = vars(config).setdefault("_held", {}), (id(table), _rows)
-    if key not in held:  # the entry keeps ``table`` alive, so its id names no other table
-        held[key] = table, _rows(table)
-    return held[key][1]
+    the same table object, so a table planted in place of the built one is
+    held anew."""
+    held = vars(config).setdefault("_held", {})
+    if id(table) not in held:  # the entry keeps ``table`` alive, so its id names no other table
+        held[id(table)] = table, _rows(table)
+    return held[id(table)][1]
 
 
 def _gather(cells, row):
@@ -193,8 +185,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     ``noncomparable`` selects the quasi kind: the index i whose pair
     (v_iF, v_(n-i)T) is non-comparable.  ``labels`` optionally names the
     hedge grades, weakest first, for display and parsing.  No ``__slots__``:
-    the tables, their held rows (``_held``) and the kernel are cached in the
-    instance dict.
+    the tables, what ``_held`` keeps of them and the kernel are cached in
+    the instance dict.
     """
 
     def __new__(cls, n: int, noncomparable: int | None = None,
@@ -260,8 +252,9 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
         shared, so never mutated: ``join[x][y]`` is the index of x v y,
         likewise ``meet`` and ``implies``, and ``negate`` is read off column 0
         of ``implies``.  Each row, and ``negate``, is ``bytes`` while every
-        index fits in a byte (up to 256 carrier elements) and a tuple above,
-        the types ``_rows`` composes.  Row x = (b, p) has halves b' = 0, 1
+        index fits in a byte (up to 256 carrier elements) and a tuple above;
+        this is the one test of that limit, and the code that reads the rows
+        follows their type.  Row x = (b, p) has halves b' = 0, 1
         over p': max(p, p') is a plateau and a range, min(p, p') a range and
         a plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit
         1; a plateau of k entries v is ``up[v:v + 1] * k``."""

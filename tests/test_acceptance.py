@@ -19,7 +19,7 @@ from lingtruth.axioms import (
     check_involution,
     check_lattice_laws,
 )
-from lingtruth.discrepancies import full_report
+from lingtruth.discrepancies import STATEMENT_NOTES
 from lingtruth.errors import ParseError
 from lingtruth.formula import And, Atom, Implies, Not, Or, parse, render
 from lingtruth.inference import (
@@ -216,21 +216,14 @@ def test_criterion_7_parser_round_trip(capsys):
 
 
 def test_criterion_8_discrepancy_report():
-    report = full_report()
-    ids = {note["id"] for note in report["notes"]}
+    ids = {note.id for note in STATEMENT_NOTES}
     ok = "3.2-mt-vl1" in ids and "2.4-item3-scope" in ids
     # the scope correction is also confirmed computationally: the stated
-    # join disagrees with the oracle on (v3T, v4F) in the n=5, i=2 algebra
-    computed = [
-        entry
-        for config_report in report["computed"]
-        for entry in config_report["stated_mismatches"]
-        if config_report["n"] == 5
-        and (entry["a"], entry["b"]) == ("v3T", "v4F")
-        and entry["got"] == "v4T"
-        and entry["expected"] == "v3T"
-    ]
-    ok = ok and bool(computed)
+    # join disagrees with the oracle on (v3T, v4F) in the n=5, i=2 algebra,
+    # as ``check --format json`` reports it
+    stated = cross_check_ops(build_covers(qlia(5, 2))).to_dict()["stated_mismatches"]
+    ok = ok and {"op": "join", "a": "v3T", "b": "v4F", "got": "v4T", "expected": "v3T",
+                 "rule": "2.4-item3"} in stated
     _report(8, "machine-readable correction entries", ok)
 
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from planted import wide_rows, with_entry
 
-from lingtruth import axioms, lattice
+from lingtruth import axioms, oracle
 from lingtruth.axioms import (
     Axiom,
     Classification,
@@ -13,7 +14,8 @@ from lingtruth.axioms import (
     classify,
 )
 from lingtruth.errors import DomainError
-from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
+from lingtruth.lattice import QLIA, AlgebraConfig, LinguisticValue, lia, qlia
+from lingtruth.oracle import build_covers, cross_check_ops
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -135,13 +137,6 @@ class TestReporting:
 SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
 
 
-def _with_entry(table, i, j, entry):
-    """``table`` with entry [i][j] replaced."""
-    rows = [list(row) for row in table]
-    rows[i][j] = entry
-    return rows
-
-
 def _naive(tables, name):
     """Violations (x, y, z, lhs, rhs) of one cubic check by a plain triple
     loop, in the order x, then y, then z."""
@@ -201,9 +196,9 @@ def _cubic_reports(config, max_witnesses=None):
 
 @pytest.fixture(params=["screened", "wide"])
 def screen(request):
-    if request.param == "wide":  # tuple rows, as above 256 elements
-        request.getfixturevalue("wide_rows")
-    return request.param
+    """A fresh copy of a config, on byte rows or on tuple copies of them, as
+    above 256 elements."""
+    return wide_rows if request.param == "wide" else lambda config: AlgebraConfig(*config)
 
 
 class TestRowScreen:
@@ -220,13 +215,13 @@ class TestRowScreen:
         cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
         for op in ("implies", "join", "meet"):
             for i, j in cells:
-                planted = AlgebraConfig(*config)  # fresh table cache
+                planted = screen(config)  # fresh table cache
                 tables = planted.tables
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
                 # the cached rows live in the instance dict
                 tables = vars(planted)["tables"] = tables._replace(
-                    **{op: _with_entry(table, i, j, entry)})
+                    **{op: with_entry(table, i, j, entry)})
                 expected = [(name, len(bad), bad) for name, bad in (
                     (name, _naive(tables, name)) for name in
                     ("I1", "I6", "I7", "join-associative", "meet-associative"))]
@@ -252,13 +247,13 @@ class TestRowScreen:
         caught = 0  # plantings that break some pair check (a cell x -> y = y' -> x' may not)
         for op in ("implies", "join", "meet"):
             for i, j in cells:
-                planted = AlgebraConfig(*config)  # fresh table cache
+                planted = screen(config)  # fresh table cache
                 tables = planted.tables
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
                 # the cached rows live in the instance dict
                 tables = vars(planted)["tables"] = tables._replace(
-                    **{op: _with_entry(table, i, j, entry)})
+                    **{op: with_entry(table, i, j, entry)})
                 expected = [(name, len(bad), bad) for name, bad in (
                     (name, _naive_pairs(tables, name)) for name in names)]
                 caught += any(count for _, count, _ in expected)
@@ -269,41 +264,75 @@ class TestRowScreen:
                     ], (op, i, j, entry, cap)
         assert caught > len(cells) * 2
 
-    def test_wide_rows_give_the_same_reports(self, wide_rows, monkeypatch):
-        configs = [lia(n) for n in range(9)] + [qlia(n, i) for n in range(2, 9)
-                                               for i in range(1, n)]
-
-        def reports(config):
-            results = check_all_axioms(config, max_witnesses=None)
-            return ([results[a].to_dict() for a in Axiom]
-                    + [law.to_dict() for law in check_lattice_laws(config, max_witnesses=None)])
-
-        wide = [reports(config) for config in configs]
-        monkeypatch.undo()  # back to byte rows
-        assert [reports(config) for config in configs] == wide
+    def test_wide_rows_give_the_same_reports(self):
+        """Every config with n <= 16 gives the same axiom, law and involution
+        reports on tuple copies of its rows as on its byte rows, uncapped and
+        capped at 0, 1 and 10."""
+        for config in SMALL_CONFIGS:
+            wide = wide_rows(config)
+            for cap in (None, 0, 1, 10):
+                assert _reports(wide, cap) == _reports(config, cap), (config, cap)
 
     def test_capped_counts_are_exact(self, screen):
         """Every report of every config with n <= 16, capped at 0, 1 and 10:
         the count of the uncapped report and the first witnesses of it."""
-        def reports(config, max_witnesses):
-            results = check_all_axioms(config, max_witnesses)
-            return [results[a] for a in Axiom] + check_lattice_laws(config, max_witnesses)
-
-        for config in SMALL_CONFIGS:
-            every = reports(config, None)
+        for config in map(screen, SMALL_CONFIGS):
+            every = _reports(config, None)
             for cap in (0, 1, 10):
-                assert reports(config, cap) == [
+                assert _reports(config, cap) == [
                     (r.name, r.total_violations, r.witnesses[:cap]) for r in every
                 ], (config, cap)
 
-    def test_screen_stops_at_a_byte(self):
-        """The screens read the rows ``lattice._held`` keeps, which
-        ``lattice._rows`` builds: byte rows up to 256 elements, tuples above."""
-        assert axioms._held is lattice._held
-        assert type(lattice._rows([[0] * 256] * 256).rows[0]) is bytes
-        assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
-        for config, row_type in ((lia(127), bytes), (lia(128), tuple)):  # 256, 258 elements
-            assert type(axioms._held(config, config.tables.implies).rows[0]) is row_type
+    def test_screens_walk_only_the_rows_that_differ(self, monkeypatch):
+        """Every config with n <= 16, uncapped: the screens walk a row or
+        column cell by cell (the only use of ``zip`` in ``axioms``) once for
+        each that holds a witness, so never in LIA, and ``cross_check_ops``
+        walks a row once for each with a mismatch or a residuation
+        exception.  A screen that compared rows of two types, or a stated
+        row of the wrong length, would walk every row and report the same."""
+        walks = []
+
+        def walking(*rows):
+            walks.append(rows)
+            return zip(*rows)
+
+        def enumerating(items):
+            walks.append(items)
+            return enumerate(items)
+
+        monkeypatch.setattr(axioms, "zip", walking, raising=False)
+        monkeypatch.setattr(oracle, "enumerate", enumerating, raising=False)
+        for config in SMALL_CONFIGS:
+            walked = sum(len({tuple(getattr(w, name) for name in _WALKED[r.name])
+                              for w in r.witnesses})
+                         for r in _reports(config, None) if r.name in _WALKED)
+            assert len(walks) == walked, config
+            assert config.kind == QLIA or not walked, config
+
+            graph = build_covers(config)
+            graph.up, graph.joins, graph.meets  # built before the walks are counted
+            walks.clear()
+            report = cross_check_ops(graph)
+            walked = {m.a for m in report.stated} | {a for a, _ in report.residuation_exceptions}
+            assert report.implemented == [], config
+            # each walk enumerates the graph's elements, as does the value lookup
+            assert sum(items is graph.elements for items in walks) == len(walked) + 1, config
+            assert config.kind == QLIA or not walked, config
+            walks.clear()
+
+
+# the fields of a witness that name the row or column its screen walks
+_WALKED = {"I1": "xy", "I3": "x", "I6": "xz", "I7": "xz",
+           "join-commutative": "x", "meet-commutative": "x",
+           "join-associative": "xy", "meet-associative": "xy",
+           "join-absorption": "x", "meet-absorption": "x"}
+
+
+def _reports(config, max_witnesses):
+    """Every axiom, lattice-law and involution report of ``config``."""
+    results = check_all_axioms(config, max_witnesses)
+    return ([results[a] for a in Axiom] + check_lattice_laws(config, max_witnesses)
+            + [check_involution(config, max_witnesses)])
 
 
 def _quasi_counts(n, i):
@@ -317,8 +346,7 @@ def _quasi_counts(n, i):
             n * n + 2 * n * i - 3 * i * i + 7 * n - 7 * i + 2)
 
 
-def _checked_counts(n, i):
-    config = qlia(n, i)
+def _checked_counts(config):
     return tuple(check_axiom(config, axiom, max_witnesses=0).total_violations
                  for axiom in (Axiom.I6, Axiom.I7))
 
@@ -327,7 +355,7 @@ class TestQuasiViolationCounts:
     def test_every_config_up_to_n32(self):
         pairs = [(n, i) for n in range(2, 33) for i in range(1, n)]
         assert len(pairs) == 496
-        assert {pair: _checked_counts(*pair) for pair in pairs} == {
+        assert {pair: _checked_counts(qlia(*pair)) for pair in pairs} == {
             pair: _quasi_counts(*pair) for pair in pairs}
 
     def test_seeded_configs_up_to_n127(self):
@@ -336,9 +364,9 @@ class TestQuasiViolationCounts:
         draw = random.Random(127)
         pairs = [(126, 63), (127, 63), (127, 64), (127, 1), (127, 126)]
         pairs += [(n, draw.randint(1, n - 1)) for n in sorted(draw.sample(range(33, 127), 6))]
-        assert {pair: _checked_counts(*pair) for pair in pairs} == {
+        assert {pair: _checked_counts(qlia(*pair)) for pair in pairs} == {
             pair: _quasi_counts(*pair) for pair in pairs}
 
     @pytest.mark.parametrize("n, i", [(20, 7), (31, 15), (31, 16), (32, 1), (32, 31)])
-    def test_wide_rows(self, n, i, wide_rows):
-        assert _checked_counts(n, i) == _quasi_counts(n, i)
+    def test_wide_rows(self, n, i):
+        assert _checked_counts(wide_rows(qlia(n, i))) == _quasi_counts(n, i)

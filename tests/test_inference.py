@@ -4,9 +4,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from planted import wide_rows
 from strategies import algebra_pairs
 
-from lingtruth import inference, lattice
+from lingtruth import inference
 from lingtruth.axioms import check_all_axioms
 from lingtruth.errors import DomainError
 from lingtruth.inference import (
@@ -189,38 +190,24 @@ class TestTables:
         assert table.disagreements() == []
         assert sum(calls.values()) <= 2 * config.n + 2, calls
 
-    def test_byte_and_list_folds_agree(self, wide_rows, monkeypatch):
-        """Up to 256 elements the direct column is folded over ``bytes`` with
-        ``bytes.translate`` into a ``bytearray``, above that over tuples with
-        ``itemgetter`` into a list; on tuple rows, as above 256 elements,
-        every config with n <= 16 gives the same direct column, value by
-        value, a list there and a ``bytearray`` on byte rows."""
+    def test_byte_and_list_folds_agree(self):
+        """On ``bytes`` rows the direct column is folded with
+        ``bytes.translate`` into a ``bytearray``, on tuple rows (above 256
+        elements) with ``itemgetter`` into a list, and the closed column is
+        filled likewise; every config with n <= 16 gives the same direct,
+        closed and branch values on tuple copies of its rows as on its byte
+        rows, the value columns lists there."""
         configs = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
-
-        def directs(column_type):
-            tables = [inference_table(config, rule) for config in configs for rule in RuleId]
-            assert all(type(table.direct) is column_type for table in tables)
-            return [[*table.direct] for table in tables]
-
-        wide = directs(list)
-        monkeypatch.undo()  # back to byte rows
-        assert directs(bytearray) == wide
-
-    def test_byte_fold_stops_at_a_byte(self):
-        """The direct fold takes its 256-element limit from ``lattice._rows``,
-        through the rows ``lattice._held`` keeps per config."""
-        assert inference._held is lattice._held
-        for config, row_type in ((lia(127), bytes), (lia(128), tuple)):  # 256, 258 elements
-            assert type(inference._held(config, config.tables.implies).rows[0]) is row_type
-
-    def test_columns_are_compact(self):
-        """Up to 256 elements all three columns are ``bytearray``s; above,
-        the value columns are lists and ``branch`` stays a ``bytearray``."""
-        for config, value_type in ((lia(127), bytearray), (lia(128), list)):  # 256, 258 elements
-            table = inference_table(config, RuleId.MP)
-            assert (type(table.direct), type(table.closed), type(table.branch)) == (
-                value_type, value_type, bytearray), config
-            assert len(table.direct) == len(table.closed) == len(table.branch) == len(table)
+        for config in configs:
+            wide = wide_rows(config)
+            for rule in RuleId:
+                table, listed = inference_table(config, rule), inference_table(wide, rule)
+                assert (type(table.direct), type(table.closed), type(table.branch)) == (
+                    bytearray, bytearray, bytearray), (config, rule)
+                assert (type(listed.direct), type(listed.closed), type(listed.branch)) == (
+                    list, list, bytearray), (config, rule)
+                assert ([*listed.direct], [*listed.closed], listed.branch) == (
+                    [*table.direct], [*table.closed], table.branch), (config, rule)
 
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n

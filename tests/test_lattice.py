@@ -1,9 +1,9 @@
 import functools
-import operator
 import random
 
 import pytest
 from hypothesis import given, settings
+from planted import wide_rows, with_entry
 from strategies import algebra_pairs
 
 from lingtruth import axioms, inference, lattice, oracle
@@ -301,70 +301,72 @@ class TestOpTables:
 
     @pytest.mark.parametrize("config", SMALL_CONFIGS)
     def test_rows_compose_as_the_table(self, config):
-        """Rows, columns and their maps, on both sides of 256 elements, for
-        every operation table: a composed row or column is the table read
-        twice, and has the type of the rows."""
-        for table in config.tables[1:]:  # join, meet, implies
+        """Columns and maps of every operation table, on its byte rows and on
+        tuple copies of them as above 256 elements: a composed row or column
+        is the table read twice, and has the type of the rows."""
+        for table in config.tables[1:] + wide_rows(config).tables[1:]:  # join, meet, implies
             carrier = range(len(table))
             table_columns = [[table[w][z] for w in carrier] for z in carrier]
             # twice[x][y][z] is table[x][table[y][z]]
             twice = [[[*map(row_x.__getitem__, row_y)] for row_y in table] for row_x in table]
-            for held in (lattice._rows, lattice._wide_rows):
-                rows, maps, columns, column_maps, compose = held(table)
-                assert [[*row] for row in rows] == [[*row] for row in table], held
-                assert [[*column] for column in columns] == table_columns, held
-                row_type = type(rows[0])
-                for x in carrier:
-                    composed = [compose(row, maps[x]) for row in rows]
-                    assert {type(row) for row in composed} == {row_type}, held
-                    assert [[*row] for row in composed] == twice[x], (held, x)
-                    # column z read by row x is twice[x][w][z] over w
-                    assert [compose(column, maps[x]) for column in columns] == [
-                        row_type(cells) for cells in zip(*twice[x])], (held, x)
-                    assert [[*compose(rows[x], column_map)] for column_map in column_maps] == [
-                        [*map(column.__getitem__, table[x])] for column in table_columns
-                    ], (held, x)
+            maps, columns, column_maps, compose = lattice._rows(table)
+            row_type = type(table[0])
+            assert [[*column] for column in columns] == table_columns, row_type
+            for x in carrier:
+                composed = [compose(row, maps[x]) for row in table]
+                assert {type(row) for row in composed} == {row_type}
+                assert [[*row] for row in composed] == twice[x], (row_type, x)
+                # column z read by row x is twice[x][w][z] over w
+                assert [compose(column, maps[x]) for column in columns] == [
+                    row_type(cells) for cells in zip(*twice[x])], (row_type, x)
+                assert [[*compose(table[x], column_map)] for column_map in column_maps] == [
+                    [*map(column.__getitem__, table[x])] for column in table_columns
+                ], (row_type, x)
 
-    def test_rows_stop_at_a_byte(self):
-        """Byte rows up to 256 elements, tuple rows above."""
-        assert type(lattice._rows([[0] * 256] * 256).rows[0]) is bytes
-        assert type(lattice._rows([[0] * 257] * 257).rows[0]) is tuple
-        assert type(lattice._rows(lia(127).tables.implies).rows[0]) is bytes  # 256 elements
-        assert type(lattice._rows(lia(128).tables.implies).rows[0]) is tuple  # 258 elements
-
-    def test_tables_are_built_in_the_type_rows_compose(self):
-        """Every row of join, meet and implies, and negate, is ``bytes`` up to
-        256 elements and a tuple above; ``_rows`` keeps such rows as they are."""
-        for config, row_type in ((lia(127), bytes), (qlia(127, 60), bytes),
-                                 (lia(128), tuple), (qlia(128, 60), tuple)):
+    def test_the_byte_limit_decides_every_row_and_column_type(self):
+        """``tables`` builds ``bytes`` rows up to 256 elements (n = 127) and
+        tuple rows above (n = 128), ``negate`` included, and everything
+        downstream follows: the maps and columns ``_held`` keeps for the
+        axiom screens and the direct fold, and the direct, closed and
+        branch columns of both inference tables."""
+        assert axioms._held is inference._held is lattice._held
+        for config, small in ((lia(127), True), (qlia(127, 60), True),
+                              (lia(128), False), (qlia(128, 60), False)):
+            row_type = bytes if small else tuple
             tables = config.tables
             assert type(tables.negate) is row_type, config
             for table in tables[1:]:
                 assert {*map(type, table)} == {row_type}, config
-                rows = lattice._rows(table).rows
-                assert all(map(operator.is_, rows, table)), config
+                maps, columns, column_maps, compose = lattice._held(config, table)
+                assert compose is (bytes.translate if small else lattice._gather), config
+                for held in (maps, columns, column_maps):
+                    assert {*map(type, held)} == {row_type}, config
+            value_type = bytearray if small else list
+            for rule in inference.RuleId:
+                inferred = inference.inference_table(config, rule)
+                assert (type(inferred.direct), type(inferred.closed), type(inferred.branch)) == (
+                    value_type, value_type, bytearray), (config, rule)
+                assert len(inferred.direct) == len(inferred.closed) == len(inferred.branch) == (
+                    len(inferred)), (config, rule)
 
-    def test_rows_are_held_once_per_config(self, monkeypatch):
-        """``_held`` builds each operation table's rows once per config: a
-        whole ``check`` and both inference tables call ``_rows`` once for each
-        of join, meet and implies.  A table planted in place of the built one
-        or a swapped ``_rows`` gets rows of its own."""
-        built, build = [], lattice._rows
-        monkeypatch.setattr(lattice, "_rows", lambda table: built.append(table) or build(table))
+    def test_rows_are_held_once_per_config(self):
+        """``_held`` holds each operation table once per config: after a whole
+        ``check`` and both inference tables it holds join, meet and implies,
+        each built once.  A table planted in place of the built one is held
+        anew."""
         config = qlia(6, 2)
         tables = config.tables
         axioms.check_all_axioms(config)
+        held = dict(vars(config)["_held"])
         axioms.check_lattice_laws(config)
         for rule in inference.RuleId:
             inference.inference_table(config, rule)
-        assert sorted(map(id, built)) == sorted(map(id, tables[1:]))
-        held = lattice._held(config, tables.implies)
-        assert lattice._held(config, tables.implies) is held
-        planted = [bytearray(row) for row in tables.implies]
-        planted[0][0] ^= 1
-        assert [*lattice._held(config, planted).rows[0]] == [*planted[0]]
-        monkeypatch.setattr(lattice, "_rows", lattice._wide_rows)
-        assert type(lattice._held(config, tables.implies).rows[0]) is tuple
+        assert sorted(vars(config)["_held"]) == sorted(map(id, tables[1:]))
+        assert all(vars(config)["_held"][key] is entry for key, entry in held.items())
+        assert lattice._held(config, tables.implies) is lattice._held(config, tables.implies)
+        planted = with_entry(tables.implies, 0, 0, tables.implies[0][0] ^ 1)
+        columns = lattice._held(config, planted).columns
+        assert columns[0][0] == planted[0][0] != tables.implies[0][0]
 
 
 def paper_implies(n, a, b):

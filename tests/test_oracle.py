@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from planted import with_entry
 
 from lingtruth.errors import DomainError
 from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
@@ -28,13 +29,6 @@ def _two_by_two_poset():
     return CoverGraph(
         lia(1), lows + highs, frozenset((low, high) for low in lows for high in highs)
     )
-
-
-def _with_entry(table, i, j, entry):
-    """``table`` with entry [i][j] replaced."""
-    rows = [list(row) for row in table]
-    rows[i][j] = entry
-    return rows
 
 
 def _order(graph):
@@ -300,12 +294,12 @@ class TestCrossCheck:
         join that reads as x v y = y a second one, on leq."""
         config = lia(2)
         tables = config.tables
-        join = _with_entry(tables.join, 1, 3, 5)  # v1F v v0T = v1T, not v2T
+        join = with_entry(tables.join, 1, 3, 5)  # v1F v v0T = v1T, not v2T
         # the cached rows live in the instance dict
         vars(config)["tables"] = tables._replace(
             # v0F v v0T = v2T, not v0T, which would read as v0F <= v0T
-            join=_with_entry(join, 2, 3, 3),
-            meet=_with_entry(tables.meet, 4, 2, 0),  # v1T ^ v0F = v1F, not v2F
+            join=with_entry(join, 2, 3, 3),
+            meet=with_entry(tables.meet, 4, 2, 0),  # v1T ^ v0F = v1F, not v2F
         )
         report = cross_check_ops(build_covers(config))
         assert report.implemented == [
@@ -343,7 +337,7 @@ class TestCrossCheck:
                         entry = (entry + 1) % size
                     # the cached rows live in the instance dict
                     tables = vars(planted)["tables"] = tables._replace(
-                        **{op: _with_entry(getattr(tables, op), i, j, entry)})
+                        **{op: with_entry(getattr(tables, op), i, j, entry)})
                     graph = build_covers(planted)
                     leq, lub, glb = _order(graph)
                     report = cross_check_ops(graph)
