@@ -246,6 +246,9 @@ class TestRecords:
 
 # every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n
 SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
+# configs on both sides of the byte limit: 256 elements at n = 127, 258 at n = 128
+BYTE_LIMIT_CONFIGS = [(lia(127), bytes), (qlia(127, 60), bytes),
+                      (lia(128), tuple), (qlia(128, 60), tuple)]
 
 
 class TestOpTables:
@@ -323,31 +326,27 @@ class TestOpTables:
                     [*map(column.__getitem__, table[x])] for column in table_columns
                 ], (row_type, x)
 
-    def test_the_byte_limit_decides_every_row_and_column_type(self):
-        """``tables`` builds ``bytes`` rows up to 256 elements (n = 127) and
-        tuple rows above (n = 128), ``negate`` included, and everything
-        downstream follows: the maps and columns ``_held`` keeps for the
-        axiom screens and the direct fold, and the direct, closed and
-        branch columns of both inference tables."""
-        assert axioms._held is inference._held is lattice._held
-        for config, small in ((lia(127), True), (qlia(127, 60), True),
-                              (lia(128), False), (qlia(128, 60), False)):
-            row_type = bytes if small else tuple
+    def test_rows_stop_at_a_byte(self):
+        """``_held`` keeps the rows ``tables`` builds as they are: up to 256
+        elements (n = 127) byte rows composed by ``bytes.translate``, above
+        (n = 128) tuple rows composed by ``_gather``, with maps, columns and
+        column maps of the row type."""
+        for config, row_type in BYTE_LIMIT_CONFIGS:
+            for table in config.tables[1:]:
+                maps, columns, column_maps, compose = lattice._held(config, table)
+                assert compose is (bytes.translate if row_type is bytes else lattice._gather), (
+                    config)
+                for held in (maps, columns, column_maps):
+                    assert {*map(type, held)} == {row_type}, config
+
+    def test_tables_are_built_in_the_type_rows_compose(self):
+        """Every row of join, meet and implies, and negate, is ``bytes`` up to
+        256 elements (n = 127) and a tuple above (n = 128)."""
+        for config, row_type in BYTE_LIMIT_CONFIGS:
             tables = config.tables
             assert type(tables.negate) is row_type, config
             for table in tables[1:]:
                 assert {*map(type, table)} == {row_type}, config
-                maps, columns, column_maps, compose = lattice._held(config, table)
-                assert compose is (bytes.translate if small else lattice._gather), config
-                for held in (maps, columns, column_maps):
-                    assert {*map(type, held)} == {row_type}, config
-            value_type = bytearray if small else list
-            for rule in inference.RuleId:
-                inferred = inference.inference_table(config, rule)
-                assert (type(inferred.direct), type(inferred.closed), type(inferred.branch)) == (
-                    value_type, value_type, bytearray), (config, rule)
-                assert len(inferred.direct) == len(inferred.closed) == len(inferred.branch) == (
-                    len(inferred)), (config, rule)
 
     def test_rows_are_held_once_per_config(self):
         """``_held`` holds each operation table once per config: after a whole
