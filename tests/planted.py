@@ -2,7 +2,12 @@
 tests.  Each keeps the row type that ``AlgebraConfig.tables`` builds, so
 that the code reading the rows takes the path it takes on built rows."""
 
-from lingtruth.lattice import AlgebraConfig
+from lingtruth.lattice import AlgebraConfig, lia, qlia
+
+# configs on both sides of the byte limit, each with the row type ``tables``
+# builds for it: 256 elements at n = 127, 258 at n = 128
+BYTE_LIMIT_CONFIGS = [(lia(127), bytes), (qlia(127, 60), bytes),
+                      (lia(128), tuple), (qlia(128, 60), tuple)]
 
 
 def with_entry(table, i, j, entry):

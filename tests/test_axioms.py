@@ -284,15 +284,10 @@ class TestRowScreen:
                 ], (config, cap)
 
     def test_screen_stops_at_a_byte(self):
-        """The screens read the maps and columns ``lattice._held`` keeps:
-        ``bytes`` up to 256 elements (n = 127), tuples above (n = 128)."""
+        """The screens read their maps and columns through ``lattice._held``,
+        so they take the types that ``test_lattice.py::test_rows_stop_at_a_byte``
+        asserts on both sides of 256 elements."""
         assert axioms._held is lattice._held
-        for config, row_type in ((lia(127), bytes), (qlia(127, 60), bytes),
-                                 (lia(128), tuple), (qlia(128, 60), tuple)):
-            for table in config.tables[1:]:
-                held = axioms._held(config, table)
-                for rows in (held.maps, held.columns, held.column_maps):
-                    assert {*map(type, rows)} == {row_type}, config
 
     def test_screens_walk_only_the_rows_that_differ(self, monkeypatch):
         """Every config with n <= 16, uncapped: the screens walk a row or

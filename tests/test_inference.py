@@ -4,7 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from planted import wide_rows
+from planted import BYTE_LIMIT_CONFIGS, wide_rows
 from strategies import algebra_pairs
 
 from lingtruth import inference, lattice
@@ -209,28 +209,25 @@ class TestTables:
                 assert ([*listed.direct], [*listed.closed], listed.branch) == (
                     [*table.direct], [*table.closed], table.branch), (config, rule)
 
-
     def test_byte_fold_stops_at_a_byte(self):
-        """The direct fold reads the maps ``lattice._held`` keeps per config:
-        ``bytes`` up to 256 elements (n = 127), tuples above (n = 128)."""
+        """The direct fold reads its maps through ``lattice._held``, so it
+        takes the types that ``test_lattice.py::test_rows_stop_at_a_byte``
+        asserts on both sides of 256 elements."""
         assert inference._held is lattice._held
-        for config, row_type in ((lia(127), bytes), (qlia(127, 60), bytes),
-                                 (lia(128), tuple), (qlia(128, 60), tuple)):
-            maps = inference._held(config, config.tables.implies).maps
-            assert {*map(type, maps)} == {row_type}, config
 
     def test_columns_are_compact(self):
         """Up to 256 elements all three columns are ``bytearray``s; above,
         the value columns are lists and ``branch`` stays a ``bytearray``;
         for both rules, each column one entry per row."""
-        for config, value_type in ((lia(127), bytearray), (qlia(127, 60), bytearray),
-                                   (lia(128), list), (qlia(128, 60), list)):
+        for config, row_type in BYTE_LIMIT_CONFIGS:
+            value_type = bytearray if row_type is bytes else list
             for rule in RuleId:
                 table = inference_table(config, rule)
                 assert (type(table.direct), type(table.closed), type(table.branch)) == (
                     value_type, value_type, bytearray), (config, rule)
                 assert len(table.direct) == len(table.closed) == len(table.branch) == (
                     len(table)), (config, rule)
+
 
 # every configuration with n <= 8, LIA then QLIA i = 1..n-1 for each n
 SMALL_CONFIGS = [c for n in range(9) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]

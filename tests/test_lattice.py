@@ -3,7 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from planted import wide_rows, with_entry
+from planted import BYTE_LIMIT_CONFIGS, wide_rows, with_entry
 from strategies import algebra_pairs
 
 from lingtruth import axioms, inference, lattice, oracle
@@ -246,9 +246,6 @@ class TestRecords:
 
 # every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n
 SMALL_CONFIGS = [c for n in range(17) for c in [lia(n)] + [qlia(n, i) for i in range(1, n)]]
-# configs on both sides of the byte limit: 256 elements at n = 127, 258 at n = 128
-BYTE_LIMIT_CONFIGS = [(lia(127), bytes), (qlia(127, 60), bytes),
-                      (lia(128), tuple), (qlia(128, 60), tuple)]
 
 
 class TestOpTables:
@@ -348,25 +345,29 @@ class TestOpTables:
             for table in tables[1:]:
                 assert {*map(type, table)} == {row_type}, config
 
-    def test_rows_are_held_once_per_config(self):
-        """``_held`` holds each operation table once per config: after a whole
-        ``check`` and both inference tables it holds join, meet and implies,
-        each built once.  A table planted in place of the built one is held
-        anew."""
+    def test_rows_are_held_once_per_config(self, monkeypatch):
+        """``_held`` builds each operation table's rows once per config: a
+        whole ``check`` and both inference tables run ``_rows``, which makes
+        one ``_RowMaps`` a call, once for each of join, meet and implies.  A
+        table planted in place of the built one gets rows of its own."""
+        built, row_maps = [], lattice._RowMaps
+        monkeypatch.setattr(lattice, "_RowMaps",
+                            lambda *held: built.append(held) or row_maps(*held))
         config = qlia(6, 2)
         tables = config.tables
         axioms.check_all_axioms(config)
-        held = dict(vars(config)["_held"])
         axioms.check_lattice_laws(config)
+        axioms.check_involution(config)
         for rule in inference.RuleId:
             inference.inference_table(config, rule)
+        assert len(built) == 3
         assert sorted(vars(config)["_held"]) == sorted(map(id, tables[1:]))
-        assert all(vars(config)["_held"][key] is entry for key, entry in held.items())
         assert lattice._held(config, tables.implies) is lattice._held(config, tables.implies)
+        assert len(built) == 3
         planted = with_entry(tables.implies, 0, 0, tables.implies[0][0] ^ 1)
         columns = lattice._held(config, planted).columns
+        assert len(built) == 4
         assert columns[0][0] == planted[0][0] != tables.implies[0][0]
-
 
 def paper_implies(n, a, b):
     """a -> b by the four cases of the paper, as the lattice module docstring
