@@ -14,20 +14,21 @@ Witness lists in reports are capped (10 by default) but the total
 violation count is always exact; pass ``max_witnesses=None`` to keep every
 witness.  A bad cap or axiom raises ``DomainError`` first.
 
-The cubic families (I1, I6, I7 and associativity) screen whole rows
-before they walk cells, and so do I3, commutativity and absorption.
-``lattice._rows`` holds a table's columns and maps so that composing two
-rows is one call in C, whatever type ``tables`` built them in, and
-``lattice._held`` keeps what it holds once per config and table.  I1 and
-associativity compare the whole z row of a pair (x, y) at once, and the
-pair checks the whole y row of an x; I6 and I7 compare the whole y column
-of a pair (x, z), walk columns, and sort each x's violations by (y, z).
-Only a row or column that differs is walked cell by cell, so counts and
-witness order are those of the plain loops.  Once the kept witnesses are
-collected (I6 and I7 test that at the start of each x, whose violations are
-sorted), a row or column of a cubic family that differs is only counted, as
-the number of cells where its two sides differ, and builds no witness
-tuples.
+Every equation check but I2, I4, idempotence and involution compares
+whole rows: ``lattice._rows`` holds a table's columns and maps so that
+composing two rows is one call in C, whatever type ``tables`` built them
+in, and ``lattice._held`` keeps what it holds once per config and table.
+Each such check states its two sides as a filtered generator that yields
+only the rows whose sides differ, and hands it to ``_screen``, the one
+place that walks them: associativity compares the z row of a pair
+(x, y), I1, I6 and I7 the y column of a pair (x, z), and I3, I5,
+commutativity and absorption the y row of an x.  I5 is checked as the
+symmetry of twice, where twice[y][x] = (x -> y) -> y is column y of
+``implies`` read at itself, so it screens as commutativity does.
+``_screen`` walks a row that differs cell by cell and sorts each x's
+violations, so counts and witness order are those of the plain loops; once
+the kept witnesses are collected (tested at the start of each x) it only
+counts the cells where the two sides differ, and builds no witness tuples.
 
 The axioms, for all x, y, z:
 
@@ -50,7 +51,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, _held, canonical
+from .lattice import AlgebraConfig, LinguisticValue, _columns, _held, canonical
 
 
 class Axiom(enum.Enum):
@@ -116,6 +117,30 @@ def _collect(name, config, violations, max_witnesses, uncollected=0):
     return CheckResult(name, len(violations) + uncollected, witnesses)
 
 
+def _screen(name, config, differing, max_witnesses, walks_z=False):
+    """Report the rows ``differing`` yields, (x, r, lhs, rhs) with x
+    ascending, each a row or column whose two sides differ.  Cell c of a
+    row where they differ is the violation (x, r, c) if ``walks_z``, else
+    (x, c, r), and each x's violations are sorted, which is the order of
+    the plain loops.  The cap is tested at the start of each x: once the
+    kept witnesses are collected, a row is only counted, as the number of
+    cells where its two sides differ."""
+    cap = float("inf") if max_witnesses is None else max_witnesses
+    bad, found, uncollected, full, last = [], [], 0, False, None
+    for x, r, lhs, rhs in differing:
+        if x != last:
+            bad += sorted(found)
+            found, full, last = [], len(bad) >= cap, x
+        if full:
+            uncollected += sum(map(operator.ne, lhs, rhs))
+        elif walks_z:
+            found += [(x, r, c, a, b) for c, a, b in zip(range(len(lhs)), lhs, rhs) if a != b]
+        else:
+            found += [(x, c, r, a, b) for c, a, b in zip(range(len(lhs)), lhs, rhs) if a != b]
+    bad += sorted(found)
+    return _collect(name, config, bad, max_witnesses, uncollected)
+
+
 def _tables(config, max_witnesses):
     """``config.tables``, once the cap is None or exactly an int >= 0 (as for a grade)."""
     if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 0):
@@ -130,66 +155,37 @@ def check_axiom(
         raise DomainError(f"not an axiom: {axiom!r}")
     neg, join, meet, imp = _tables(config, max_witnesses)
     carrier, top = range(len(neg)), len(neg) - 1  # top is the last carrier index
-    cap = float("inf") if max_witnesses is None else max_witnesses
-    bad, uncollected = [], 0
+    if axiom is Axiom.I2:
+        bad = [(x, None, None, imp[x][x], top) for x in carrier if imp[x][x] != top]
+        return _collect(axiom.value, config, bad, max_witnesses)
+    if axiom is Axiom.I4:
+        bad = [(x, y, None, imp[x][y], imp[y][x]) for x in carrier for y in carrier
+               if x != y and imp[x][y] == top and imp[y][x] == top]
+        return _collect(axiom.value, config, bad, max_witnesses)
 
-    if axiom is Axiom.I1:
-        maps, _, _, compose = _held(config, imp)
-        for x in carrier:
-            for y in carrier:
-                # the z row at once: imp[x] after imp[y] against imp[y] after imp[x]
-                lhs, rhs = compose(imp[y], maps[x]), compose(imp[x], maps[y])
-                if lhs == rhs:
-                    continue
-                if len(bad) >= cap:
-                    uncollected += sum(map(operator.ne, lhs, rhs))
-                else:
-                    bad += [(x, y, z, l, r) for z, l, r in zip(carrier, lhs, rhs) if l != r]
-    elif axiom is Axiom.I2:
-        for x in carrier:
-            lhs = imp[x][x]
-            if lhs != top:
-                bad.append((x, None, None, lhs, top))
-    elif axiom is Axiom.I3:
-        _, _, column_maps, compose = _held(config, imp)
-        for x in carrier:
-            # the y row at once: imp[x] against column neg[x] of imp read at neg
-            lhs, rhs = imp[x], compose(neg, column_maps[neg[x]])
-            if lhs != rhs:
-                bad += [(x, y, None, l, r) for y, l, r in zip(carrier, lhs, rhs) if l != r]
-    elif axiom is Axiom.I4:
-        for x in carrier:
-            for y in carrier:
-                if x != y and imp[x][y] == top and imp[y][x] == top:
-                    bad.append((x, y, None, imp[x][y], imp[y][x]))
+    maps, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
+    if axiom is Axiom.I1:  # the y column of (x, z): imp[x] after column z against column imp[x][z]
+        differing = ((x, z, lhs, rhs) for x in carrier for imp_x in [imp[x]] for z in carrier
+                     for lhs in [compose(columns[z], maps[x])] for rhs in [columns[imp_x[z]]]
+                     if lhs != rhs)
+    elif axiom is Axiom.I3:  # the y row of x: imp[x] against column neg[x] of imp read at neg
+        differing = ((x, None, imp[x], rhs) for x in carrier
+                     for rhs in [compose(neg, column_maps[neg[x]])] if imp[x] != rhs)
     elif axiom is Axiom.I5:
-        for x in carrier:
-            for y in carrier:
-                lhs = imp[imp[x][y]][y]
-                rhs = imp[imp[y][x]][x]
-                if lhs != rhs:
-                    bad.append((x, y, None, lhs, rhs))
+        # (x -> y) -> y is twice[y][x], column y of imp read at itself, so I5
+        # says twice is symmetric: the y row of x is column x against row x
+        twice = [compose(columns[y], column_maps[y]) for y in carrier]
+        twice_columns = _columns(twice)
+        differing = ((x, None, twice_columns[x], twice[x]) for x in carrier
+                     if twice_columns[x] != twice[x])
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
-        _, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
         outer_maps = _held(config, outer).maps
-        for x in carrier:
-            imp_x, inner_x = imp[x], inner[x]
-            full, found = len(bad) >= cap, []  # x's violations are sorted: cap per x
-            for z in carrier:
-                # the y column at once: imp[inner_x[y]][z] against outer[imp_x[z]][imp[y][z]]
-                lhs = compose(inner_x, column_maps[z])
-                rhs = compose(columns[z], outer_maps[imp_x[z]])
-                if lhs == rhs:
-                    continue
-                if full:
-                    uncollected += sum(map(operator.ne, lhs, rhs))
-                else:
-                    found += [(x, y, z, l, r) for y, l, r in zip(carrier, lhs, rhs) if l != r]
-            found.sort()  # by (y, z), the order of a walk over y, then z
-            bad += found
-
-    return _collect(axiom.value, config, bad, max_witnesses, uncollected)
+        # the y column of (x, z): imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]]
+        differing = ((x, z, lhs, rhs) for x in carrier for imp_x, inner_x in [(imp[x], inner[x])]
+                     for z in carrier for lhs in [compose(inner_x, column_maps[z])]
+                     for rhs in [compose(columns[z], outer_maps[imp_x[z]])] if lhs != rhs)
+    return _screen(axiom.value, config, differing, max_witnesses)
 
 
 def check_all_axioms(
@@ -203,7 +199,8 @@ def check_lattice_laws(
 ) -> list[CheckResult]:
     """Idempotence, commutativity, associativity and absorption for v and ^."""
     _, join, meet, _ = _tables(config, max_witnesses)
-    carrier = range(len(join))
+    size = len(join)
+    carrier = range(size)
     results = []
 
     for name, op in (("join", join), ("meet", meet)):
@@ -211,39 +208,24 @@ def check_lattice_laws(
         results.append(_collect(f"{name}-idempotent", config, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
-        columns = _held(config, op).columns  # the y row at once: op[x] against column x
-        bad = [
-            (x, y, None, l, r)
-            for x in carrier if op[x] != columns[x]
-            for y, l, r in zip(carrier, op[x], columns[x]) if l != r
-        ]
-        results.append(_collect(f"{name}-commutative", config, bad, max_witnesses))
+        columns = _held(config, op).columns  # the y row of x: op[x] against column x
+        differing = ((x, None, op[x], columns[x]) for x in carrier if op[x] != columns[x])
+        results.append(_screen(f"{name}-commutative", config, differing, max_witnesses))
 
-    cap = float("inf") if max_witnesses is None else max_witnesses
     for name, op in (("join", join), ("meet", meet)):
         maps, _, _, compose = _held(config, op)
-        bad, uncollected = [], 0
-        for x in carrier:
-            op_x = op[x]
-            for y in carrier:
-                # the z row at once: op[op_x[y]] against op[x] after op[y]
-                lhs, rhs = op[op_x[y]], compose(op[y], maps[x])
-                if lhs == rhs:
-                    continue
-                if len(bad) >= cap:
-                    uncollected += sum(map(operator.ne, lhs, rhs))
-                else:
-                    bad += [(x, y, z, l, r) for z, l, r in zip(carrier, lhs, rhs) if l != r]
-        results.append(_collect(f"{name}-associative", config, bad, max_witnesses, uncollected))
+        # the z row of (x, y): op[op[x][y]] against op[x] after op[y]
+        differing = ((x, y, lhs, rhs) for x in carrier for op_x in [op[x]] for y in carrier
+                     for lhs in [op[op_x[y]]] for rhs in [compose(op[y], maps[x])] if lhs != rhs)
+        results.append(_screen(f"{name}-associative", config, differing, max_witnesses,
+                               walks_z=True))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
         maps, _, _, compose = _held(config, outer)
-        bad = []
-        for x in carrier:
-            lhs = compose(inner[x], maps[x])  # the y row at once: outer[x] after inner[x]
-            if lhs.count(x) != len(lhs):
-                bad += [(x, y, None, l, x) for y, l in zip(carrier, lhs) if l != x]
-        results.append(_collect(f"{name}-absorption", config, bad, max_witnesses))
+        # the y row of x: outer[x] after inner[x] against x
+        differing = ((x, None, lhs, type(lhs)((x,)) * size) for x in carrier
+                     for lhs in [compose(inner[x], maps[x])] if lhs.count(x) != size)
+        results.append(_screen(f"{name}-absorption", config, differing, max_witnesses))
 
     return results
 

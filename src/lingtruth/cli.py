@@ -472,6 +472,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    out_of_memory = False
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
@@ -479,13 +480,15 @@ def main(argv=None) -> int:
     except (DomainError, ParseError, UnboundAtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        out_of_memory = True  # reported below, once the failed command's frames are freed
     except OverflowError as exc:  # a size past what a Python list can index
         print(f"error: too large: {exc}", file=sys.stderr)
     except BrokenPipeError:
         # the reader went away; send the unwritten rest to devnull so the
         # flush at interpreter exit is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if out_of_memory:
+        print("error: out of memory", file=sys.stderr)
     return 2
 
 

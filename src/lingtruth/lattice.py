@@ -140,23 +140,31 @@ _Rows = namedtuple("_Rows", "negate join meet implies")
 _RowMaps = namedtuple("_RowMaps", "maps columns column_maps compose")
 
 
+def _columns(table):
+    """The columns of a square table of carrier indices, each of the type of
+    its rows: ``columns[z][w] == table[w][z]``.  ``bytes`` rows are sliced
+    out of the joined table, any other rows transposed by ``zip``."""
+    if type(table[0]) is not bytes:
+        return [*zip(*table)]
+    flat, size = b"".join(table), len(table)
+    return [flat[z::size] for z in range(size)]
+
+
 def _rows(table):
     """A square table of carrier indices (one of ``AlgebraConfig.tables``)
-    held for composing whole rows: ``columns[z]`` is column z
-    (``columns[z][w] == table[w][z]``), and ``compose(cells, maps[x])`` is
-    row x read at each of ``cells``, so that ``compose(table[y], maps[x])[z]
-    == table[x][table[y][z]]``; ``column_maps`` do the same for the columns.
-    A composed row has the type of the table's rows, so the two compare with
-    ``==``.  ``bytes`` rows are composed by ``bytes.translate``, each map one
-    padded to a 256-byte translate table; any other rows (the tuples
-    ``tables`` builds above 256 carrier elements) by ``_gather``, each row
-    and column its own map.  The rows are held as they are."""
-    size = len(table)
+    held for composing whole rows: ``columns`` are its ``_columns``, and
+    ``compose(cells, maps[x])`` is row x read at each of ``cells``, so that
+    ``compose(table[y], maps[x])[z] == table[x][table[y][z]]``;
+    ``column_maps`` do the same for the columns.  A composed row has the
+    type of the table's rows, so the two compare with ``==``.  ``bytes``
+    rows are composed by ``bytes.translate``, each map one padded to a
+    256-byte translate table; any other rows (the tuples ``tables`` builds
+    above 256 carrier elements) by ``_gather``, each row and column its own
+    map.  The rows are held as they are."""
+    columns = _columns(table)
     if type(table[0]) is not bytes:
-        columns = [*zip(*table)]
         return _RowMaps(table, columns, columns, _gather)
-    flat, pad = b"".join(table), bytes(256 - size)
-    columns = [flat[z::size] for z in range(size)]
+    pad = bytes(256 - len(table))
     return _RowMaps([row + pad for row in table], columns,
                     [column + pad for column in columns], bytes.translate)
 

@@ -159,6 +159,7 @@ def _naive_pairs(tables, name):
     neg, join, meet, imp = tables
     sides = {
         "I3": lambda x, y: (imp[x][y], imp[neg[y]][neg[x]]),
+        "I5": lambda x, y: (imp[imp[x][y]][y], imp[imp[y][x]][x]),
         "join-commutative": lambda x, y: (join[x][y], join[y][x]),
         "meet-commutative": lambda x, y: (meet[x][y], meet[y][x]),
         "join-absorption": lambda x, y: (join[x][meet[x][y]], x),
@@ -170,10 +171,10 @@ def _naive_pairs(tables, name):
 
 
 def _pair_reports(config, max_witnesses=None):
-    """The I3, commutativity and absorption reports, as (name, count,
+    """The I3, I5, commutativity and absorption reports, as (name, count,
     witnesses as carrier-index tuples, None where a check has no z)."""
     index = {v: k for k, v in enumerate(config.values())}
-    results = [check_axiom(config, Axiom.I3, max_witnesses)]
+    results = [check_axiom(config, axiom, max_witnesses) for axiom in (Axiom.I3, Axiom.I5)]
     results += [law for law in check_lattice_laws(config, max_witnesses)
                 if law.name.endswith(("commutative", "absorption"))]
     return [(r.name, r.total_violations,
@@ -236,13 +237,13 @@ class TestRowScreen:
     def test_single_wrong_entries_in_pair_checks_are_all_reported(self, config, screen):
         """As above for the pair checks that screen whole rows: one wrong
         entry planted in implies, join or meet, on the diagonal and at random
-        cells, and the I3, commutativity and absorption reports equal the
+        cells, and the I3, I5, commutativity and absorption reports equal the
         plain double loop's, count and witnesses, capped or not."""
         rng = random.Random(f"pairs {config.n} {config.noncomparable}")
         size = 2 * config.n + 2
         cells = [(x, x) for x in range(size)]
         cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
-        names = ("I3", "join-commutative", "meet-commutative", "join-absorption",
+        names = ("I3", "I5", "join-commutative", "meet-commutative", "join-absorption",
                  "meet-absorption")
         caught = 0  # plantings that break some pair check (a cell x -> y = y' -> x' may not)
         for op in ("implies", "join", "meet"):
@@ -328,7 +329,7 @@ class TestRowScreen:
 
 
 # the fields of a witness that name the row or column its screen walks
-_WALKED = {"I1": "xy", "I3": "x", "I6": "xz", "I7": "xz",
+_WALKED = {"I1": "xz", "I3": "x", "I5": "x", "I6": "xz", "I7": "xz",
            "join-commutative": "x", "meet-commutative": "x",
            "join-associative": "xy", "meet-associative": "xy",
            "join-absorption": "x", "meet-absorption": "x"}

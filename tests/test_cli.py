@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,30 @@ def test_out_of_memory_is_exit_2(capsys, monkeypatch):
         raise MemoryError
     monkeypatch.setitem(cli._COMMANDS, "infer", exhausted)
     assert run(capsys, "infer", "--rule", "mp") == (2, "", "error: out of memory\n")
+
+
+def test_out_of_memory_is_reported_once_the_command_is_freed(monkeypatch):
+    """The out-of-memory line is printed after the failed command's frames,
+    and what they hold, are freed: a stderr that cannot write while the
+    command's local is alive still gets the line, and ``main`` returns 2
+    instead of letting a second MemoryError escape (exit 1)."""
+    held = []
+
+    def exhausted(args):
+        hoard = set()  # a local the traceback keeps alive
+        held.append(weakref.ref(hoard))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            if held[0]() is not None:
+                raise MemoryError
+            return super().write(text)
+
+    monkeypatch.setitem(cli._COMMANDS, "infer", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert cli.main(["infer", "--rule", "mp"]) == 2
+    assert sys.stderr.getvalue() == "error: out of memory\n"
 
 
 def _limit_memory():

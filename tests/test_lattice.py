@@ -302,8 +302,9 @@ class TestOpTables:
     @pytest.mark.parametrize("config", SMALL_CONFIGS)
     def test_rows_compose_as_the_table(self, config):
         """Columns and maps of every operation table, on its byte rows and on
-        tuple copies of them as above 256 elements: a composed row or column
-        is the table read twice, and has the type of the rows."""
+        tuple copies of them as above 256 elements: ``_columns`` transposes
+        the table in the type of its rows, and a composed row or column is
+        the table read twice, and has the type of the rows."""
         for table in config.tables[1:] + wide_rows(config).tables[1:]:  # join, meet, implies
             carrier = range(len(table))
             table_columns = [[table[w][z] for w in carrier] for z in carrier]
@@ -312,6 +313,9 @@ class TestOpTables:
             maps, columns, column_maps, compose = lattice._rows(table)
             row_type = type(table[0])
             assert [[*column] for column in columns] == table_columns, row_type
+            split = lattice._columns(table)
+            assert {*map(type, split)} == {row_type}
+            assert [*map(tuple, split)] == [*zip(*table)], row_type
             for x in carrier:
                 composed = [compose(row, maps[x]) for row in table]
                 assert {type(row) for row in composed} == {row_type}
