@@ -21,14 +21,11 @@ every later call in the process; parsing leaves no state in it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import operator
 import os
-import re
 import sys
 
 from . import __version__
@@ -284,22 +281,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# csv.writer writes a field free of these as it is; a field with CR or LF
-# is left to csv.writer, which under lineterminator="" does not quote
-# them on Python 3.11, so that the output follows the running version
-_CSV_SPECIAL = re.compile('[,"\r\n]')
-
-
 def _csv_field(text: str) -> str:
-    """``text`` as a field of a csv.writer row, quoted where it must be: as
-    it is when non-empty and free of commas, quotes, CR and LF (every carrier
-    value and rule name, and the branch labels without a comma), else
-    through csv.writer."""
-    if text and not _CSV_SPECIAL.search(text):
-        return text
-    out = io.StringIO()
-    csv.writer(out, lineterminator="").writerow([text])
-    return out.getvalue()
+    """``text`` as a CSV field: quoted when it holds a comma (some branch
+    labels), else as it is.  No carrier value, rule name or branch label
+    holds a quote, CR or LF, or is empty."""
+    return f'"{text}"' if "," in text else text
 
 
 def _row_chunks(table, keys, quote, seps, agree, between="") -> list[str]:
