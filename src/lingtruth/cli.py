@@ -9,10 +9,11 @@ Subcommands:
     hasse            export the carrier's cover graph (DOT or JSON)
     discrepancies    print the case-table correction notes as JSON
 
-Exit codes: 0 success, 1 verification failure, 2 usage, config or output
-error (a closed stdout is an output error), running out of memory
-(``error: out of memory``) or an n too large for a list (``error: too
-large: ...``).  All output goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 verification failure (any failed check), 2 usage,
+config or output error (a closed stdout is an output error), running out
+of memory (``error: out of memory``) or an n too large for a list
+(``error: too large: ...``).  All output goes to stdout, diagnostics to
+stderr.
 
 ``main`` builds the argument parser on its first call and reuses it for
 every later call in the process; parsing leaves no state in it.
@@ -201,7 +202,13 @@ def cmd_check(args) -> int:
     graph = build_covers(config)
     lattice_report = verify_lattice(graph)
     oracle_report = cross_check_ops(graph)
-    ok = classification.value == config.kind and oracle_report.clean
+    # in the quasi kind negation reverses the order but at one pair: v_(n-i)F
+    # <= v_iT through its cross link, while v_iF and v_(n-i)T are not
+    # comparable; for 2i = n that pair is its own mirror and none fails
+    i = config.noncomparable
+    ok = (classification.value == config.kind and oracle_report.clean
+          and all(law.holds for law in laws) and lattice_report.is_lattice
+          and involution.total_violations == (i is not None and 2 * i != config.n))
 
     if args.format == "json":
         payload = {

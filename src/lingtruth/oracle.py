@@ -17,19 +17,20 @@ uses the closed forms or the operation tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
 ``check`` builds the graph and its tables once.  `cross_check_ops` compares
-three things against the oracle on every pair:
+three things against the oracle:
 
-* the operation rows the axiom checker and the inference tables read
-  (``AlgebraConfig.tables``, computed from the carrier index), with the
-  order read off their join as a v b = b; they must always agree;
-* the join/meet branch tables exactly as stated in the source case lists,
-  before the corrections documented in `lingtruth.discrepancies` (the
-  quasi-kind join rule for grade pairs around the missing cross link
-  genuinely disagrees, and the report records each such pair); they are
-  tabulated once per config as position rows, by grade arithmetic written
-  from the case text, sharing no code with ``AlgebraConfig.tables``;
-* the residuation reading "a <= b iff a -> b = top", which in the quasi
-  kind has exactly one exceptional pair.
+* on every pair, the operation rows the axiom checker and the inference
+  tables read (``AlgebraConfig.tables``, computed from the carrier index),
+  with the order read off their join as a v b = b; they must always agree;
+* on its pairs, the one stated case rule that `lingtruth.discrepancies`
+  corrects (note ``2.4-item3-scope``): rule 2.4 item 3 raises the quasi
+  join of v_(n-i)T with each false grade l >= i to v_(n-(i-1))T, which the
+  oracle refutes for l > i, and the report records each such pair.  The
+  pairs come from grade arithmetic written from the case text, sharing no
+  code with ``AlgebraConfig.tables``; the rest of rule 2.4 agrees with the
+  oracle, as the tests confirm against a full transcription;
+* on every pair, the residuation reading "a <= b iff a -> b = top", which
+  in the quasi kind has exactly one exceptional pair.
 
 Both checks compare whole rows with one equality each, in C, and walk a
 row pair by pair only when it differs (`verify_lattice` only when the row
@@ -180,8 +181,10 @@ class OpMismatch(namedtuple("OpMismatch", "op a b got expected rule", defaults=(
 
 class DiscrepancyReport(namedtuple("DiscrepancyReport",
                                    "config implemented stated residuation_exceptions")):
-    """Implemented-vs-oracle and stated-vs-oracle comparison for one algebra:
-    lists of ``OpMismatch`` and of (a, b) pairs, filled by ``cross_check_ops``."""
+    """The oracle's verdict on one algebra, filled by ``cross_check_ops``:
+    ``OpMismatch`` lists for the operation rows (``implemented``) and for
+    the stated rule 2.4 item 3 (``stated``), and the (a, b) pairs where
+    a -> b = top does not read as a <= b."""
 
     __slots__ = ()
 
@@ -203,43 +206,20 @@ class DiscrepancyReport(namedtuple("DiscrepancyReport",
         }
 
 
-def _stated_rows(config: AlgebraConfig) -> tuple[list[list[int]], list[list[int]]]:
-    """The join and meet tables exactly as the case lists state them, as
-    position rows over ``config.values()``.  Same-polarity pairs take the
-    larger and the smaller value of their chain.  For a mixed-polarity pair
-    of the quasi kind the stated join uses the raised value v_(n-(i-1))T
-    for every true grade k = n-i, regardless of the false grade; the stated
-    meet scopes its special branches correctly, so it coincides with the
-    implemented meet."""
-    n, nc = config.n, config.noncomparable
-    quasi = nc is not None
-    f_grades, t_grades = range(n, -1, -1), range(n + 1)  # carrier order, v_nF first
-
-    def false(grade):  # position of v_gradeF
-        return n - grade
-
-    def true(grade):  # position of v_gradeT
-        return n + 1 + grade
-
-    # v_kT with v_lF: rows k, columns l in carrier order
-    mixed_join = [[true(n - (nc - 1) if quasi and k == n - nc else k) if n <= k + l
-                   else true(n - (nc - 1) if quasi and l == nc else n - l)
-                   for l in f_grades] for k in t_grades]
-    mixed_meet = [[false(nc + 1 if quasi and k == n - nc and l == nc else l) if n <= k + l
-                   else false(nc + 1 if quasi and k == n - nc else n - k)
-                   for l in f_grades] for k in t_grades]
-    # same polarity: the larger and the smaller position of one chain, a
-    # plateau and a range; false row r is v_(n-r)F, true row k is v_kT
-    s, positions = n + 1, [*range(2 * n + 2)]
-    joins = [[r] * (r + 1) + positions[r + 1:s] + list(mixed)
-             for r, mixed in enumerate(zip(*mixed_join))]
-    joins += [mixed + [s + k] * (k + 1) + positions[s + k + 1:]
-              for k, mixed in enumerate(mixed_join)]
-    meets = [positions[:r] + [r] * (s - r) + list(mixed)
-             for r, mixed in enumerate(zip(*mixed_meet))]
-    meets += [mixed + positions[s:s + k] + [s + k] * (s - k)
-              for k, mixed in enumerate(mixed_meet)]
-    return joins, meets
+def _stated_item3(config: AlgebraConfig) -> list[tuple[int, int, int]]:
+    """Rule 2.4 item 3 as the case list states it for the quasi kind: for
+    the true grade k = n-i and every false grade l with n <= k+l,
+    v_kT v v_lF = v_(n-(i-1))T.  Each such pair in both orders, as (a, b,
+    stated) positions over ``config.values()`` in row-major order; none in
+    the plain kind, whose item 3 needs no correction."""
+    n, i = config.n, config.noncomparable
+    if i is None:
+        return []
+    # positions of v_kT and v_(n-(i-1))T; v_lF sits at n-l, so the grades
+    # l = n, ..., i take the positions 0, ..., n-i
+    k, raised = 2 * n + 1 - i, 2 * n + 2 - i
+    falses = range(n - i + 1)
+    return [(f, k, raised) for f in falses] + [(k, f, raised) for f in falses]
 
 
 # bits as the bytes b"0" and b"1", whatever their source
@@ -259,18 +239,16 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
     size = len(values)
     top, positions = size - 1, range(size)
-    stated_joins, stated_meets = _stated_rows(config)
     tables = config.tables
-    rows = zip(values, graph.up, graph.joins, graph.meets, stated_joins, stated_meets,
+    rows = zip(values, graph.up, graph.joins, graph.meets,
                tables.join, tables.meet, tables.implies)
-    for a, up, joins, meets, stated_join, stated_meet, join_row, meet_row, implies_row in rows:
+    for a, up, joins, meets, join_row, meet_row, implies_row in rows:
         leq_row = list(map(operator.eq, join_row, positions))
         # the whole row at once; bit j of up is byte j of oracle_leq
         oracle_leq = format(up, f"0{size}b")[::-1].encode()
         # the rows may be bytes and the bounds a list that may hold None, so
         # the rows are compared as lists
-        if (stated_join == joins and stated_meet == meets
-                and [*join_row] == joins and [*meet_row] == meets
+        if ([*join_row] == joins and [*meet_row] == meets
                 and bytes(leq_row).translate(_DIGITS) == oracle_leq
                 and bytes(map(top.__eq__, implies_row)).translate(_DIGITS) == oracle_leq):
             continue
@@ -284,16 +262,13 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
                     OpMismatch("meet", a, b, values[meet_row[j]], value(meet)))
             if leq_row[j] != leq:
                 report.implemented.append(OpMismatch("leq", a, b, leq_row[j], leq))
-
-            if stated_join[j] != join:
-                report.stated.append(OpMismatch(
-                    "join", a, b, values[stated_join[j]], value(join), rule="2.4-item3"))
-            if stated_meet[j] != meet:
-                report.stated.append(OpMismatch(
-                    "meet", a, b, values[stated_meet[j]], value(meet), rule="2.4-item7/8"))
-
             if (implies_row[j] == top) != leq:
                 report.residuation_exceptions.append((a, b))
+    for x, y, stated in _stated_item3(config):
+        join = graph.joins[x][y]
+        if join != stated:
+            report.stated.append(OpMismatch(
+                "join", values[x], values[y], values[stated], value(join), rule="2.4-item3"))
     return report
 
 

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lingtruth import cli
-from lingtruth.axioms import Classification
+from lingtruth.axioms import CheckResult, Classification
 from lingtruth.inference import ExampleReport, InferenceTable, RuleId, inference_table
 from lingtruth.lattice import AlgebraConfig, LinguisticValue, canonical, lia
+from lingtruth.oracle import LatticeReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -118,6 +119,33 @@ class TestCheck:
         monkeypatch.setattr(cli, "classify", lambda results: Classification.NOT_QLIA)
         code, out, _ = run(capsys, "check", "--n", "4")
         assert code == 1
+
+    @pytest.mark.parametrize("name, failing", [
+        ("check_lattice_laws",
+         lambda config, max_witnesses: [CheckResult("join-commutative", 1, [])]),
+        ("check_involution", lambda config, max_witnesses: CheckResult("involution", 1, [])),
+        ("verify_lattice", lambda graph: LatticeReport(graph.config, [graph.elements[:2]], [])),
+    ], ids=["laws", "involution", "lattice"])
+    def test_every_printed_check_is_in_the_verdict(self, capsys, monkeypatch, name, failing):
+        """A failed lattice law, involution or lattice certificate fails the
+        verdict, as a wrong classification or oracle mismatch does."""
+        monkeypatch.setattr(cli, name, failing)
+        code, out, _ = run(capsys, "check", "--n", "4", "--format", "json")
+        assert code == 1 and json.loads(out)["ok"] is False
+        code, out, _ = run(capsys, "check", "--n", "4")
+        assert code == 1 and ("fail" in out or "defects" in out)
+
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_quasi_involution_is_judged_by_its_one_exception(self, capsys, monkeypatch, i):
+        """In QLIA the involution fails at one pair when 2i != n and at none
+        when 2i = n; any other count fails the verdict."""
+        argv = ["check", "--n", "4", "--qlia", "--noncomp", str(i), "--format", "json"]
+        assert run(capsys, *argv)[0] == 0
+        real = cli.check_involution
+        monkeypatch.setattr(cli, "check_involution", lambda config, max_witnesses: CheckResult(
+            "involution", real(config, max_witnesses).total_violations + 1, []))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and json.loads(out)["ok"] is False
 
 
 class TestEval:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from planted import with_entry
+from stated import stated_rows
 
 from lingtruth.errors import DomainError
 from lingtruth.lattice import AlgebraConfig, LinguisticValue, lia, qlia
@@ -381,6 +382,50 @@ class TestCrossCheck:
             "op": "join", "a": "v0F", "b": "v0T", "got": "v1T", "expected": None}
         assert '"expected": null' in json.dumps(report.to_dict())
         assert report.residuation_exceptions == [(F(0), T(1))]
+
+    def test_user_graph_defects_are_not_blamed_on_the_paper(self):
+        """On a cover graph built by hand that lacks an edge of the carrier,
+        the stated rule checked is still item 3 alone: none in the plain
+        kind, and only item-3 pairs in the quasi kind."""
+        config = lia(1)
+        graph = build_covers(config)
+        report = cross_check_ops(
+            CoverGraph(config, graph.elements, graph.covers - {(F(0), T(1))}))
+        assert report.implemented and report.stated == []
+
+        # item 3 of qlia(4, 2): v2T v v_lF = v3T for l = 4, 3, 2; without the
+        # cross link v1F -> v3T, v2F lies below v4T alone, so even the join at
+        # l = i differs from the stated one
+        config = qlia(4, 2)
+        graph = build_covers(config)
+        report = cross_check_ops(
+            CoverGraph(config, graph.elements, graph.covers - {(F(1), T(3))}))
+        stated = [("join", F(4), T(2), T(3), T(2)), ("join", F(3), T(2), T(3), T(2)),
+                  ("join", F(2), T(2), T(3), T(4))]
+        stated += [(op, b, a, got, expected) for op, a, b, got, expected in stated]
+        assert report.implemented
+        assert report.stated == [OpMismatch(*m, rule="2.4-item3") for m in stated]
+
+    def test_stated_transcription_differs_only_where_the_report_says(self):
+        """Every config with n <= 32: the whole of rule 2.4's join and meet
+        case lists as stated (``stated_rows``) meets as the oracle does,
+        and joins otherwise at exactly the pairs that ``cross_check_ops``
+        reports under item 3, in the same order."""
+        configs = [lia(n) for n in range(33)]
+        configs += [qlia(n, i) for n in range(2, 33) for i in range(1, n)]
+        for config in configs:
+            graph = build_covers(config)
+            values = graph.elements
+            joins, meets = stated_rows(config)
+            assert meets == graph.meets, config
+            differ = [
+                OpMismatch("join", values[x], values[y], values[stated[y]],
+                           values[oracle[y]], rule="2.4-item3")
+                for x, (stated, oracle) in enumerate(zip(joins, graph.joins))
+                if stated != oracle
+                for y in range(len(values)) if stated[y] != oracle[y]
+            ]
+            assert cross_check_ops(graph).stated == differ, config
 
     def test_graph_out_of_table_order_is_rejected(self):
         graph = build_covers(qlia(4, 2))
