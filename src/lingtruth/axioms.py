@@ -25,10 +25,22 @@ place that walks them: associativity compares the z row of a pair
 commutativity and absorption the y row of an x.  I5 is checked as the
 symmetry of twice, where twice[y][x] = (x -> y) -> y is column y of
 ``implies`` read at itself, so it screens as commutativity does.
-``_screen`` walks a row that differs cell by cell and sorts each x's
-violations, so counts and witness order are those of the plain loops; once
-the kept witnesses are collected (tested at the start of each x) it only
-counts the cells where the two sides differ, and builds no witness tuples.
+
+On byte rows the cubic checks first compare whole slices, a few calls in
+C each, and compose pairs only where a slice differs.  I1 compares, per x,
+the z-major slice of all (y, z) and associativity the y-major one, so only
+the x whose slices differ yield pairs.  Under a cap, I6 and I7 compare,
+per z, the x-major slice of all (x, y), count each differing slice's
+violations as the non-zero bytes of the two sides' XOR, and yield pairs
+only for the z whose slices differ; uncapped, the walk counts every
+violation itself, so they yield every pair.  Tuple rows yield every pair
+as above, since slicing them costs more than it saves.  ``_screen`` walks
+a row that differs cell by cell and sorts each x's violations, so counts
+and witness order are those of the plain loops; once the kept witnesses
+are collected (tested at the start of each x) it stops if the exact total
+is already counted, as for I6 and I7 above, and otherwise only counts the
+cells where the two sides differ, building no witness tuples.  Slices are
+built and dropped one x or z at a time, so memory stays O(N^2).
 
 The axioms, for all x, y, z:
 
@@ -117,20 +129,23 @@ def _collect(name, config, violations, max_witnesses, uncollected=0):
     return CheckResult(name, len(violations) + uncollected, witnesses)
 
 
-def _screen(name, config, differing, max_witnesses, walks_z=False):
+def _screen(name, config, differing, max_witnesses, walks_z=False, total=None):
     """Report the rows ``differing`` yields, (x, r, lhs, rhs) with x
     ascending, each a row or column whose two sides differ.  Cell c of a
     row where they differ is the violation (x, r, c) if ``walks_z``, else
     (x, c, r), and each x's violations are sorted, which is the order of
     the plain loops.  The cap is tested at the start of each x: once the
-    kept witnesses are collected, a row is only counted, as the number of
-    cells where its two sides differ."""
+    kept witnesses are collected, the walk stops if ``total``, the exact
+    count of violations, is given, and otherwise only counts a row, as the
+    number of cells where its two sides differ."""
     cap = float("inf") if max_witnesses is None else max_witnesses
     bad, found, uncollected, full, last = [], [], 0, False, None
     for x, r, lhs, rhs in differing:
         if x != last:
             bad += sorted(found)
             found, full, last = [], len(bad) >= cap, x
+            if full and total is not None:
+                break
         if full:
             uncollected += sum(map(operator.ne, lhs, rhs))
         elif walks_z:
@@ -138,6 +153,8 @@ def _screen(name, config, differing, max_witnesses, walks_z=False):
         else:
             found += [(x, c, r, a, b) for c, a, b in zip(range(len(lhs)), lhs, rhs) if a != b]
     bad += sorted(found)
+    if total is not None:
+        uncollected = total - len(bad)
     return _collect(name, config, bad, max_witnesses, uncollected)
 
 
@@ -164,8 +181,15 @@ def check_axiom(
         return _collect(axiom.value, config, bad, max_witnesses)
 
     maps, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
-    if axiom is Axiom.I1:  # the y column of (x, z): imp[x] after column z against column imp[x][z]
-        differing = ((x, z, lhs, rhs) for x in carrier for imp_x in [imp[x]] for z in carrier
+    sliced, total = type(imp[0]) is bytes, None  # byte rows compare whole slices first
+    if axiom is Axiom.I1:
+        xs = carrier
+        if sliced:  # the z-major slice of x: row z is the y column of (x, z) below
+            flat = b"".join(columns)
+            xs = [x for x in carrier
+                  if flat.translate(maps[x]) != b"".join([columns[v] for v in imp[x]])]
+        # the y column of (x, z): imp[x] after column z against column imp[x][z]
+        differing = ((x, z, lhs, rhs) for x in xs for imp_x in [imp[x]] for z in carrier
                      for lhs in [compose(columns[z], maps[x])] for rhs in [columns[imp_x[z]]]
                      if lhs != rhs)
     elif axiom is Axiom.I3:  # the y row of x: imp[x] against column neg[x] of imp read at neg
@@ -181,11 +205,26 @@ def check_axiom(
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
         outer_maps = _held(config, outer).maps
+        zs = carrier
+        if sliced and max_witnesses is not None:
+            # counted first, so that the walk can stop at the cap (uncapped, it
+            # counts every violation itself): the x-major slice of z,
+            # imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]], has the
+            # non-zero bytes of its two sides' XOR as its count
+            flat, cells, counts = b"".join(inner), len(imp) ** 2, {}
+            for z in carrier:
+                column = columns[z]
+                lhs = flat.translate(column_maps[z])
+                rhs = b"".join([compose(column, outer_maps[v]) for v in column])
+                if lhs != rhs:
+                    xor = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
+                    counts[z] = cells - xor.to_bytes(cells, "big").count(0)
+            zs, total = [*counts], sum(counts.values())
         # the y column of (x, z): imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]]
         differing = ((x, z, lhs, rhs) for x in carrier for imp_x, inner_x in [(imp[x], inner[x])]
-                     for z in carrier for lhs in [compose(inner_x, column_maps[z])]
+                     for z in zs for lhs in [compose(inner_x, column_maps[z])]
                      for rhs in [compose(columns[z], outer_maps[imp_x[z]])] if lhs != rhs)
-    return _screen(axiom.value, config, differing, max_witnesses)
+    return _screen(axiom.value, config, differing, max_witnesses, total=total)
 
 
 def check_all_axioms(
@@ -214,8 +253,12 @@ def check_lattice_laws(
 
     for name, op in (("join", join), ("meet", meet)):
         maps, _, _, compose = _held(config, op)
+        xs = carrier
+        if type(op[0]) is bytes:  # the y-major slice of x: row y is the z row of (x, y) below
+            flat = b"".join(op)
+            xs = [x for x in carrier if b"".join([op[v] for v in op[x]]) != flat.translate(maps[x])]
         # the z row of (x, y): op[op[x][y]] against op[x] after op[y]
-        differing = ((x, y, lhs, rhs) for x in carrier for op_x in [op[x]] for y in carrier
+        differing = ((x, y, lhs, rhs) for x in xs for op_x in [op[x]] for y in carrier
                      for lhs in [op[op_x[y]]] for rhs in [compose(op[y], maps[x])] if lhs != rhs)
         results.append(_screen(f"{name}-associative", config, differing, max_witnesses,
                                walks_z=True))

@@ -223,7 +223,7 @@ def cmd_check(args) -> int:
             "oracle": oracle_report.to_dict(),
             "ok": ok,
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         print(_axiom_headline(classification.value, axioms))
         law_failures = [law.name for law in laws if not law.holds]
@@ -251,6 +251,33 @@ def cmd_check(args) -> int:
             )
         print(f"classification: {classification.value} (requested {config.kind})")
     return 0 if ok else 1
+
+
+def _json(value, indent="\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, ``indent``
+    being the line break and indent of the line it starts on: dicts with
+    string keys, lists and tuples are laid out here, strings quoted by
+    ``json``'s C quoter, ints, bools and None written as ``json`` writes
+    them, and any other value by ``json.dumps``."""
+    if type(value) is str:
+        return _quote(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return f"[{inner}{(',' + inner).join([_json(item, inner) for item in value])}{indent}]"
+    return _SCALARS.get(type(value), json.dumps)(value)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
 
 
 def _parse_assignments(config, pairs):
@@ -417,7 +444,7 @@ def cmd_infer(args) -> int:
 def cmd_verify_examples(args) -> int:
     report = verify_examples()
     if args.format == "json":
-        print(json.dumps(report.to_dicts(), indent=2))
+        print(_json(report.to_dicts()))
     else:
         for check in report.checks:
             d = check.to_dict()
@@ -436,14 +463,14 @@ def cmd_hasse(args) -> int:
     config = _build_algebra(args)
     graph = build_covers(config)
     if args.format == "json":
-        print(json.dumps(to_json_dict(graph), indent=2))
+        print(_json(to_json_dict(graph)))
     else:
         print(to_dot(graph))
     return 0
 
 
 def cmd_discrepancies(args) -> int:
-    print(json.dumps([note.to_dict() for note in STATEMENT_NOTES], indent=2))
+    print(_json([note.to_dict() for note in STATEMENT_NOTES]))
     return 0
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -338,6 +339,70 @@ class TestRowScreen:
             assert sum(items is graph.elements for items in walks) == len(walked) + 1, config
             assert len(walked) == (config.kind == QLIA), config
             walks.clear()
+
+    def test_slices_leave_no_pair_to_compose(self, monkeypatch):
+        """Every config with n <= 16, on byte rows: I1 and associativity
+        hold, so their whole slices agree at every x and no pair's row is
+        composed (absorption composes one row per x of join and of meet).
+        In LIA, I6 and I7 compose only the N rows of each z's count."""
+        composed, held = [], axioms._held
+
+        def counting(config, table):
+            rows = held(config, table)
+
+            def compose(cells, row_map):
+                composed.append(cells)
+                return rows.compose(cells, row_map)
+
+            return rows._replace(compose=compose)
+
+        monkeypatch.setattr(axioms, "_held", counting)
+        for config in SMALL_CONFIGS:
+            size = len(config.tables.implies)
+            check_axiom(config, Axiom.I1)
+            assert composed == [], config
+            check_lattice_laws(config)
+            assert len(composed) == 2 * size, config
+            if config.kind != QLIA:
+                for axiom in (Axiom.I6, Axiom.I7):
+                    composed.clear()
+                    check_axiom(config, axiom)
+                    assert len(composed) == size * size, (config, axiom)
+            composed.clear()
+
+    def test_screens_stop_where_the_cap_is_reached(self, monkeypatch):
+        """Every QLIA config with n <= 16, capped at 0, 1, 3 and 10, at the
+        first x's witness count and one past it: I6 and I7 count their
+        violations on byte rows before they walk, so the walk of the columns
+        that differ (the only use of ``zip`` in ``axioms``) ends at the start
+        of the x where the cap is reached.  At cap 0 it walks no column; at
+        cap k it walks the columns of each x up to the one where k is
+        reached.  Every count is the uncapped count."""
+        walks = []
+
+        def walking(*rows):
+            walks.append(rows)
+            return zip(*rows)
+
+        monkeypatch.setattr(axioms, "zip", walking, raising=False)
+        for config in SMALL_CONFIGS:
+            if config.kind != QLIA:
+                continue
+            for axiom in (Axiom.I6, Axiom.I7):
+                every = check_axiom(config, axiom, None)
+                # each x's witnesses and the columns (x, z) that hold them
+                per_x = [[*group] for _, group in itertools.groupby(every.witnesses,
+                                                                   lambda w: w.x)]
+                kept = [*itertools.accumulate(map(len, per_x))]
+                columns = [len({w.z for w in group}) for group in per_x]
+                for cap in {0, 1, 3, 10, kept[0], kept[0] + 1}:
+                    walks.clear()
+                    result = check_axiom(config, axiom, cap)
+                    assert result.total_violations == every.total_violations, (config, cap)
+                    assert result.witnesses == every.witnesses[:cap], (config, cap)
+                    walked = next((k + 1 for k, total in enumerate(kept) if total >= cap),
+                                  len(kept)) if cap else 0
+                    assert len(walks) == sum(columns[:walked]), (config, axiom, cap)
 
 
 # the fields of a witness that name the row or column its screen walks

@@ -415,6 +415,41 @@ class TestDiscrepancies:
         assert hashlib.sha256(out.encode()).hexdigest() == DISCREPANCIES_SHA256
 
 
+# texts with the characters JSON escapes or writes as \u escapes: quotes,
+# backslashes, control characters, non-ASCII and astral ones
+_texts = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é😀'),
+                 max_size=12)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_texts, inner)),
+    max_leaves=12)
+
+
+def _indented_dumps(value):
+    return json.dumps(value, indent=2)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_values)
+    def test_writes_what_indented_dumps_writes(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_commands_print_what_indented_dumps_prints(self, capsys, monkeypatch):
+        """``check`` and ``hasse`` on every config with n <= 16, and
+        ``discrepancies`` and ``verify-examples``: the same stdout as with
+        ``json.dumps(..., indent=2)`` in place of the writer."""
+        argvs = [["discrepancies"], ["verify-examples", "--format", "json"]]
+        for n in range(17):
+            for flags in [[], *(["--qlia", "--noncomp", str(i)] for i in range(1, n))]:
+                argvs += [[command, "--n", str(n), *flags, "--format", "json"]
+                          for command in ("check", "hasse")]
+        written = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_json", _indented_dumps)
+        assert [run(capsys, *argv) for argv in argvs] == written
+
+
 @pytest.mark.parametrize(
     "argv",
     [["check", "--n", "4"], ["infer", "--rule", "mp", "--n", "8", "--format", "json"]],
