@@ -204,11 +204,15 @@ def cmd_check(args) -> int:
     oracle_report = cross_check_ops(graph)
     # in the quasi kind negation reverses the order but at one pair: v_(n-i)F
     # <= v_iT through its cross link, while v_iF and v_(n-i)T are not
-    # comparable; for 2i = n that pair is its own mirror and none fails
-    i = config.noncomparable
+    # comparable; for 2i = n that pair is its own mirror and none fails.
+    # v_iF -> v_(n-i)T = top though the two are not comparable, the one pair
+    # where residuation does not read the order; they sit at n-i and 2n+1-i
+    n, i = config.n, config.noncomparable
+    exceptions = [] if i is None else [(graph.elements[n - i], graph.elements[2 * n + 1 - i])]
     ok = (classification.value == config.kind and oracle_report.clean
+          and oracle_report.residuation_exceptions == exceptions
           and all(law.holds for law in laws) and lattice_report.is_lattice
-          and involution.total_violations == (i is not None and 2 * i != config.n))
+          and involution.total_violations == (i is not None and 2 * i != n))
 
     if args.format == "json":
         payload = {
@@ -244,6 +248,9 @@ def cmd_check(args) -> int:
             if oracle_report.clean
             else f"oracle: {len(oracle_report.implemented)} mismatches"
         )
+        if oracle_report.residuation_exceptions != exceptions:
+            print(f"residuation: fails at {len(oracle_report.residuation_exceptions)} pairs "
+                  f"(expected {len(exceptions)})")
         if oracle_report.stated:
             print(
                 f"stated-form deviations vs oracle: {len(oracle_report.stated)} "

@@ -4,24 +4,25 @@ The closed-form operations in `lingtruth.lattice` are fast but easy to get
 wrong around the non-comparable pair, so this module rebuilds the order from
 first principles: lay down the cover edges of the carrier's Hasse diagram
 and grow each element's up-set, a bitmask over the positions of the
-carrier, along those edges until nothing changes.  That is the
-reflexive-transitive closure by plain reachability; a <= b is one bit of
-a's up-set, and the down-sets are its transpose.  The least upper bound of
-a and b is the element whose up-set is exactly ``up[a] & up[b]`` (found by
-one dict lookup), and None when no such element exists; in a finite poset
-that is the same as "the unique minimal common upper bound".  Greatest
-lower bounds are the dual, on down-sets.  The up-sets and the bounds of
-every pair are position tables of the graph, each built on first use, so
-``hasse``, which exports only the edges, builds none of them.  Nothing here
-uses the closed forms or the operation tables.
+carrier, along those edges until nothing changes: the reflexive-transitive
+closure by plain reachability, refused if the edges close a cycle.  The
+up-sets, and the down-sets that are their transpose, only build the
+bounds: the least upper bound of a and b is the element whose up-set is
+exactly ``up[a] & up[b]`` (found by one dict lookup), and None when no such
+element exists; in a finite poset that is the same as "the unique minimal
+common upper bound".  Greatest lower bounds are the dual, on down-sets.
+The up-sets and the bounds of every pair are position tables of the graph,
+each built on first use, so ``hasse``, which exports only the edges, builds
+none of them.  Nothing here uses the closed forms or the operation tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
-``check`` builds the graph and its tables once.  `cross_check_ops` compares
-three things against the oracle:
+``check`` builds the graph and its tables once.  `cross_check_ops` reads
+a <= b as a v b = b off the table's joins and the oracle's alike, and
+compares three things against the oracle:
 
 * on every pair, the operation rows the axiom checker and the inference
   tables read (``AlgebraConfig.tables``, computed from the carrier index),
-  with the order read off their join as a v b = b; they must always agree;
+  with the order read off their join; they must always agree;
 * on its pairs, the one stated case rule that `lingtruth.discrepancies`
   corrects (note ``2.4-item3-scope``): rule 2.4 item 3 raises the quasi
   join of v_(n-i)T with each false grade l >= i to v_(n-(i-1))T, which the
@@ -68,7 +69,8 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
 
     @functools.cached_property
     def up(self) -> list[int]:
-        """up[a]: the positions at or above position a, as a bitmask."""
+        """up[a]: the positions at or above position a, as a bitmask; cover
+        edges that close a cycle raise ``DomainError``."""
         index = {e: k for k, e in enumerate(self.elements)}
         up = [1 << k for k in range(len(self.elements))]
         # highest lower end first: on a carrier listed bottom-up one pass
@@ -82,6 +84,8 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
                 if up[upper] & ~up[lower]:
                     up[lower] |= up[upper]
                     changed = True
+        if len(set(up)) < len(up):  # two positions each at or above the other
+            raise DomainError("the cover edges close a cycle, so they are not an order")
         return up
 
     @functools.cached_property
@@ -101,7 +105,7 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
 
 def _bounds(sets: list[int]) -> list[list[int | None]]:
     """bounds[a][b]: the position whose set is sets[a] & sets[b], or None."""
-    # distinct elements have distinct up-sets (and down-sets): the order is antisymmetric
+    # distinct elements have distinct up-sets (and down-sets): ``up`` checks it
     by_set = {mask: k for k, mask in enumerate(sets)}
     return [[by_set.get(x & y) for y in sets] for x in sets]
 
@@ -222,38 +226,30 @@ def _stated_item3(config: AlgebraConfig) -> list[tuple[int, int, int]]:
     return [(f, k, raised) for f in falses] + [(k, f, raised) for f in falses]
 
 
-# bits as the bytes b"0" and b"1", whatever their source
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     """Exhaustively compare the join/meet/leq rows of the graph's config
-    with the oracle, a <= b read as a v b = b.  The graph must list the
-    carrier in the order of ``config.values()``, so that its positions are
-    the row indices."""
+    with the oracle, a <= b read as a v b = b on both sides.  The graph must
+    list the carrier in the order of ``config.values()``, so that its
+    positions are the row indices."""
     config = require(graph, CoverGraph).config
     values = graph.elements
     if values != config.values():
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
     report = DiscrepancyReport(config, [], [], [])
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
-    size = len(values)
-    top, positions = size - 1, range(size)
+    top, positions = len(values) - 1, range(len(values))
     tables = config.tables
-    rows = zip(values, graph.up, graph.joins, graph.meets,
-               tables.join, tables.meet, tables.implies)
-    for a, up, joins, meets, join_row, meet_row, implies_row in rows:
-        leq_row = list(map(operator.eq, join_row, positions))
-        # the whole row at once; bit j of up is byte j of oracle_leq
-        oracle_leq = format(up, f"0{size}b")[::-1].encode()
+    rows = zip(values, graph.joins, graph.meets, tables.join, tables.meet, tables.implies)
+    for a, joins, meets, join_row, meet_row, implies_row in rows:
+        oracle_leq = list(map(operator.eq, joins, positions))
         # the rows may be bytes and the bounds a list that may hold None, so
-        # the rows are compared as lists
+        # the rows are compared as lists; equal join rows read equal orders
         if ([*join_row] == joins and [*meet_row] == meets
-                and bytes(leq_row).translate(_DIGITS) == oracle_leq
-                and bytes(map(top.__eq__, implies_row)).translate(_DIGITS) == oracle_leq):
+                and list(map(top.__eq__, implies_row)) == oracle_leq):
             continue
+        leq_row = list(map(operator.eq, join_row, positions))
         for j, b in enumerate(values):
-            join, meet, leq = joins[j], meets[j], bool(up >> j & 1)
+            join, meet, leq = joins[j], meets[j], oracle_leq[j]
             if join_row[j] != join:
                 report.implemented.append(
                     OpMismatch("join", a, b, values[join_row[j]], value(join)))

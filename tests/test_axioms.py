@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from planted import wide_rows, with_entry
+from planted import chain_product, goedel, lukasiewicz, wide_rows, with_entry
 
 from lingtruth import axioms, lattice, oracle
 from lingtruth.axioms import (
@@ -16,7 +17,7 @@ from lingtruth.axioms import (
 )
 from lingtruth.errors import DomainError
 from lingtruth.lattice import QLIA, AlgebraConfig, LinguisticValue, lia, qlia
-from lingtruth.oracle import build_covers, cross_check_ops
+from lingtruth.oracle import CoverGraph, build_covers, cross_check_ops, verify_lattice
 
 T = LinguisticValue.true
 F = LinguisticValue.false
@@ -454,3 +455,64 @@ class TestQuasiViolationCounts:
     @pytest.mark.parametrize("n, i", [(20, 7), (31, 15), (31, 16), (32, 1), (32, 31)])
     def test_wide_rows(self, n, i):
         assert _checked_counts(wide_rows(qlia(n, i))) == _quasi_counts(n, i)
+
+
+def _factorisations(limit, least=2):
+    """Every product of factors >= 2, listed in ascending order, up to
+    ``limit``."""
+    return [(m, *rest) for m in range(least, limit + 1)
+            for rest in [(), *_factorisations(limit // m, m)]]
+
+
+# every product of chains of even size <= 32, each factorisation once
+PRODUCTS = [sizes for sizes in _factorisations(32) if math.prod(sizes) % 2 == 0]
+
+
+def _product_covers(config, sizes):
+    """The cover graph of the product of the chains of ``sizes``, on
+    ``config.values()`` in the order of ``planted.chain_product``'s indices:
+    a covers b where they differ by one step in one factor."""
+    values, elements = config.values(), [*itertools.product(*map(range, sizes))]
+    position = {e: k for k, e in enumerate(elements)}
+    return CoverGraph(config, values, frozenset(
+        (values[position[e]], values[position[(*e[:f], e[f] + 1, *e[f + 1:])]])
+        for e in elements for f, m in enumerate(sizes) if e[f] + 1 < m))
+
+
+class TestChainProducts:
+    """Products of Łukasiewicz chains are MV-algebras, and so lattice
+    implication algebras, which the code never builds but for L2 x L(n+1);
+    the same products with the Gödel implication are Heyting algebras and,
+    unless Boolean, fail I3 and I5."""
+
+    def test_lukasiewicz_products_are_lia(self):
+        """Every axiom, lattice law and the involution hold, and the oracle,
+        on the product's own cover edges, certifies the bounds and finds the
+        rows, the order and residuation as they are."""
+        assert len(PRODUCTS) == 56 and (2, 16) in PRODUCTS and (16, 2) not in PRODUCTS
+        for sizes in PRODUCTS:
+            config = chain_product(sizes, lukasiewicz)
+            assert classify(check_all_axioms(config, 0)) is Classification.LIA, sizes
+            assert all(law.holds for law in check_lattice_laws(config, 0)), sizes
+            assert check_involution(config, 0).holds, sizes
+            graph = _product_covers(config, sizes)
+            assert verify_lattice(graph).is_lattice, sizes
+            report = cross_check_ops(graph)
+            assert report.clean and report.residuation_exceptions == [], sizes
+
+    def test_goedel_products_fail_i3_and_i5(self):
+        """Exactly I3 and I5 fail, as often as a plain double loop finds,
+        unless every factor has two elements (a Boolean algebra)."""
+        for sizes in PRODUCTS:
+            config = chain_product(sizes, goedel)
+            results = check_all_axioms(config, 0)
+            failed = {a.value: results[a].total_violations for a in Axiom if not results[a].holds}
+            expected = {} if set(sizes) == {2} else {
+                name: len(_naive_pairs(config.tables, name)) for name in ("I3", "I5")}
+            assert failed == expected, sizes
+
+    def test_lia_is_l2_times_l_n_plus_1(self):
+        """The paper's LIA is the product L2 x L(n+1), indexed as its carrier
+        index b(n+1) + p, on both sides of the byte limit."""
+        for n in [*range(41), 127, 128]:
+            assert lia(n).tables == chain_product((2, n + 1), lukasiewicz).tables, n

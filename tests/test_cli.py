@@ -147,6 +147,26 @@ class TestCheck:
         code, out, _ = run(capsys, *argv)
         assert code == 1 and json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("flags", [[], ["--qlia", "--noncomp", "1"]], ids=["LIA", "QLIA"])
+    def test_residuation_is_judged_by_its_exceptions(self, capsys, monkeypatch, flags):
+        """Residuation reads the order everywhere but at the quasi kind's
+        missing cross link; one more exceptional pair fails the verdict."""
+        argv = ["check", "--n", "4", *flags, "--format", "json"]
+        assert run(capsys, *argv)[0] == 0
+        real = cli.cross_check_ops
+
+        def one_more(graph):
+            report = real(graph)
+            report.residuation_exceptions.append(graph.elements[:2])
+            return report
+
+        monkeypatch.setattr(cli, "cross_check_ops", one_more)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and json.loads(out)["ok"] is False
+        code, out, _ = run(capsys, *argv[:-2])
+        expected = 1 if flags else 0
+        assert code == 1 and f"residuation: fails at {expected + 1} pairs (expected {expected})" in out
+
 
 class TestEval:
     def test_labeled_output(self, capsys):

@@ -383,6 +383,29 @@ class TestCrossCheck:
         assert '"expected": null' in json.dumps(report.to_dict())
         assert report.residuation_exceptions == [(F(0), T(1))]
 
+    def test_cover_edges_that_close_a_cycle_are_domain_error(self):
+        """Edges both ways between v0F and v0T of lia(1) give the two one
+        up-set, so they order nothing and neither check runs; the edge
+        v0F -> v0T alone closes no cycle, makes the carrier a chain and is
+        reported against the tables like any other graph."""
+        config = lia(1)
+        graph = build_covers(config)
+        cyclic = CoverGraph(config, graph.elements, graph.covers | {(F(0), T(0)), (T(0), F(0))})
+        for check in (verify_lattice, cross_check_ops):
+            with pytest.raises(DomainError, match="cycle"):
+                check(cyclic)
+        chain = CoverGraph(config, graph.elements, graph.covers | {(F(0), T(0))})
+        assert verify_lattice(chain).is_lattice
+        report = cross_check_ops(chain)
+        assert report.implemented == [
+            OpMismatch("join", F(0), T(0), T(1), T(0)),
+            OpMismatch("meet", F(0), T(0), F(1), F(0)),
+            OpMismatch("leq", F(0), T(0), False, True),
+            OpMismatch("join", T(0), F(0), T(1), T(0)),
+            OpMismatch("meet", T(0), F(0), F(1), F(0)),
+        ]
+        assert report.residuation_exceptions == [(F(0), T(0))]
+
     def test_user_graph_defects_are_not_blamed_on_the_paper(self):
         """On a cover graph built by hand that lacks an edge of the carrier,
         the stated rule checked is still item 3 alone: none in the plain
