@@ -10,11 +10,14 @@ Concrete syntax (loosest to tightest binding):
 
 Whitespace is insignificant.  ``render`` produces the canonical text with
 minimal parentheses, and ``parse(render(f)) == f`` for every formula.
+``parse`` reads the tokens with one ``findall``, which skips a bad character;
+only when the tokens do not spell the text's ``split()`` is it looked for, at
+the end of the text's longest prefix of tokens and whitespace.
 
 Truth evaluation is structural: each connective is the algebra operation
 of the valuation's config, run on carrier indices by the config's kernel.
-Each atom's value is checked and encoded and only the result decoded, so
-``values()`` and the tables are never built.  Every atom must be assigned.
+Each atom's value is checked and encoded once and only the result decoded,
+so ``values()`` and the tables are never built.  Every atom must be assigned.
 
 No function here recurses, so any depth that fits in memory works: ``parse``
 runs one loop over the tokens with an operand and an operator stack, and
@@ -107,8 +110,9 @@ class Implies(Formula, namedtuple("Implies", "left right")):
 # Parsing
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# group 1 an atom or an operator, group 2 any other visible character
-_TOKEN_RE = re.compile(rf"\s*(?:({_ATOM_RE.pattern}|->|[!~&|()])|(\S))")
+_TOKEN_RE = re.compile(rf"{_ATOM_RE.pattern}|->|[!~&|()]")
+# the longest prefix of tokens and whitespace: it ends at the first bad character
+_READABLE = rf"(?:\s*(?:{_TOKEN_RE.pattern}))*\s*"
 
 # binary operator token -> (precedence, node class); only '->' groups right
 _BINARY = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
@@ -117,30 +121,25 @@ _NEGATION = frozenset("!~")
 
 def _offset(text: str, k: int) -> int:
     """Where token k of ``text`` starts, or its length past the last token."""
-    starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(text)]
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
     return starts[k] if k < len(starts) else len(text)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text; raises ParseError with an offset on bad input.
-    Every token is read first, so a bad character is reported before any
-    syntax error; offsets are looked up only for an error."""
-    pairs = _TOKEN_RE.findall(text)  # (token, bad character): one of them is ""
-    tokens, bad = zip(*pairs) if pairs else ((), ())
-    if any(bad):
-        k, c = next((k, c) for k, c in enumerate(bad) if c)
-        raise ParseError(f"unexpected character {c!r}", _offset(text, k))
+    One ``findall`` reads every token first, so a bad character, looked for
+    only when the tokens do not spell ``text.split()``, is reported before
+    any syntax error; offsets are looked up only for an error."""
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):  # ``split`` and ``\s`` agree
+        offset = re.match(_READABLE, text).end()
+        raise ParseError(f"unexpected character {text[offset]!r}", offset)
 
+    new = tuple.__new__  # each node is a tuple of its children
     operands: list[Formula] = []
     operators: list[str] = []  # '!', '~', '(' and binary operator tokens
     depth = 0  # open parentheses
     want_operand = True
-
-    def reduce() -> None:
-        node_class = _BINARY[operators.pop()][1]
-        right = operands.pop()
-        operands[-1] = node_class(operands[-1], right)
-
     for k, token in enumerate(tokens):
         if want_operand:
             if token in _NEGATION or token == "(":
@@ -149,18 +148,19 @@ def parse(text: str) -> Formula:
                 continue
             if token in _BINARY or token == ")":
                 raise ParseError("expected a formula", _offset(text, k))
-            operands.append(Atom(token))
+            operands.append(new(Atom, (token,)))
         elif token in _BINARY:
             precedence = _BINARY[token][0] + (token == "->")  # an earlier '->' waits
             while operators and _BINARY.get(operators[-1], (0,))[0] >= precedence:
-                reduce()  # '(' has no precedence and stops the reduction
+                right = operands.pop()  # '(' has no precedence and stops the loop
+                operands[-1] = new(_BINARY[operators.pop()][1], (operands[-1], right))
             operators.append(token)
             want_operand = True
             continue
         elif token == ")" and depth:
-            while operators[-1] != "(":
-                reduce()
-            operators.pop()
+            while (top := operators.pop()) != "(":
+                right = operands.pop()
+                operands[-1] = new(_BINARY[top][1], (operands[-1], right))
             depth -= 1
         else:
             message = "expected ')'" if depth else "unexpected trailing input"
@@ -168,12 +168,13 @@ def parse(text: str) -> Formula:
         # an operand is complete: the negations in front of it apply now
         while operators and operators[-1] in _NEGATION:
             operators.pop()
-            operands[-1] = Not(operands[-1])
+            operands[-1] = new(Not, (operands[-1],))
         want_operand = False
     if want_operand or depth:
         raise ParseError("expected a formula" if want_operand else "expected ')'", len(text))
     while operators:
-        reduce()
+        right = operands.pop()
+        operands[-1] = new(_BINARY[operators.pop()][1], (operands[-1], right))
     return operands[0]
 
 
@@ -284,7 +285,17 @@ def _operations(kernel) -> dict:
     return {Not: kernel.negate, And: kernel.meet, Or: kernel.join, Implies: kernel.implies}
 
 
+class _Codes(dict):
+    """Atom name -> carrier index, each value checked and encoded on first use."""
+
+    __slots__ = ("encode", "value_of")
+
+    def __missing__(self, name: str) -> int:
+        code = self[name] = self.encode(self.value_of(name))
+        return code
+
+
 def evaluate(node: Formula, valuation: Valuation) -> LinguisticValue:
-    kernel, value_of = valuation.config._kernel, valuation.value_of
-    return kernel.decode(_fold(node, lambda name: kernel.encode(value_of(name)),
-                               _operations(kernel)))
+    kernel, codes = valuation.config._kernel, _Codes()
+    codes.encode, codes.value_of = kernel.encode, valuation.value_of
+    return kernel.decode(_fold(node, codes.__getitem__, _operations(kernel)))

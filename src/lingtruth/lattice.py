@@ -129,7 +129,7 @@ def canonical(value: LinguisticValue) -> str:
     return f"v{value.grade}{'T' if value.is_true else 'F'}"
 
 
-_CANONICAL_RE = re.compile(r"v(0|[1-9]\d*)([TF])\Z")
+_CANONICAL_RE = re.compile(r"v(0|[1-9][0-9]*)([TF])\Z")  # ``\d`` also takes non-ASCII digits
 
 
 _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")

@@ -6,7 +6,7 @@ first principles: lay down the cover edges of the carrier's Hasse diagram
 and grow each element's up-set, a bitmask over the positions of the
 carrier, along those edges until nothing changes: the reflexive-transitive
 closure by plain reachability, refused if the edges close a cycle.  The
-up-sets, and the down-sets that are their transpose, only build the
+up-sets, and the down-sets grown alike down the edges, only build the
 bounds: the least upper bound of a and b is the element whose up-set is
 exactly ``up[a] & up[b]`` (found by one dict lookup), and None when no such
 element exists; in a finite poset that is the same as "the unique minimal
@@ -71,22 +71,7 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
     def up(self) -> list[int]:
         """up[a]: the positions at or above position a, as a bitmask; cover
         edges that close a cycle raise ``DomainError``."""
-        index = {e: k for k, e in enumerate(self.elements)}
-        up = [1 << k for k in range(len(self.elements))]
-        # highest lower end first: on a carrier listed bottom-up one pass
-        # reaches the closure and the next one confirms it
-        edges = sorted(((index[lower], index[upper]) for lower, upper in self.covers),
-                       reverse=True)
-        changed = True
-        while changed:
-            changed = False
-            for lower, upper in edges:
-                if up[upper] & ~up[lower]:
-                    up[lower] |= up[upper]
-                    changed = True
-        if len(set(up)) < len(up):  # two positions each at or above the other
-            raise DomainError("the cover edges close a cycle, so they are not an order")
-        return up
+        return _closure(self, down=False)
 
     @functools.cached_property
     def joins(self) -> list[list[int | None]]:
@@ -96,16 +81,34 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
     @functools.cached_property
     def meets(self) -> list[list[int | None]]:
         """meets[a][b]: the position of the greatest lower bound of a and b, or None."""
-        # the down-sets: one transpose of the up-sets' bit strings, where
-        # character k of string j is bit size - 1 - k of up[j]
-        size = len(self.up)
-        bits = [format(up, f"0{size}b") for up in self.up]
-        return _bounds([int("".join(column)[::-1], 2) for column in zip(*bits)][::-1])
+        return _bounds(_closure(self, down=True))
+
+
+def _closure(graph: CoverGraph, down: bool) -> list[int]:
+    """reach[a]: position a and every position above it (below it if
+    ``down``) along the cover edges, as a bitmask; edges that close a cycle
+    raise ``DomainError``."""
+    index = {e: k for k, e in enumerate(graph.elements)}
+    edges = sorted((index[lower], index[upper]) for lower, upper in graph.covers)
+    # on a carrier listed bottom-up one pass reaches the closure, and the next
+    # confirms it, if up-sets take the highest lower end first, down-sets the lowest
+    edges = [(upper, lower) for lower, upper in edges] if down else edges[::-1]
+    reach = [1 << k for k in range(len(index))]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            if reach[b] & ~reach[a]:
+                reach[a] |= reach[b]
+                changed = True
+    if len(set(reach)) < len(reach):  # two positions each reach the other
+        raise DomainError("the cover edges close a cycle, so they are not an order")
+    return reach
 
 
 def _bounds(sets: list[int]) -> list[list[int | None]]:
     """bounds[a][b]: the position whose set is sets[a] & sets[b], or None."""
-    # distinct elements have distinct up-sets (and down-sets): ``up`` checks it
+    # distinct elements have distinct up-sets (and down-sets): ``_closure`` checks it
     by_set = {mask: k for k, mask in enumerate(sets)}
     return [[by_set.get(x & y) for y in sets] for x in sets]
 

@@ -217,6 +217,12 @@ class TestEval:
         assert out == ""
         assert "not a truth value" in err
 
+    def test_non_ascii_digit_grade_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--n", "20", "P", "-a", "P=v1\u0663T")
+        assert code == 2
+        assert out == ""
+        assert "not a truth value" in err
+
     # this case used to pin a refusal of deep input; it keeps its name
     @pytest.mark.parametrize("shape", DEEP_FORMULAS)
     def test_deep_formula_is_usage_error(self, capsys, shape):

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,77 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == f"{message} (at offset {position})"
+
+
+# every code point, and the whitespace among them
+EVERY_CHARACTER = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = re.sub(r"\S+", "", EVERY_CHARACTER)
+
+
+def parse_outcome(text: str) -> tuple:
+    try:
+        return "ok", render(parse(text))
+    except ParseError as exc:
+        return str(exc).rsplit(" (at offset", 1)[0], exc.position
+
+
+# text -> its canonical text or the ParseError's message and offset; recorded
+# with the tokenizer whose last group caught any bad character
+TOKENIZER_OUTCOMES = [
+    ('P\u2003->\u2003Q', ('ok', 'P -> Q')),
+    ('\u3000P\u3000&\u3000!Q\u3000', ('ok', 'P & !Q')),
+    ('P\x85|\x85Q', ('ok', 'P | Q')),
+    ('P\x1c->\x1cQ', ('ok', 'P -> Q')),
+    ('P -> Q', ('ok', 'P -> Q')),
+    ('P->Q', ('ok', 'P -> Q')),
+    ('P & é', ("unexpected character 'é'", 4)),
+    ('é', ("unexpected character 'é'", 0)),
+    ('P -> ٣', ("unexpected character '٣'", 5)),
+    ('x٣', ("unexpected character '٣'", 1)),
+    ('1P', ("unexpected character '1'", 0)),
+    ('P & 1P', ("unexpected character '1'", 4)),
+    ('P - Q', ("unexpected character '-'", 2)),
+    ('P -', ("unexpected character '-'", 2)),
+    ('P > Q', ("unexpected character '>'", 2)),
+    ('>', ("unexpected character '>'", 0)),
+    ('P --> Q', ("unexpected character '-'", 2)),
+    ('P -> -> Q', ('expected a formula', 5)),
+    ('P- >Q', ("unexpected character '-'", 1)),
+    ('P\u2003Q', ('unexpected trailing input', 2)),
+    ('\u3000(P', ("expected ')'", 3)),
+    ('(P é', ("unexpected character 'é'", 3)),
+    ('P Q é', ("unexpected character 'é'", 4)),
+    ('!\x85', ('expected a formula', 2)),
+    ('P ->', ('expected a formula', 4)),
+    ('\x1c', ('expected a formula', 1)),
+]
+
+
+@st.composite
+def _respaced(draw):
+    """One text of tokens and bad characters, as in criterion 16, twice:
+    the whitespace characters between them drawn afresh for each copy."""
+    pieces = draw(st.lists(st.sampled_from([
+        "P", "x1", "_a", "!", "~", "(", ")", "&", "|", "->", "-", ">", "9", "é", None, None,
+    ]), max_size=30))
+    spaces = st.sampled_from(WHITESPACE)
+    return ["".join(p or draw(spaces) for p in pieces) for _ in range(2)]
+
+
+class TestTokens:
+    def test_split_and_regex_whitespace_agree(self):
+        # parse finds a bad character by comparing its tokens with the text's
+        # ``split``; that holds only while ``split`` and ``\s`` agree
+        assert "".join(EVERY_CHARACTER.split()) == re.sub(r"\s+", "", EVERY_CHARACTER)
+
+    @pytest.mark.parametrize("text, outcome", TOKENIZER_OUTCOMES)
+    def test_outcomes_are_pinned(self, text, outcome):
+        assert parse_outcome(text) == outcome
+
+    @settings(max_examples=500)
+    @given(_respaced())
+    def test_whitespace_characters_are_interchangeable(self, texts):
+        assert parse_outcome(texts[0]) == parse_outcome(texts[1])
 
 
 class TestDeepNesting:
@@ -350,6 +423,24 @@ class TestEvaluation:
         with pytest.raises(UnboundAtomError) as err:
             evaluate(parse("P & Q"), val)
         assert err.value.atom == "Q"
+
+    def test_each_atom_is_read_once_in_first_occurrence_order(self):
+        for text, first in (("Q & P", "Q"), ("(R -> P) & !Q", "R"), ("P | (Q & P)", "P")):
+            with pytest.raises(UnboundAtomError) as err:
+                evaluate(parse(text), Valuation(lia(4), {}))
+            assert err.value.atom == first
+
+        read = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.append(name)
+                return dict.__getitem__(self, name)
+
+        formula = parse("(P & Q) -> (P | !Q) & P")
+        value = evaluate(formula, Valuation(lia(4), Recording(Q=F(2), P=T(1))))
+        assert read == ["P", "Q"]
+        assert value == evaluate(formula, Valuation(lia(4), {"P": T(1), "Q": F(2)}))
 
     def test_valuation_validates_values(self):
         from lingtruth.errors import DomainError

@@ -545,6 +545,12 @@ class TestTextForms:
         with pytest.raises(ParseError):
             lia(12).parse_value(text)
 
+    # any digit but an ASCII one would be a second spelling of a grade
+    @pytest.mark.parametrize("text", ["v1\u0663T", "v1\uff13F", "v10\u0e53T"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            lia(20).parse_value(text)
+
     def test_labeled_forms(self):
         alg = lia(4, labels=DEFAULT_LABELS_N4)
         assert alg.label(T(3)) == "quite True"

@@ -394,6 +394,8 @@ class TestCrossCheck:
         for check in (verify_lattice, cross_check_ops):
             with pytest.raises(DomainError, match="cycle"):
                 check(cyclic)
+        with pytest.raises(DomainError, match="cycle"):
+            cyclic.meets  # on down-sets alone
         chain = CoverGraph(config, graph.elements, graph.covers | {(F(0), T(0))})
         assert verify_lattice(chain).is_lattice
         report = cross_check_ops(chain)
