@@ -14,17 +14,17 @@ Witness lists in reports are capped (10 by default) but the total
 violation count is always exact; pass ``max_witnesses=None`` to keep every
 witness.  A bad cap or axiom raises ``DomainError`` first.
 
-Every equation check but I2, I4, idempotence and involution compares
-whole rows: ``lattice._rows`` holds a table's columns and maps so that
-composing two rows is one call in C, whatever type ``tables`` built them
-in, and ``lattice._held`` keeps what it holds once per config and table.
-Each such check states its two sides as a filtered generator that yields
-only the rows whose sides differ, and hands it to ``_screen``, the one
-place that walks them: associativity compares the z row of a pair
-(x, y), I1, I6 and I7 the y column of a pair (x, z), and I3, I5,
-commutativity and absorption the y row of an x.  I5 is checked as the
-symmetry of twice, where twice[y][x] = (x -> y) -> y is column y of
-``implies`` read at itself, so it screens as commutativity does.
+Every equation check but I2 and idempotence compares whole rows:
+``lattice._rows`` holds a table's columns and maps so that composing two
+rows is one call in C, whatever type ``tables`` built them in, and
+``lattice._held`` keeps what it holds once per config and table.  Each
+such check states its two sides as a filtered generator that yields only
+the rows whose sides differ, and hands it to ``_screen``, the one place
+that walks them: associativity compares the z row of a pair (x, y), I1,
+I6 and I7 the y column of a pair (x, z), and I3, I5, commutativity and
+absorption the y row of an x.  I5 is checked as the symmetry of twice,
+where twice[y][x] = (x -> y) -> y is column y of ``implies`` read at
+itself, so it screens as commutativity does.
 
 On byte rows the cubic checks first compare whole slices, a few calls in
 C each, and compose pairs only where a slice differs.  I1 compares, per x,
@@ -32,15 +32,22 @@ the z-major slice of all (y, z) and associativity the y-major one, so only
 the x whose slices differ yield pairs.  Under a cap, I6 and I7 compare,
 per z, the x-major slice of all (x, y), count each differing slice's
 violations as the non-zero bytes of the two sides' XOR, and yield pairs
-only for the z whose slices differ; uncapped, the walk counts every
-violation itself, so they yield every pair.  Tuple rows yield every pair
-as above, since slicing them costs more than it saves.  ``_screen`` walks
-a row that differs cell by cell and sorts each x's violations, so counts
-and witness order are those of the plain loops; once the kept witnesses
-are collected (tested at the start of each x) it stops if the exact total
-is already counted, as for I6 and I7 above, and otherwise only counts the
-cells where the two sides differ, building no witness tuples.  Slices are
-built and dropped one x or z at a time, so memory stays O(N^2).
+only for the z whose slices differ; while the count is within the cap,
+they read the violations off those bytes instead, so a cap at or above it
+yields none.  Uncapped, the walk counts every violation itself, so they
+yield every pair.  I4 and the involution screen flat 0/1 marks of whole
+tables and walk only the rows of x that hold a violation: I4 ANDs the top
+cells of ``implies`` with those of its transpose, off the diagonal, and
+the involution reads x <= y as the zero bytes of ``join`` XOR the identity
+and neg(y) <= neg(x) as that order's column neg(x) back through ``neg``.
+Tuple rows yield every pair, since slicing them costs more than it saves.
+``_screen`` walks a row that differs cell by cell and sorts each x's
+violations, so counts and witness order are those of the plain loops;
+once the kept witnesses are collected (tested at the start of each x) it
+stops if the exact total is already counted, as for I6 and I7 above, and
+otherwise only counts the cells where the two sides differ, building no
+witness tuples.  Slices are built and dropped one x or z at a time, so
+memory stays O(N^2) beside the witnesses kept.
 
 The axioms, for all x, y, z:
 
@@ -60,10 +67,12 @@ from __future__ import annotations
 
 import enum
 import operator
+import re
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, _columns, _held, canonical
+from .lattice import (AlgebraConfig, LinguisticValue, _columns, _equal_to, _held,
+                      _order_marks, canonical)
 
 
 class Axiom(enum.Enum):
@@ -158,6 +167,13 @@ def _screen(name, config, differing, max_witnesses, walks_z=False, total=None):
     return _collect(name, config, bad, max_witnesses, uncollected)
 
 
+def _marked_rows(size, mask):
+    """The rows of a flat ``size`` x ``size`` table of bytes, held as the
+    int ``int.from_bytes(table, "big")``, that have a non-zero byte."""
+    cells = mask.to_bytes(size * size, "big")
+    return [x for x in range(size) if mask and cells.count(0, x * size, x * size + size) < size]
+
+
 def _tables(config, max_witnesses):
     """``config.tables``, once the cap is None or exactly an int >= 0 (as for a grade)."""
     if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 0):
@@ -171,13 +187,20 @@ def check_axiom(
     if not isinstance(axiom, Axiom):
         raise DomainError(f"not an axiom: {axiom!r}")
     neg, join, meet, imp = _tables(config, max_witnesses)
-    carrier, top = range(len(neg)), len(neg) - 1  # top is the last carrier index
+    size = len(neg)
+    carrier, top = range(size), size - 1  # top is the last carrier index
     if axiom is Axiom.I2:
         bad = [(x, None, None, imp[x][x], top) for x in carrier if imp[x][x] != top]
         return _collect(axiom.value, config, bad, max_witnesses)
     if axiom is Axiom.I4:
-        bad = [(x, y, None, imp[x][y], imp[y][x]) for x in carrier for y in carrier
-               if x != y and imp[x][y] == top and imp[y][x] == top]
+        xs = carrier
+        if type(imp[0]) is bytes:  # the x with a top off the diagonal in imp and its transpose
+            tops = [int.from_bytes(b"".join(t).translate(_equal_to(top)), "big")
+                    for t in (imp, _held(config, imp).columns)]
+            diagonal = int.from_bytes((b"\1" + bytes(size)) * top + b"\1", "big")
+            xs = _marked_rows(size, tops[0] & tops[1] & ~diagonal)
+        bad = [(x, y, None, imp_x[y], imp[y][x]) for x in xs for imp_x in [imp[x]] for y in carrier
+               if x != y and imp_x[y] == top and imp[y][x] == top]
         return _collect(axiom.value, config, bad, max_witnesses)
 
     maps, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
@@ -210,15 +233,24 @@ def check_axiom(
             # counted first, so that the walk can stop at the cap (uncapped, it
             # counts every violation itself): the x-major slice of z,
             # imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]], has the
-            # non-zero bytes of its two sides' XOR as its count
-            flat, cells, counts = b"".join(inner), len(imp) ** 2, {}
+            # non-zero bytes of its two sides' XOR as its count; within the
+            # cap, the violations are read off those bytes, with no walk
+            flat, cells, counts, found = b"".join(inner), size * size, {}, []
             for z in carrier:
                 column = columns[z]
                 lhs = flat.translate(column_maps[z])
                 rhs = b"".join([compose(column, outer_maps[v]) for v in column])
                 if lhs != rhs:
                     xor = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
-                    counts[z] = cells - xor.to_bytes(cells, "big").count(0)
+                    xor = xor.to_bytes(cells, "big")
+                    counts[z] = cells - xor.count(0)
+                    if found is not None and len(found) + counts[z] <= max_witnesses:
+                        found += [(*divmod(c, size), z, lhs[c], rhs[c])
+                                  for c in map(re.Match.start, re.finditer(rb"[^\0]", xor))]
+                    else:
+                        found = None
+            if found is not None:
+                return _collect(axiom.value, config, sorted(found), max_witnesses)
             zs, total = [*counts], sum(counts.values())
         # the y column of (x, z): imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]]
         differing = ((x, z, lhs, rhs) for x in carrier for imp_x, inner_x in [(imp[x], inner[x])]
@@ -276,14 +308,16 @@ def check_lattice_laws(
 def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> CheckResult:
     """Negation is an involution and reverses the order."""
     neg, join, _, _ = _tables(config, max_witnesses)
-    carrier = range(len(neg))
+    size = len(neg)
+    carrier = xs = range(size)
     bad = [(x, None, None, neg[neg[x]], x) for x in carrier if neg[neg[x]] != x]
-    bad += [  # x <= y is x v y = y
-        (x, y, None, neg[y], neg[x])
-        for x in carrier
-        for y in carrier
-        if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]
-    ]
+    if type(neg) is bytes:  # the x where x <= y and not neg[y] <= neg[x], as flat marks:
+        # reversed, row x reads the order's column neg[x] back through neg
+        leq, pad = _order_marks(join), bytes(256 - size)
+        reversed_leq = b"".join([neg.translate(leq[v::size] + pad) for v in neg])
+        xs = _marked_rows(size, int.from_bytes(leq, "big") & ~int.from_bytes(reversed_leq, "big"))
+    bad += [(x, y, None, neg[y], neg[x]) for x in xs for y in carrier  # x <= y is x v y = y
+            if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]]
     return _collect("involution", config, bad, max_witnesses)
 
 

@@ -32,15 +32,15 @@ The quasi kind drops the cover edge v_iF <= v_(n-i)T, which moves only the
 joins and meets around it: both codings below read x <= y as x v y = y.
 
 ``AlgebraConfig._kernel`` holds these operations as scalar functions of
-carrier indices, built once per config on first use.  The ``AlgebraConfig``
-methods and `lingtruth.formula`'s evaluation run on it; values are encoded
-into it, raising ``DomainError`` for anything but a ``LinguisticValue`` with
-grade in 0..n, and only results are decoded.  ``AlgebraConfig.tables`` codes
-the algebra a second time, as whole rows sliced from per-config chain ramps
-and built once per config on first use.  It alone picks the rows' type,
-``bytes`` up to 256 carrier elements and tuples above; ``_rows`` holds a
-table for composing whole rows of that type, and ``_held`` keeps it once
-per config.
+carrier indices, built with the config.  The ``AlgebraConfig`` methods and
+`lingtruth.formula`'s evaluation run on it; values are encoded into it,
+raising ``DomainError`` for anything but a ``LinguisticValue`` with grade in
+0..n, and only results are decoded, with no check, as a carrier index names
+a valid value.  ``AlgebraConfig.tables`` codes the algebra a second time, as
+whole rows sliced from per-config chain ramps and built once per config on
+first use.  It alone picks the rows' type, ``bytes`` up to 256 carrier
+elements and tuples above; ``_rows`` holds a table for composing whole rows
+of that type, and ``_held`` keeps it once per config.
 `lingtruth.inference` folds the MP/MT schemas over these rows, and the
 checks in `lingtruth.axioms` and `lingtruth.oracle` read the same rows; the
 oracle re-derives joins, meets and the order from the cover graph alone and
@@ -126,7 +126,7 @@ class LinguisticValue(namedtuple("LinguisticValue", "grade polarity")):
 
 def canonical(value: LinguisticValue) -> str:
     """Compact text form, e.g. ``v3T``."""
-    return f"v{value.grade}{'T' if value.is_true else 'F'}"
+    return f"v{value[0]}{'FT'[value[1]]}"  # the polarity is a Polarity, 0 or 1
 
 
 _CANONICAL_RE = re.compile(r"v(0|[1-9][0-9]*)([TF])\Z")  # ``\d`` also takes non-ASCII digits
@@ -181,6 +181,19 @@ def _held(config, table):
     return held[id(table)][1]
 
 
+def _equal_to(value):
+    """A ``bytes.translate`` table that marks ``value`` 1 and any other byte 0."""
+    return bytes(value) + b"\1" + bytes(255 - value)
+
+
+def _order_marks(join):
+    """x <= y, read as x v y = y off the byte rows of a join table, as flat
+    0/1 bytes: the zero bytes of the flat table XOR the identity rows."""
+    size = len(join)
+    xor = int.from_bytes(b"".join(join), "big") ^ int.from_bytes(bytes(range(size)) * size, "big")
+    return xor.to_bytes(size * size, "big").translate(_equal_to(0))
+
+
 def _gather(cells, row):
     """``row`` at each index of ``cells`` (size >= 2 of them, so a tuple)."""
     return operator.itemgetter(*cells)(row)
@@ -193,8 +206,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     ``noncomparable`` selects the quasi kind: the index i whose pair
     (v_iF, v_(n-i)T) is non-comparable.  ``labels`` optionally names the
     hedge grades, weakest first, for display and parsing.  No ``__slots__``:
-    the tables, what ``_held`` keeps of them and the kernel are cached in
-    the instance dict.
+    the kernel, the tables and what ``_held`` keeps of them are kept in the
+    instance dict.
     """
 
     def __new__(cls, n: int, noncomparable: int | None = None,
@@ -232,9 +245,14 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
             lowered = [label.lower() for label in labels]
             if len(set(lowered)) != len(lowered):
                 raise DomainError("hedge labels must be distinct")
-        return tuple.__new__(cls, (n, noncomparable, labels))
+        config = tuple.__new__(cls, (n, noncomparable, labels))
+        vars(config)["_kernel"] = config._build_kernel()  # no cached_property: that locks
+        return config
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
+
+    def __getstate__(self):  # a copy or an unpickled config builds its own kernel
+        return None
 
     # ------------------------------------------------------------------
     # Carrier
@@ -294,10 +312,10 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
                 meet[p] = meet[p][:s + m] + sunk + meet[p][s + m + 1:]
         return _Rows(seq(row[0] for row in implies), join, meet, implies)
 
-    @functools.cached_property
-    def _kernel(self) -> _Kernel:
+    def _build_kernel(self) -> _Kernel:
         """The product forms of the module docstring on carrier indices."""
         n, s, true = self.n, self.n + 1, Polarity.T
+        make = functools.partial(tuple.__new__, LinguisticValue)
         # v_iF = (0, m) and v_(n-i)T = (1, m); in the plain kind m = -1 matches nothing
         m = -1 if self.noncomparable is None else n - self.noncomparable
         sm = s + m
@@ -309,8 +327,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
             if not 0 <= value.grade <= n:
                 raise DomainError(f"grade of {value} outside 0..{n}")
             return s + value.grade if value.polarity is true else n - value.grade
-        def decode(x):
-            return LinguisticValue(x - s, true) if x >= s else LinguisticValue(n - x, Polarity.F)
+        def decode(x):  # a carrier index makes a valid value, so none is checked
+            return make((x - s, true) if x >= s else (n - x, Polarity.F))
         def join(x, y):  # (max(b, b'), max(p, p'))
             if (x < s) is (y < s):
                 return x if x > y else y

@@ -13,7 +13,9 @@ element exists; in a finite poset that is the same as "the unique minimal
 common upper bound".  Greatest lower bounds are the dual, on down-sets.
 The up-sets and the bounds of every pair are position tables of the graph,
 each built on first use, so ``hasse``, which exports only the edges, builds
-none of them.  Nothing here uses the closed forms or the operation tables.
+none of them; both closures read the edges as the positions the graph
+validated them with.  Nothing here uses the closed forms or the operation
+tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
 ``check`` builds the graph and its tables once.  `cross_check_ops` reads
@@ -41,11 +43,12 @@ lacks a bound), so the reports list their entries in row-major pair order.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import AlgebraConfig, LinguisticValue, canonical
+from .lattice import AlgebraConfig, LinguisticValue, _equal_to, _order_marks, canonical
 
 
 class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
@@ -57,13 +60,17 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
 
     def __new__(cls, config: AlgebraConfig, elements: tuple[LinguisticValue, ...],
                 covers: frozenset[tuple[LinguisticValue, LinguisticValue]]):
-        members = set(map(require(config, AlgebraConfig).validate_value, elements))
-        if len(members) != len(elements):
+        codes = [*map(require(config, AlgebraConfig)._kernel.encode, elements)]  # checks each
+        position, edges = dict(zip(elements, range(len(elements)))), []
+        if len(position) != len(elements):
             raise DomainError("the elements of a cover graph must be distinct")
         for edge in covers:
-            if not (isinstance(edge, tuple) and len(edge) == 2 and members.issuperset(edge)):
+            if not (isinstance(edge, tuple) and len(edge) == 2 and position.keys() >= {*edge}):
                 raise DomainError(f"cover edge {edge!r} is not a pair of the graph's elements")
-        return tuple.__new__(cls, (config, elements, covers))
+            edges.append((position[edge[0]], position[edge[1]]))
+        graph = tuple.__new__(cls, (config, elements, covers))
+        vars(graph).update(_edges=sorted(edges), _codes=codes)  # for the closures, cross_check_ops
+        return graph
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
 
@@ -88,12 +95,10 @@ def _closure(graph: CoverGraph, down: bool) -> list[int]:
     """reach[a]: position a and every position above it (below it if
     ``down``) along the cover edges, as a bitmask; edges that close a cycle
     raise ``DomainError``."""
-    index = {e: k for k, e in enumerate(graph.elements)}
-    edges = sorted((index[lower], index[upper]) for lower, upper in graph.covers)
     # on a carrier listed bottom-up one pass reaches the closure, and the next
     # confirms it, if up-sets take the highest lower end first, down-sets the lowest
-    edges = [(upper, lower) for lower, upper in edges] if down else edges[::-1]
-    reach = [1 << k for k in range(len(index))]
+    edges = [(upper, lower) for lower, upper in graph._edges] if down else graph._edges[::-1]
+    reach = [1 << k for k in range(len(graph.elements))]
     changed = True
     while changed:
         changed = False
@@ -115,13 +120,15 @@ def _bounds(sets: list[int]) -> list[list[int | None]]:
 
 def build_covers(config: AlgebraConfig) -> CoverGraph:
     """Cover edges: the two hedge chains plus one cross link per false grade
-    (minus the configured non-comparable one)."""
+    (minus the configured non-comparable one), laid as positions of
+    ``config.values()``: each chain steps from a position to the next, and
+    the cross link of v_kF, at n - k, reaches v_(n-k)T, n + 1 positions on."""
     values = require(config, AlgebraConfig).values()  # sized before any edge
-    n, false, true = config.n, LinguisticValue.false, LinguisticValue.true
-    covers = {(false(g), false(g - 1)) for g in range(n, 0, -1)}
-    covers |= {(true(g), true(g + 1)) for g in range(n)}
-    covers |= {(false(k), true(n - k)) for k in range(n + 1) if k != config.noncomparable}
-    return CoverGraph(config, values, frozenset(covers))
+    n, s = config.n, config.n + 1
+    m = -1 if config.noncomparable is None else n - config.noncomparable  # v_iF's position
+    edges = [(p, p + 1) for p in range(2 * n + 1) if p != n]
+    edges += [(p, s + p) for p in range(s) if p != m]
+    return CoverGraph(config, values, frozenset([(values[a], values[b]) for a, b in edges]))
 
 
 class LatticeReport(namedtuple("LatticeReport", "config missing_joins missing_meets")):
@@ -235,14 +242,21 @@ def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     list the carrier in the order of ``config.values()``, so that its
     positions are the row indices."""
     config = require(graph, CoverGraph).config
-    values = graph.elements
-    if values != config.values():
+    tables, values = config.tables, graph.elements
+    if graph._codes != [*range(len(tables.negate))]:  # the carrier indices of the elements
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
     report = DiscrepancyReport(config, [], [], [])
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None
     top, positions = len(values) - 1, range(len(values))
-    tables = config.tables
     rows = zip(values, graph.joins, graph.meets, tables.join, tables.meet, tables.implies)
+    if type(tables.implies[0]) is bytes and [*map(list, tables.join)] == graph.joins:
+        # equal join rows read equal orders: read only the rows whose order
+        # and top cells of implies, as flat marks, or whose meets differ
+        leq, tops, size = _order_marks(tables.join), b"".join(tables.implies), len(values)
+        tops = tops.translate(_equal_to(top))
+        rows = itertools.compress(rows, [
+            leq[k:k + size] != tops[k:k + size] or [*meet] != meets
+            for k, meet, meets in zip(range(0, size * size, size), tables.meet, graph.meets)])
     for a, joins, meets, join_row, meet_row, implies_row in rows:
         oracle_leq = list(map(operator.eq, joins, positions))
         # the rows may be bytes and the bounds a list that may hold None, so

@@ -240,8 +240,9 @@ class TestRowScreen:
                     (name, _naive(tables, name)) for name in
                     ("I1", "I6", "I7", "join-associative", "meet-associative"))]
                 assert _cubic_reports(planted) == expected, (op, i, j, entry)
-                # past the cap, rows are counted and not collected
-                for cap in (0, 1):
+                # past the cap, rows are counted and not collected; a cap past
+                # the count reads I6 and I7 off their counted slices
+                for cap in (0, 1, 10 ** 6):
                     assert _cubic_reports(planted, cap) == [
                         (name, count, bad[:cap]) for name, count, bad in expected
                     ], (op, i, j, entry, cap)
@@ -286,6 +287,22 @@ class TestRowScreen:
             wide = wide_rows(config)
             for cap in (None, 0, 1, 10):
                 assert _reports(wide, cap) == _reports(config, cap), (config, cap)
+
+    def test_caps_at_and_past_the_count(self, screen):
+        """Every QLIA config with n <= 16: I6 and I7 capped one below, at and
+        one past their count, and far past it, give the uncapped count and the
+        first witnesses of the uncapped report.  At or past the count the
+        violations are read off the counted slices, with no walk."""
+        for config in map(screen, SMALL_CONFIGS):
+            if config.kind != QLIA:
+                continue
+            for axiom in (Axiom.I6, Axiom.I7):
+                every = check_axiom(config, axiom, None)
+                for cap in (every.total_violations - 1, every.total_violations,
+                            every.total_violations + 1, 10 ** 6):
+                    result = check_axiom(config, axiom, cap)
+                    assert (result.total_violations, result.witnesses) == (
+                        every.total_violations, every.witnesses[:cap]), (config, axiom, cap)
 
     def test_capped_counts_are_exact(self, screen):
         """Every report of every config with n <= 16, capped at 0, 1 and 10:
@@ -378,7 +395,8 @@ class TestRowScreen:
         that differ (the only use of ``zip`` in ``axioms``) ends at the start
         of the x where the cap is reached.  At cap 0 it walks no column; at
         cap k it walks the columns of each x up to the one where k is
-        reached.  Every count is the uncapped count."""
+        reached, and none if k is at or above the count, whose violations
+        the count reads off the slices.  Every count is the uncapped count."""
         walks = []
 
         def walking(*rows):
@@ -402,8 +420,94 @@ class TestRowScreen:
                     assert result.total_violations == every.total_violations, (config, cap)
                     assert result.witnesses == every.witnesses[:cap], (config, cap)
                     walked = next((k + 1 for k, total in enumerate(kept) if total >= cap),
-                                  len(kept)) if cap else 0
+                                  len(kept)) if 0 < cap < every.total_violations else 0
                     assert len(walks) == sum(columns[:walked]), (config, axiom, cap)
+
+
+def _naive_order(tables):
+    """The I4 and involution violations by a plain double loop, in the order
+    x, then y, as (x, y, z, lhs, rhs) with None for what a check does not use."""
+    neg, join, _, imp = tables
+    carrier, top = range(len(imp)), len(imp) - 1
+    i4 = [(x, y, None, imp[x][y], imp[y][x]) for x in carrier for y in carrier
+          if x != y and imp[x][y] == top and imp[y][x] == top]
+    involution = [(x, None, None, neg[neg[x]], x) for x in carrier if neg[neg[x]] != x]
+    involution += [(x, y, None, neg[y], neg[x]) for x in carrier for y in carrier
+                   if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]]
+    return [("I4", len(i4), i4), ("involution", len(involution), involution)]
+
+
+def _order_reports(config, max_witnesses=None):
+    """The I4 and involution reports, as (name, count, witnesses as
+    carrier-index tuples, None where a check has no y)."""
+    index = {v: k for k, v in enumerate(config.values())}
+    return [(r.name, r.total_violations,
+             [tuple(None if v is None else index[v] for v in w) for w in r.witnesses])
+            for r in (check_axiom(config, Axiom.I4, max_witnesses),
+                      check_involution(config, max_witnesses))]
+
+
+class TestOrderScreens:
+    """I4 and the involution screen byte rows as flat marks and walk only the
+    rows of x that hold a violation; tuple rows walk every row."""
+
+    def test_every_config_up_to_n16(self, screen):
+        """Every config with n <= 16, on byte rows and on tuple copies of
+        them: the counts and witnesses of the plain double loop, uncapped and
+        capped at 0 and 1."""
+        for config in map(screen, SMALL_CONFIGS):
+            expected = _naive_order(config.tables)
+            for cap in (None, 0, 1):
+                assert _order_reports(config, cap) == [
+                    (name, count, bad[slice(cap)]) for name, count, bad in expected
+                ], (config, cap)
+
+    @pytest.mark.parametrize("config", [lia(3), qlia(4, 2), qlia(6, 1), qlia(16, 5)], ids=str)
+    def test_planted_entries_are_reported(self, config, screen):
+        """Wrong entries planted in implies, join and negate, at every cell of
+        implies and join and every place of negate: each report equals the
+        plain loop's.  Among them, a pair with x -> y = y -> x = top and a
+        failed order reversal are each caught."""
+        size, top = 2 * config.n + 2, 2 * config.n + 1
+        caught = {"I4": 0, "involution": 0}
+        plantings = [(op, i, j) for op in ("implies", "join") for i in range(size)
+                     for j in range(size)] + [("negate", i, None) for i in range(size)]
+        for op, i, j in plantings[::7 if config.n > 8 else 1]:
+            planted = screen(config)  # fresh table cache
+            tables = planted.tables
+            if op == "negate":
+                neg = [*tables.negate]
+                neg[i] = (neg[i] + 1) % size
+                tables = tables._replace(negate=type(tables.negate)(neg))
+            else:
+                table = getattr(tables, op)
+                entry = top if op == "implies" else j  # a top, or x v y = y
+                if table[i][j] == entry:
+                    continue
+                tables = tables._replace(**{op: with_entry(table, i, j, entry)})
+            vars(planted)["tables"] = tables  # the cached rows live in the instance dict
+            expected = _naive_order(tables)
+            for name, count, _ in expected:
+                caught[name] += count > 0
+            assert _order_reports(planted) == expected, (op, i, j)
+            assert _order_reports(planted, 1) == [
+                (name, count, bad[:1]) for name, count, bad in expected], (op, i, j)
+        assert caught["I4"] and caught["involution"], caught
+
+    def test_a_planted_pair_and_reversal_are_caught(self):
+        """lia(3): v3F -> v2F = top already, and planting v2F -> v3F = top
+        makes the pair one I4 violation each way; planting v3T v v0T = v0T
+        reads v3T <= v0T, which negation maps to v0F <= v3F, and it is not."""
+        config = lia(3)
+        tables = config.tables
+        vars(config)["tables"] = tables._replace(
+            implies=with_entry(tables.implies, 1, 0, 7), join=with_entry(tables.join, 7, 4, 4))
+        i4 = check_axiom(config, Axiom.I4)
+        assert (i4.total_violations, i4.witnesses) == (2, [
+            axioms.Witness(F(3), F(2), None, T(3), T(3)),
+            axioms.Witness(F(2), F(3), None, T(3), T(3))])
+        involution = check_involution(config)
+        assert involution.witnesses == [axioms.Witness(T(3), T(0), None, F(0), F(3))]
 
 
 # the fields of a witness that name the row or column its screen walks

@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 import random
 
 import pytest
@@ -242,6 +244,16 @@ class TestRecords:
         config.tables
         fresh = config._replace()
         assert fresh == config and "tables" not in vars(fresh)
+
+    def test_used_config_pickles_and_copies(self):
+        """A config holds its kernel from the start and its tables once used;
+        a pickled or copied config is equal and builds its own."""
+        config = qlia(3, 1)
+        config.tables
+        for twin in (pickle.loads(pickle.dumps(config)), copy.copy(config), copy.deepcopy(config)):
+            assert twin == config and "tables" not in vars(twin)
+            assert twin._kernel is not config._kernel
+            assert twin.join(twin.top(), twin.bottom()) == twin.top()
 
 
 # every configuration with n <= 16, LIA then QLIA i = 1..n-1 for each n

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from planted import with_entry
+from planted import wide_rows, with_entry
 from stated import stated_rows
 
 from lingtruth.errors import DomainError
@@ -65,6 +65,17 @@ class TestCoverConstruction:
                 (F(1), T(0)),
             }
         )
+
+    def test_positions_give_the_edges_value_by_value(self):
+        """Every config with n <= 32: ``build_covers``, which lays its edges as
+        positions, equals the graph built edge by edge from values."""
+        for n in range(33):
+            for config in [lia(n), *(qlia(n, i) for i in range(1, n))]:
+                covers = {(F(g), F(g - 1)) for g in range(n, 0, -1)}
+                covers |= {(T(g), T(g + 1)) for g in range(n)}
+                covers |= {(F(k), T(n - k)) for k in range(n + 1) if k != config.noncomparable}
+                assert build_covers(config) == CoverGraph(
+                    config, config.values(), frozenset(covers)), config
 
     def test_quasi_kind_drops_one_cross_link(self):
         plain = build_covers(lia(4)).covers
@@ -360,6 +371,27 @@ class TestCrossCheck:
                     assert report.stated == clean.stated, (op, i, j)
                     assert (implemented, residuation) != (
                         [], clean.residuation_exceptions), (op, i, j)
+
+    @pytest.mark.parametrize("config", [lia(2), qlia(3, 1)], ids=str)
+    def test_byte_and_tuple_rows_report_alike(self, config):
+        """A wrong entry planted at each cell of each table: byte rows, which
+        compare the order and the tops of implies as flat marks, and tuple
+        copies of them, which compare row by row, give the same report."""
+        size, clean = 2 * config.n + 2, cross_check_ops(build_covers(config))
+        for op in ("join", "meet", "implies"):
+            for i in range(size):
+                for j in range(size):
+                    reports = []
+                    for planted in (AlgebraConfig(*config), wide_rows(config)):
+                        tables = planted.tables
+                        entry = (getattr(tables, op)[i][j] + 1) % size
+                        if op == "implies":  # top or not: residuation reads only that
+                            entry = 0 if tables.implies[i][j] == size - 1 else size - 1
+                        vars(planted)["tables"] = tables._replace(
+                            **{op: with_entry(getattr(tables, op), i, j, entry)})
+                        reports.append(cross_check_ops(build_covers(planted)))
+                    assert reports[0] == reports[1], (op, i, j)
+                    assert reports[0] != clean, (op, i, j)
 
     def test_missing_bound_is_reported_as_null(self):
         """Without the cover edge v0F -> v1T of lia(1), v0F has no upper
