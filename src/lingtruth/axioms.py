@@ -9,45 +9,43 @@ once per config from the carrier index and certified pair by pair by
 `lingtruth.oracle`, so every operation is a row lookup on carrier indices;
 the carrier size N comes from the rows, top is index N - 1 and x <= y is
 x v y = y.  Row lookups are hoisted out of the inner loop, and only the
-violations kept as witnesses are decoded into ``LinguisticValue``s.
-Witness lists in reports are capped (10 by default) but the total
-violation count is always exact; pass ``max_witnesses=None`` to keep every
-witness.  A bad cap or axiom raises ``DomainError`` first.
+violations kept as witnesses are read, as ``LinguisticValue``s, off the
+carrier's values.  Witness lists in reports are capped (10 by default) but
+the total violation count is always exact; pass ``max_witnesses=None`` to
+keep every witness.  A bad cap or axiom raises ``DomainError`` first.
 
-Every equation check but I2 and idempotence compares whole rows:
-``lattice._rows`` holds a table's columns and maps so that composing two
-rows is one call in C, whatever type ``tables`` built them in, and
-``lattice._held`` keeps what it holds once per config and table.  Each
-such check states its two sides as a filtered generator that yields only
-the rows whose sides differ, and hands it to ``_screen``, the one place
-that walks them: associativity compares the z row of a pair (x, y), I1,
-I6 and I7 the y column of a pair (x, z), and I3, I5, commutativity and
+Every equation check but I2, I4, idempotence and the involution compares
+whole rows: ``lattice._rows`` holds a table's columns and maps so that
+composing two rows is one call in C, whatever type ``tables`` built them
+in, and ``lattice._held`` keeps what it holds once per config and table.
+Each such check states its two sides as a filtered generator that yields
+only the rows whose sides differ, and hands it to ``_screen``, the one
+place that walks them: associativity compares the z row of a pair (x, y),
+I1, I6 and I7 the y column of a pair (x, z), and I3, I5, commutativity and
 absorption the y row of an x.  I5 is checked as the symmetry of twice,
 where twice[y][x] = (x -> y) -> y is column y of ``implies`` read at
 itself, so it screens as commutativity does.
 
-On byte rows the cubic checks first compare whole slices, a few calls in
-C each, and compose pairs only where a slice differs.  I1 compares, per x,
-the z-major slice of all (y, z) and associativity the y-major one, so only
-the x whose slices differ yield pairs.  Under a cap, I6 and I7 compare,
-per z, the x-major slice of all (x, y), count each differing slice's
-violations as the non-zero bytes of the two sides' XOR, and yield pairs
-only for the z whose slices differ; while the count is within the cap,
-they read the violations off those bytes instead, so a cap at or above it
-yields none.  Uncapped, the walk counts every violation itself, so they
-yield every pair.  I4 and the involution screen flat 0/1 marks of whole
-tables and walk only the rows of x that hold a violation: I4 ANDs the top
+On byte rows every check but I2 and idempotence first screens whole
+slices or flat 0/1 marks, a few calls in C each, and walks only where they
+differ.  I1 compares, per x, the z-major slice of all (y, z) and
+associativity the y-major one.  Under a cap, I6 and I7 compare, per z, the
+x-major slice of all (x, y) and count a differing slice's violations as
+the non-zero bytes of the two sides' XOR; while the count is within the
+cap they read the violations off those bytes, so a cap at or above it
+needs no walk, and past it only the z whose slices differ are walked
+(uncapped, the walk counts every violation itself).  I4 ANDs the top
 cells of ``implies`` with those of its transpose, off the diagonal, and
 the involution reads x <= y as the zero bytes of ``join`` XOR the identity
-and neg(y) <= neg(x) as that order's column neg(x) back through ``neg``.
-Tuple rows yield every pair, since slicing them costs more than it saves.
-``_screen`` walks a row that differs cell by cell and sorts each x's
-violations, so counts and witness order are those of the plain loops;
-once the kept witnesses are collected (tested at the start of each x) it
-stops if the exact total is already counted, as for I6 and I7 above, and
-otherwise only counts the cells where the two sides differ, building no
-witness tuples.  Slices are built and dropped one x or z at a time, so
-memory stays O(N^2) beside the witnesses kept.
+and neg(y) <= neg(x) as that order's column neg(x) back through ``neg``;
+both then walk only the rows of x that hold a violation.  Tuple rows are
+walked whole, since slicing them costs more than it saves.  ``_screen``
+walks a row that differs cell by cell and sorts each x's violations, so
+counts and witness order are those of the plain loops; once the kept
+witnesses are collected (tested at the start of each x) it stops if the
+exact total is already counted, and otherwise only counts the cells where
+the two sides differ.  Slices are built and dropped one x or z at a time,
+so memory stays O(N^2) beside the witnesses kept.
 
 The axioms, for all x, y, z:
 
@@ -128,14 +126,11 @@ def _collect(name, config, violations, max_witnesses, uncollected=0):
     """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
     with y and z None where the check does not use them, and ``uncollected``
     more counted past the cap.  The count is exact; only the kept
-    violations are decoded into witnesses."""
+    violations are read, off the carrier's values, as witnesses."""
     kept = violations if max_witnesses is None else violations[:max_witnesses]
-    decode = config._kernel.decode
-    witnesses = [
-        Witness._make(None if k is None else decode(k) for k in violation)
-        for violation in kept
-    ]
-    return CheckResult(name, len(violations) + uncollected, witnesses)
+    value = dict(enumerate(config.values() if kept else ())).get  # value(None) is None
+    return CheckResult(name, len(violations) + uncollected,
+                       [Witness._make(map(value, violation)) for violation in kept])
 
 
 def _screen(name, config, differing, max_witnesses, walks_z=False, total=None):
@@ -244,14 +239,12 @@ def check_axiom(
                     xor = int.from_bytes(lhs, "big") ^ int.from_bytes(rhs, "big")
                     xor = xor.to_bytes(cells, "big")
                     counts[z] = cells - xor.count(0)
-                    if found is not None and len(found) + counts[z] <= max_witnesses:
+                    if sum(counts.values()) <= max_witnesses:
                         found += [(*divmod(c, size), z, lhs[c], rhs[c])
                                   for c in map(re.Match.start, re.finditer(rb"[^\0]", xor))]
-                    else:
-                        found = None
-            if found is not None:
-                return _collect(axiom.value, config, sorted(found), max_witnesses)
             zs, total = [*counts], sum(counts.values())
+            if total <= max_witnesses:
+                return _collect(axiom.value, config, sorted(found), max_witnesses)
         # the y column of (x, z): imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]]
         differing = ((x, z, lhs, rhs) for x in carrier for imp_x, inner_x in [(imp[x], inner[x])]
                      for z in zs for lhs in [compose(inner_x, column_maps[z])]

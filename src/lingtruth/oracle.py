@@ -38,6 +38,9 @@ compares three things against the oracle:
 Both checks compare whole rows with one equality each, in C, and walk a
 row pair by pair only when it differs (`verify_lattice` only when the row
 lacks a bound), so the reports list their entries in row-major pair order.
+On byte rows whose joins all equal the oracle's, `cross_check_ops` reads
+the order and the top cells of ``implies`` as flat marks, so it visits
+only the rows where those marks or the meets differ.
 """
 
 from __future__ import annotations
