@@ -37,11 +37,12 @@ rows and a list on tuple rows.  `lingtruth.formula` states which
 operation each connective runs, for this walk and for ``evaluate``.  It
 never calls ``mp_direct``, ``mt_direct`` or the kernel (the tests check it
 against them); the axiom checks reuse the same rows.
-The closed and branch columns read the case tables that ``mp_closed`` and
-``mt_closed`` read, held as data: within a row half each case covers a few
-runs of the column, each filled as one slice or repeat, so a table takes
-O(N · cases) steps in Python, into compact columns (``InferenceTable``).
-Neither value column is derived from the other, so a row's ``agree``
+The closed and branch columns read the MP lines that ``mp_closed`` reads,
+held as data, into compact columns (``InferenceTable``).  MP's are filled
+by chambers, row ranges in which every run end is affine in the row grade,
+O(chambers · cases) steps in Python (``_half_rows``); MT's are MP's
+transposed by I3.  The direct column folds each rule's own schema, so
+neither value column is derived from the other, and a row's ``agree``
 compares two independent computations; they must agree everywhere, and the
 test suite checks this exhaustively for every verified algebra size.  An
 ``InferenceRow`` is built only when a row is indexed or iterated; the CLI
@@ -173,6 +174,7 @@ _CASES = dict.fromkeys((table, case, mt) for table, _, _, case, mt in _LINES)
 _BRANCHES = (*(BranchLabel(table, case) for table, case, _ in _CASES),
              *(BranchLabel(*mt.split(":", 1)) for *_, mt in _CASES))
 _MT = len(_CASES)  # MT code = code of the MP case on (!Q, !P) + _MT
+_TO_MT = bytes(range(_MT, 256)) + bytes(range(_MT))  # code c -> c + _MT, as a translate table
 
 
 _RELATIONS = {"<=": operator.le, ">=": operator.le, "==": operator.eq, "!=": operator.ne}
@@ -191,18 +193,16 @@ def _form(text, less, names):
 
 @functools.cache
 def _case_tables():
-    """(rule, kind, e(P) is true, e(Q) is true) -> [(guard terms, value form, code)],
-    parsed on first use.  MT is MP on (!Q, !P), grade of Q first, with MT codes."""
+    """(kind, e(P) is true, e(Q) is true) -> [(guard terms, value form, code)],
+    the MP lines, parsed on first use."""
     entries = {}
     for table, guard, value, case, _ in _LINES:
-        mp = _BRANCHES.index((table, case))  # the MP label comes first
         kind, names = (LIA, "ijn") if table[0] == "3" else (QLIA, "klni")
         p_true, q_true = table[2] in "13", table[2] in "14"  # x.1 true, true ... x.4 false, true
         terms = [(_form(*((rhs, lhs) if rel == ">=" else (lhs, rhs)), names), _RELATIONS[rel])
                  for lhs, rel, rhs in re.findall(r"([^,<>=!]+)([<>=!]=)([^,]+)", guard)]
-        for key, code in (((RuleId.MP, kind, p_true, q_true), mp),
-                          ((RuleId.MT, kind, not q_true, not p_true), mp + _MT)):
-            entries.setdefault(key, []).append((terms, _form(value, "", names), code))
+        entries.setdefault((kind, p_true, q_true), []).append(
+            (terms, _form(value, "", names), _BRANCHES.index((table, case))))
     return entries
 
 
@@ -220,10 +220,11 @@ def _closed(config, rule, p, q) -> tuple[LinguisticValue, BranchLabel]:
     """The closed-form value of ``rule`` at (p, q) and the branch that fired."""
     require(config, AlgebraConfig).validate_value(p)
     config.validate_value(q)
-    cases = _case_tables()[rule, config.kind, p.is_true, q.is_true]
-    u, w = (p.grade, q.grade) if rule is RuleId.MP else (q.grade, p.grade)
-    grade, code = _case(cases, u, w, config.n, config.noncomparable or 0)
-    return LinguisticValue.true(grade), _BRANCHES[code]
+    mt = rule is RuleId.MT  # MT is MP on (!Q, !P), and negation keeps the grades
+    u, w = (q, p) if mt else (p, q)
+    grade, code = _case(_case_tables()[config.kind, u.is_true != mt, w.is_true != mt],
+                        u.grade, w.grade, config.n, config.noncomparable or 0)
+    return LinguisticValue.true(grade), _BRANCHES[code + mt * _MT]
 
 
 def mp_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
@@ -234,61 +235,106 @@ def mt_closed(config, p, q) -> tuple[LinguisticValue, BranchLabel]:
     return _closed(config, RuleId.MT, p, q)
 
 
-def _mask(a, b, relation):
-    """The t >= 0 with a·t + b ``relation`` 0 as a bit set, negative if unbounded."""
-    if a == 0:
-        return -1 if relation(b, 0) else 0
-    if relation is operator.le:  # t <= -b/a, or t >= -b/a for a < 0
-        return (1 << max(-b // a + 1, 0)) - 1 if a > 0 else -1 << max(-(b // a), 0)
-    point = 1 << -b // a if b % a == 0 and -b // a >= 0 else 0
-    return point if relation is operator.eq else ~point
+def _half_rows(cases, ramp, n, nc, p_true, q_true):
+    """The closed and the branch pieces of each row of one row half, a tuple
+    per row.  Row t holds P's grade t (n - t if false), column c Q's grade c
+    (n - c), so a guard term is a·c + g·t + h against 0, a = 0 or ±1 on MP
+    lines.  A term with a column flips at cuts, columns σ·t + κ where a
+    segment starts; one without, at a break, a row next to its root.  A
+    chamber is a range of rows without a break whose inner cuts keep their
+    order: it ends where neighbouring cuts (or a cut and an edge) meet or
+    cross, or where a cut comes in.  Its cases are read at its first row;
+    each run end is a cut, affine in t, so each run is one slice of the ramp
+    (or a repeated index) and one repeated code a row, made by C ``map``s."""
+    def bind(form):  # (coefficient of c, of t, the rest)
+        fu, fw, fn, fi, f1 = form
+        return (fw if q_true else -fw, fu if p_true else -fu,
+                fn * n + fi * nc + f1 + (0 if p_true else fu * n) + (0 if q_true else fw * n))
+
+    lines, cuts, breaks = [], set(), {n + 1}
+    for terms, value, code in cases:
+        bound = [(*bind(form), relation) for form, relation in terms]
+        for a, g, h, relation in bound:
+            if not a:
+                breaks.update((-h // g, -h // g + 1) if g else ())
+            elif relation is operator.le:  # c <= -(g·t + h), or c >= g·t + h for a = -1
+                cuts.add((-g, 1 - h) if a > 0 else (g, h))
+            else:  # the point c = -a·(g·t + h), and the column after it
+                cuts.update(((-a * g, -a * h), (-a * g, 1 - a * h)))
+        a, g, h = bind(value)
+        lines.append((bound, (a, g, h + n + 1), bytes((code,))))
+    breaks = sorted(t for t in breaks if 0 < t <= n + 1)
+    count, repeat, chambers, t = itertools.count, itertools.repeat, [], 0
+    while t <= n:
+        end, points = next(b for b in breaks if b > t), [(0, 0), (n + 1, 0)]
+        for slope, start in cuts:
+            x = slope * t + start
+            if 0 < x <= n or x == (0 if slope > 0 else n + 1) and slope:  # in, or leaving an edge
+                points.append((x, slope))
+            elif slope and (x > 0) == (slope < 0):  # outside, coming in
+                end = min(end, t + (x - n - 1 if x > 0 else -x) // abs(slope) + 1)
+        points.sort()  # cuts tied at row t part at t + 1 in this order
+        for (x, s), (y, r) in zip(points, points[1:]):
+            if s > r:  # they meet (an empty segment, still affine) at the last row, or cross
+                end = min(end, t + (y - x) // (s - r) + 1)
+        runs, m = [], end - t
+        for (lo, dlo), (hi, dhi) in zip(points, points[1:]):
+            at, c = (t, lo) if hi > lo else (t + 1, lo + dlo)  # a tied segment opens at t + 1
+            if at == end:
+                continue
+            for line in lines:
+                for a, g, h, relation in line[0]:
+                    if not relation(a * c + g * at + h, 0):
+                        break
+                else:
+                    break
+            if runs and runs[-1][0] is line:
+                runs[-1][3:] = hi, dhi
+            else:
+                runs.append([line, lo, dlo, hi, dhi])
+        chambers.append((t, m, runs))
+        t = end
+
+    def pieces(chamber):  # the closed pieces of each row of one chamber
+        t, m, runs = chamber
+        cells = []
+        for (_, (a, g, h), _), lo, dlo, hi, dhi in runs:
+            b = g * t + h  # index a·c + b at column c
+            if a:
+                starts, stops = count(a * lo + b, a * dlo + g), count(a * hi + b, a * dhi + g)
+            else:  # one index, repeated
+                starts, stops = count(b, g), count(b + 1, g)
+            run = map(ramp.__getitem__, map(slice, starts, stops, repeat(a or 1, m)))
+            cells.append(run if a else map(operator.mul, run, count(hi - lo, dhi - dlo)))
+        return zip(*cells)
+
+    def codes(chamber):
+        t, m, runs = chamber
+        return zip(*[map(operator.mul, repeat(code, m), count(hi - lo, dhi - dlo))
+                     for (_, _, code), lo, dlo, hi, dhi in runs])
+
+    # each chamber's maps are made when the join reaches it: made all at once
+    # they held over a thousand tracked objects, a garbage collection a table
+    flat = itertools.chain.from_iterable
+    return flat(map(pieces, chambers)), flat(map(codes, chambers))
 
 
-def _closed_columns(config: AlgebraConfig, rule: RuleId) -> tuple[bytearray | list, bytearray]:
-    """Carrier index of the closed-form value and branch code of every row,
-    in carrier order.  A row half fixes the row grade, so a guard holds on an
-    interval of the column position c with at most one hole or point, kept
-    as a bit set.  A case fires on its guard's bits less those of the cases
-    before it; each run of them is one slice of a ramp of carrier indices
-    (or one repeated index, ``ramp[b:b + 1] * k``) and one repeated code.
-    The codes are below 256, so ``branch`` is a ``bytearray``; so is
-    ``closed`` while ``config.tables`` holds ``bytes`` rows, and a list
-    otherwise."""
-    n, s, nc = config.n, config.n + 1, config.noncomparable or 0
-    t, g = (1, 0) if rule is RuleId.MP else (0, 1)  # argument positions: column, row grade
-
-    def bind(form, rising, lift=0):  # (coefficient of c, of the row grade, the rest)
-        a, rest = form[t], form[2] * n + form[3] * nc + form[4] + lift
-        return (a, form[g], rest) if rising else (-a, form[g], rest + a * n)
-
+def _closed_columns(config: AlgebraConfig) -> tuple[bytearray | list, bytearray]:
+    """Carrier index of the MP closed-form value and branch code of every
+    row, in carrier order, filled by chambers.  The codes are below 256, so
+    ``branch`` is a ``bytearray``; so is ``closed`` while ``config.tables``
+    holds ``bytes`` rows, and a list otherwise."""
+    n, nc, flat = config.n, config.noncomparable or 0, itertools.chain.from_iterable
     seq = type(config.tables.negate)  # bytes while every carrier index fits in one
-    ramp = seq(range(2 * s))
-    closed, branch = bytearray() if seq is bytes else [], bytearray()
+    ramp = seq(range(2 * n + 2))
     # carrier order: false grades n down to 0, then true grades 0 up to n, for
-    # e(P) and, within a row, for e(Q), whose grade at column c is c or n - c
-    for p_true, p_grades in ((False, range(n, -1, -1)), (True, range(s))):
-        halves = [[([(*bind(form, q_true), relation) for form, relation in terms],
-                    bind(value, q_true, s), bytes((code,)))
-                   for terms, value, code in _case_tables()[rule, config.kind, p_true, q_true]]
-                  for q_true in (False, True)]
-        for row in p_grades:
-            for cases in halves:
-                free, runs = (2 << n) - 1, []
-                for terms, (a, ga, b), code in cases:
-                    bits = free
-                    for ta, tg, tb, relation in terms:
-                        bits &= _mask(ta, tg * row + tb, relation)
-                    free ^= bits
-                    while bits:  # the lowest run lo..hi: index a·c + b at each c in it
-                        lo = (bits & -bits).bit_length() - 1
-                        high = (bits + (1 << lo)) & ~bits  # bit hi + 1
-                        bits &= -high
-                        runs.append((lo, high.bit_length() - 2, a, ga * row + b, code))
-                for lo, hi, a, b, code in sorted(runs):
-                    k = hi - lo + 1
-                    closed += ramp[a * lo + b:a * hi + a + b:a] if a else ramp[b:b + 1] * k
-                    branch += code * k
-    return closed, branch
+    # e(P) and, within a row, for e(Q); a row is its false half's pieces, then
+    # its true half's
+    halves = [_half_rows(_case_tables()[config.kind, p_true, q_true], ramp, n, nc, p_true, q_true)
+              for p_true in (False, True) for q_true in (False, True)]
+    closed, branch = [flat(flat(flat([zip(halves[k][j], halves[k + 1][j]) for k in (0, 2)])))
+                      for j in (0, 1)]
+    return bytearray().join(closed) if seq is bytes else [*flat(closed)], bytearray().join(branch)
 
 
 class InferenceTable(Sequence):
@@ -298,10 +344,10 @@ class InferenceTable(Sequence):
     len(values)], in carrier order.  ``direct[k]`` is the carrier index of
     the schema's value; ``closed[k]``, of the closed-form value, and
     ``branch[k]``, the index in ``labels`` of the case that fired (MP case c
-    at c, its MT renaming at c + 33), are filled by runs from the case
-    tables.  The columns are held compactly: up to 256 carrier elements all
-    three are ``bytearray``s; above that ``direct`` and ``closed`` are lists
-    and ``branch`` stays a ``bytearray`` (every code is below 66).  Indexing
+    at c, its MT renaming at c + 33), are filled from the case tables.  The
+    columns are held compactly: up to 256 carrier elements all three are
+    ``bytearray``s; above that ``direct`` and ``closed`` are lists and
+    ``branch`` stays a ``bytearray`` (every code is below 66).  Indexing
     and iteration build each ``InferenceRow`` on demand.  Its length is its
     row count, so it is not a tuple; two tables are equal only when they are
     the same object.
@@ -388,7 +434,14 @@ def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     ops = {kind: _shaped(config, kind, op) for kind, op in _operations(config.tables).items()}
     atoms = {name: (name, range(size)) for name in "PQ"}
     _, direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops)
-    return InferenceTable(config, rule, direct, *_closed_columns(config, rule))
+    closed, branch = _closed_columns(config)
+    if rule is RuleId.MT:  # MT(P, Q) = MP(!Q, !P) by I3, and !x is carrier index size - 1 - x
+        mp, codes, last = closed, branch.translate(_TO_MT), size * size - 1
+        closed, branch = mp[:], codes[:]
+        for p in range(size):  # MT's row p is MP's column !p, read from the bottom up
+            closed[p * size:p * size + size] = mp[last - p::-size]
+            branch[p * size:p * size + size] = codes[last - p::-size]
+    return InferenceTable(config, rule, direct, closed, branch)
 
 
 # ----------------------------------------------------------------------

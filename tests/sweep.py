@@ -7,6 +7,10 @@ For each config, LIA n and QLIA (n, i) for every 1 <= i < n, in that order:
   must exit 0, its whole verdict;
 * in QLIA, its I6 and I7 counts must equal the quadratic forms of
   ``test_axioms._quasi_counts``, which share no code with the checker;
+* every entry of its ``implies`` and ``negate`` rows must equal an
+  independent coding, computed a row at a time once per n (both kinds
+  share them): the four cases of ``test_lattice.paper_implies``, and
+  negation as the value of the same grade and the other polarity;
 * the MP and MT inference tables must have no row whose direct value
   differs from its closed form.
 
@@ -30,10 +34,11 @@ import sys
 import time
 
 from test_axioms import _quasi_counts
+from test_lattice import paper_implies
 
 from lingtruth import cli
 from lingtruth.inference import RuleId, inference_table
-from lingtruth.lattice import lia, qlia
+from lingtruth.lattice import LinguisticValue, Polarity, lia, qlia
 
 
 def _shard(text):
@@ -44,8 +49,34 @@ def _shard(text):
     return k, m
 
 
-def failures(config):
-    """What is wrong with one config, and its ``check`` report."""
+def reference_rows(n):
+    """(``implies`` rows, ``negate``) of chain length n as carrier indices,
+    with the carrier written out in carrier order: the false grades n down
+    to 0, then the true grades 0 up to n."""
+    values = [*(LinguisticValue(g, Polarity.F) for g in range(n, -1, -1)),
+              *(LinguisticValue(g, Polarity.T) for g in range(n + 1))]
+    index = {value: x for x, value in enumerate(values)}
+    implies = [[index[paper_implies(n, a, b)] for b in values] for a in values]
+    other = {Polarity.F: Polarity.T, Polarity.T: Polarity.F}
+    negate = [index[LinguisticValue(v.grade, other[v.polarity])] for v in values]
+    return implies, negate
+
+
+def operation_faults(config, reference):
+    """Each entry of the config's ``implies`` and ``negate`` rows that
+    differs from ``reference_rows``, at most three of each."""
+    implies, negate = reference
+    rows = config.tables
+    wrong = [f"implies[{x}][{y}] = {got}, expected {want}"
+             for x, (row, expected) in enumerate(zip(rows.implies, implies)) if [*row] != expected
+             for y, (got, want) in enumerate(zip(row, expected)) if got != want][:3]
+    return wrong + [f"negate[{x}] = {got}, expected {want}"
+                    for x, (got, want) in enumerate(zip(rows.negate, negate)) if got != want][:3]
+
+
+def failures(config, reference):
+    """What is wrong with one config, given ``reference_rows(config.n)``,
+    and its ``check`` report."""
     argv = ["check", "--n", str(config.n), "--format", "json"]
     if config.noncomparable is not None:
         argv += ["--qlia", "--noncomp", str(config.noncomparable)]
@@ -62,7 +93,7 @@ def failures(config):
     for rule in RuleId:
         if inference_table(config, rule).disagreements():
             wrong.append(f"{rule.value} direct and closed values differ")
-    return wrong, report
+    return wrong + operation_faults(config, reference), report
 
 
 def main(argv=None):
@@ -74,11 +105,12 @@ def main(argv=None):
     k, m = args.shard
     digest, places, reports, failed = hashlib.sha256(), itertools.count(), 0, 0
     for n in range(args.low, args.high + 1):
-        start, configs, bad = time.perf_counter(), 0, 0
+        start, configs, bad, reference = time.perf_counter(), 0, 0, None
         for config in [lia(n), *(qlia(n, i) for i in range(1, n))]:
             if next(places) % m != k:
                 continue
-            wrong, report = failures(config)
+            reference = reference or reference_rows(n)
+            wrong, report = failures(config, reference)
             digest.update(report.encode())
             configs += 1
             if wrong:

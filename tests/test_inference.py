@@ -408,7 +408,7 @@ CONFIGS_UP_TO_32 = [c for n in range(33) for c in [lia(n)] + [qlia(n, i) for i i
 
 class TestCaseTableReference:
     """The case tables, read cell by cell by the scalar reader and filled by
-    intervals into the table columns, equal the reference."""
+    chambers into the table columns, equal the reference."""
 
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
     def test_every_cell_up_to_n32(self, rule):
@@ -423,11 +423,13 @@ class TestCaseTableReference:
             for p_true, p_grades in halves:
                 for i in p_grades:
                     for q_true, q_grades in halves:
-                        cases = _case_tables()[rule, config.kind, p_true, q_true]
                         if rule is RuleId.MP:
+                            cases = _case_tables()[config.kind, p_true, q_true]
                             read += [_case(cases, i, j, n, nc) for j in q_grades]
-                        else:  # MP on (!Q, !P), the grade of Q first
-                            read += [_case(cases, j, i, n, nc) for j in q_grades]
+                        else:  # the MP lines on (!Q, !P), the grade of Q first; MT codes 33 on
+                            cases = _case_tables()[config.kind, not q_true, not p_true]
+                            read += [(grade, code + 33) for grade, code in
+                                     (_case(cases, j, i, n, nc) for j in q_grades)]
             assert [(grade, LABEL_NAMES[code]) for grade, code in read] == expected, str(config)
 
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
@@ -459,7 +461,7 @@ class TestCaseTableReference:
     @pytest.mark.parametrize("config", [lia(40), qlia(40, 13)], ids=["lia40", "qlia40-13"])
     @pytest.mark.parametrize("rule", [RuleId.MP, RuleId.MT])
     def test_fill_makes_no_call_per_cell(self, config, rule, monkeypatch):
-        """The columns are filled by intervals: a table builds, and equals
+        """The columns are filled by chambers: a table builds, and equals
         the reference, with the scalar reader made to raise."""
         def refuse(*args):
             raise AssertionError("the closed columns read a cell through the scalar reader")
@@ -467,6 +469,39 @@ class TestCaseTableReference:
         monkeypatch.setattr(inference, "_case", refuse)
         monkeypatch.setattr(inference, "_closed", refuse)
         assert filled(inference_table(config, rule)) == reference_table(config, rule)
+
+
+def scalar_columns(config):
+    """The MP grade and branch code of every row, in carrier order, read
+    cell by cell by the scalar reader's core ``_case``."""
+    n, nc, halves = config.n, config.noncomparable or 0, carrier_halves(config.n)
+    return [_case(_case_tables()[config.kind, p_true, q_true], i, j, n, nc)
+            for p_true, p_grades in halves for i in p_grades
+            for q_true, q_grades in halves for j in q_grades]
+
+
+# the benchmark's sizes, both sides of the byte limit (256 elements at
+# n = 127, 258 at n = 128) and one size well past it; LIA and QLIA with the
+# patch at both ends and in the middle
+COLUMN_SIZE_CONFIGS = [c for n in (48, 72, 96, 127, 128)
+                       for c in (lia(n), qlia(n, 1), qlia(n, n // 2), qlia(n, n - 1))] \
+    + [qlia(200, 100)]
+
+
+@pytest.mark.parametrize("config", COLUMN_SIZE_CONFIGS, ids=lambda c: f"{c.kind.lower()}{c.n}"
+                         + ("" if c.noncomparable is None else f"-{c.noncomparable}"))
+def test_whole_columns_equal_the_scalar_reader(config):
+    """Both rules' closed and branch columns, every row, against ``_case``:
+    MP at (p, q), and MT as ``mt_closed`` reads it, the MP line at (!q, !p)
+    (carrier index x negated to size - 1 - x) with its code moved past the
+    33 MP codes."""
+    mp, size, s = scalar_columns(config), 2 * config.n + 2, config.n + 1
+    last = size - 1
+    mt = [(grade, code + 33) for k in range(size * size)
+          for grade, code in [mp[(last - k % size) * size + last - k // size]]]
+    for rule, expected in ((RuleId.MP, mp), (RuleId.MT, mt)):
+        table = inference_table(config, rule)
+        assert [*zip([c - s for c in table.closed], table.branch)] == expected, rule
 
 
 class TestBoundaryTraps:
