@@ -3,21 +3,22 @@
 All checks enumerate the whole carrier (pairs or triples as the axiom
 demands) in the deterministic order of ``AlgebraConfig.values()``, so two
 runs over the same algebra produce identical reports, including the order
-of counterexamples.  They read the config's operation rows
-(``AlgebraConfig.tables``, the rows `lingtruth.inference` folds), built
-once per config from the carrier index and certified pair by pair by
-`lingtruth.oracle`, so every operation is a row lookup on carrier indices;
-the carrier size N comes from the rows, top is index N - 1 and x <= y is
-x v y = y.  Row lookups are hoisted out of the inner loop, and only the
-violations kept as witnesses are read, as ``LinguisticValue``s, off the
-carrier's values.  Witness lists in reports are capped (10 by default) but
-the total violation count is always exact; pass ``max_witnesses=None`` to
-keep every witness.  A bad cap or axiom raises ``DomainError`` first.
+of counterexamples.  They read one holder of the algebra's rows, maps and
+names: a config's (``AlgebraConfig.tables``, which `lingtruth.inference`
+folds, built once per config from the carrier index and certified pair by
+pair by `lingtruth.oracle`), or one passed in place of the config, for an
+algebra that no config builds.  Every operation is a row lookup on carrier
+indices; the carrier size N comes from the rows, top is index N - 1 and
+x <= y is x v y = y.  Row lookups are hoisted out of the inner loop, and
+only the violations kept as witnesses are read, off the holder's values.
+Witness lists in reports are capped (10 by default) but the total
+violation count is always exact; pass ``max_witnesses=None`` to keep every
+witness.  A bad cap or axiom raises ``DomainError`` first.
 
 Every equation check but I2, I4, idempotence and the involution compares
-whole rows: ``lattice._rows`` holds a table's columns and maps so that
-composing two rows is one call in C, whatever type ``tables`` built them
-in, and ``lattice._held`` keeps what it holds once per config and table.
+whole rows: the holder's ``held`` builds a table's columns and maps, once
+per holder and table, so that composing two rows is one call in C,
+whatever type ``tables`` built them in.
 Each such check states its two sides as a filtered generator that yields
 only the rows whose sides differ, and hands it to ``_screen``, the one
 place that walks them: associativity compares the z row of a pair (x, y),
@@ -69,8 +70,8 @@ import re
 from collections import namedtuple
 
 from .errors import DomainError, require
-from .lattice import (AlgebraConfig, LinguisticValue, _columns, _equal_to, _held,
-                      _order_marks, canonical)
+from .lattice import (AlgebraConfig, LinguisticValue, _columns, _equal_to, _order_marks, _Rows,
+                      canonical)
 
 
 class Axiom(enum.Enum):
@@ -122,18 +123,18 @@ class CheckResult(namedtuple("CheckResult", "name total_violations witnesses")):
         }
 
 
-def _collect(name, config, violations, max_witnesses, uncollected=0):
+def _collect(name, rows, violations, max_witnesses, uncollected=0):
     """Report ``violations``, tuples (x, y, z, lhs, rhs) of carrier indices
     with y and z None where the check does not use them, and ``uncollected``
     more counted past the cap.  The count is exact; only the kept
-    violations are read, off the carrier's values, as witnesses."""
+    violations are read, off the holder's values, as witnesses."""
     kept = violations if max_witnesses is None else violations[:max_witnesses]
-    value = dict(enumerate(config.values() if kept else ())).get  # value(None) is None
+    value = dict(enumerate(rows.values if kept else ())).get  # value(None) is None
     return CheckResult(name, len(violations) + uncollected,
                        [Witness._make(map(value, violation)) for violation in kept])
 
 
-def _screen(name, config, differing, max_witnesses, walks_z=False, total=None):
+def _screen(name, rows, differing, max_witnesses, walks_z=False, total=None):
     """Report the rows ``differing`` yields, (x, r, lhs, rhs) with x
     ascending, each a row or column whose two sides differ.  Cell c of a
     row where they differ is the violation (x, r, c) if ``walks_z``, else
@@ -159,7 +160,7 @@ def _screen(name, config, differing, max_witnesses, walks_z=False, total=None):
     bad += sorted(found)
     if total is not None:
         uncollected = total - len(bad)
-    return _collect(name, config, bad, max_witnesses, uncollected)
+    return _collect(name, rows, bad, max_witnesses, uncollected)
 
 
 def _marked_rows(size, mask):
@@ -170,10 +171,11 @@ def _marked_rows(size, mask):
 
 
 def _tables(config, max_witnesses):
-    """``config.tables``, once the cap is None or exactly an int >= 0 (as for a grade)."""
+    """The holder ``config.tables``, or ``config`` if it is a holder, once
+    the cap is None or exactly an int >= 0 (as for a grade)."""
     if max_witnesses is not None and (type(max_witnesses) is not int or max_witnesses < 0):
         raise DomainError(f"max_witnesses must be an int >= 0 or None, got {max_witnesses!r}")
-    return require(config, AlgebraConfig).tables
+    return config if isinstance(config, _Rows) else require(config, AlgebraConfig).tables
 
 
 def check_axiom(
@@ -181,24 +183,24 @@ def check_axiom(
 ) -> CheckResult:
     if not isinstance(axiom, Axiom):
         raise DomainError(f"not an axiom: {axiom!r}")
-    neg, join, meet, imp = _tables(config, max_witnesses)
+    neg, join, meet, imp, _ = rows = _tables(config, max_witnesses)
     size = len(neg)
     carrier, top = range(size), size - 1  # top is the last carrier index
     if axiom is Axiom.I2:
         bad = [(x, None, None, imp[x][x], top) for x in carrier if imp[x][x] != top]
-        return _collect(axiom.value, config, bad, max_witnesses)
+        return _collect(axiom.value, rows, bad, max_witnesses)
     if axiom is Axiom.I4:
         xs = carrier
         if type(imp[0]) is bytes:  # the x with a top off the diagonal in imp and its transpose
             tops = [int.from_bytes(b"".join(t).translate(_equal_to(top)), "big")
-                    for t in (imp, _held(config, imp).columns)]
+                    for t in (imp, rows.held(imp).columns)]
             diagonal = int.from_bytes((b"\1" + bytes(size)) * top + b"\1", "big")
             xs = _marked_rows(size, tops[0] & tops[1] & ~diagonal)
         bad = [(x, y, None, imp_x[y], imp[y][x]) for x in xs for imp_x in [imp[x]] for y in carrier
                if x != y and imp_x[y] == top and imp[y][x] == top]
-        return _collect(axiom.value, config, bad, max_witnesses)
+        return _collect(axiom.value, rows, bad, max_witnesses)
 
-    maps, columns, column_maps, compose = _held(config, imp)  # columns[z][w] is imp[w][z]
+    maps, columns, column_maps, compose = rows.held(imp)  # columns[z][w] is imp[w][z]
     sliced, total = type(imp[0]) is bytes, None  # byte rows compare whole slices first
     if axiom is Axiom.I1:
         xs = carrier
@@ -222,7 +224,7 @@ def check_axiom(
                      if twice_columns[x] != twice[x])
     else:  # I6: (x v y) -> z = (x -> z) ^ (y -> z); I7 swaps v and ^
         inner, outer = (join, meet) if axiom is Axiom.I6 else (meet, join)
-        outer_maps = _held(config, outer).maps
+        outer_maps = rows.held(outer).maps
         zs = carrier
         if sliced and max_witnesses is not None:
             # counted first, so that the walk can stop at the cap (uncapped, it
@@ -244,12 +246,12 @@ def check_axiom(
                                   for c in map(re.Match.start, re.finditer(rb"[^\0]", xor))]
             zs, total = [*counts], sum(counts.values())
             if total <= max_witnesses:
-                return _collect(axiom.value, config, sorted(found), max_witnesses)
+                return _collect(axiom.value, rows, sorted(found), max_witnesses)
         # the y column of (x, z): imp[inner[x][y]][z] against outer[imp[x][z]][imp[y][z]]
         differing = ((x, z, lhs, rhs) for x in carrier for imp_x, inner_x in [(imp[x], inner[x])]
                      for z in zs for lhs in [compose(inner_x, column_maps[z])]
                      for rhs in [compose(columns[z], outer_maps[imp_x[z]])] if lhs != rhs)
-    return _screen(axiom.value, config, differing, max_witnesses, total=total)
+    return _screen(axiom.value, rows, differing, max_witnesses, total=total)
 
 
 def check_all_axioms(
@@ -262,22 +264,22 @@ def check_lattice_laws(
     config: AlgebraConfig, max_witnesses: int | None = 10
 ) -> list[CheckResult]:
     """Idempotence, commutativity, associativity and absorption for v and ^."""
-    _, join, meet, _ = _tables(config, max_witnesses)
+    _, join, meet, _, _ = rows = _tables(config, max_witnesses)
     size = len(join)
     carrier = range(size)
     results = []
 
     for name, op in (("join", join), ("meet", meet)):
         bad = [(x, None, None, op[x][x], x) for x in carrier if op[x][x] != x]
-        results.append(_collect(f"{name}-idempotent", config, bad, max_witnesses))
+        results.append(_collect(f"{name}-idempotent", rows, bad, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
-        columns = _held(config, op).columns  # the y row of x: op[x] against column x
+        columns = rows.held(op).columns  # the y row of x: op[x] against column x
         differing = ((x, None, op[x], columns[x]) for x in carrier if op[x] != columns[x])
-        results.append(_screen(f"{name}-commutative", config, differing, max_witnesses))
+        results.append(_screen(f"{name}-commutative", rows, differing, max_witnesses))
 
     for name, op in (("join", join), ("meet", meet)):
-        maps, _, _, compose = _held(config, op)
+        maps, _, _, compose = rows.held(op)
         xs = carrier
         if type(op[0]) is bytes:  # the y-major slice of x: row y is the z row of (x, y) below
             flat = b"".join(op)
@@ -285,22 +287,22 @@ def check_lattice_laws(
         # the z row of (x, y): op[op[x][y]] against op[x] after op[y]
         differing = ((x, y, lhs, rhs) for x in xs for op_x in [op[x]] for y in carrier
                      for lhs in [op[op_x[y]]] for rhs in [compose(op[y], maps[x])] if lhs != rhs)
-        results.append(_screen(f"{name}-associative", config, differing, max_witnesses,
+        results.append(_screen(f"{name}-associative", rows, differing, max_witnesses,
                                walks_z=True))
 
     for name, outer, inner in (("join", join, meet), ("meet", meet, join)):
-        maps, _, _, compose = _held(config, outer)
+        maps, _, _, compose = rows.held(outer)
         # the y row of x: outer[x] after inner[x] against x
         differing = ((x, None, lhs, type(lhs)((x,)) * size) for x in carrier
                      for lhs in [compose(inner[x], maps[x])] if lhs.count(x) != size)
-        results.append(_screen(f"{name}-absorption", config, differing, max_witnesses))
+        results.append(_screen(f"{name}-absorption", rows, differing, max_witnesses))
 
     return results
 
 
 def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> CheckResult:
     """Negation is an involution and reverses the order."""
-    neg, join, _, _ = _tables(config, max_witnesses)
+    neg, join, _, _, _ = rows = _tables(config, max_witnesses)
     size = len(neg)
     carrier = xs = range(size)
     bad = [(x, None, None, neg[neg[x]], x) for x in carrier if neg[neg[x]] != x]
@@ -311,7 +313,7 @@ def check_involution(config: AlgebraConfig, max_witnesses: int | None = 10) -> C
         xs = _marked_rows(size, int.from_bytes(leq, "big") & ~int.from_bytes(reversed_leq, "big"))
     bad += [(x, y, None, neg[y], neg[x]) for x in xs for y in carrier  # x <= y is x v y = y
             if join[x][y] == y and join[neg[y]][neg[x]] != neg[x]]
-    return _collect("involution", config, bad, max_witnesses)
+    return _collect("involution", rows, bad, max_witnesses)
 
 
 def classify(results: dict[Axiom, CheckResult]) -> Classification:

@@ -30,10 +30,11 @@ tree over the config's operation rows (``AlgebraConfig.tables``), each node a
 vector over e(P) or e(Q) or the matrix of all rows; per entry of a vector
 operand a connective maps one row or column of its operation over a block
 or a strided column, O(N) steps in Python per table, each one
-``compose`` of ``lattice._rows`` (as for the axiom screens), held once per
-config.  The column types follow the rows' type, which ``tables`` picks:
-the direct column is the ``bytearray`` the fold writes into on ``bytes``
-rows and a list on tuple rows.  `lingtruth.formula` states which
+``compose`` of the maps that the rows' holder keeps once per config (as
+for the axiom screens); the holder's values name the table's rows.  The
+column types follow the rows' type, which ``tables`` picks: the direct
+column is the ``bytearray`` the fold writes into on ``bytes`` rows and a
+list on tuple rows.  `lingtruth.formula` states which
 operation each connective runs, for this walk and for ``evaluate``.  It
 never calls ``mp_direct``, ``mt_direct`` or the kernel (the tests check it
 against them); the axiom checks reuse the same rows.
@@ -62,7 +63,7 @@ from collections.abc import Sequence
 
 from .errors import DomainError, require
 from .formula import Not, Valuation, _fold, _operations, evaluate, parse
-from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, _held, canonical, lia, qlia
+from .lattice import LIA, QLIA, AlgebraConfig, LinguisticValue, canonical, lia, qlia
 
 MP_SCHEMA = parse("(P & (P -> Q)) -> Q")
 MT_SCHEMA = parse("(!Q & (P -> Q)) -> !P")
@@ -363,7 +364,7 @@ class InferenceTable(Sequence):
 
     @property
     def values(self) -> tuple[LinguisticValue, ...]:
-        return self.config.values()
+        return self.config.tables.values
 
     def __len__(self) -> int:
         return len(self.direct)
@@ -389,15 +390,15 @@ class InferenceTable(Sequence):
         return list(itertools.compress(range(len(self)), unequal))
 
 
-def _shaped(config: AlgebraConfig, kind, op):
-    """``kind``'s operation (``op``: a negation vector or a table of
-    ``config.tables``) on operands (axis, entries): a vector over e(P) or
-    e(Q) (axis "P", "Q") or the matrix of all rows, entry p·size + q (axis
-    None).
+def _shaped(rows, kind, op):
+    """``kind``'s operation (``op``: a negation vector or a table of the
+    holder ``rows``, ``AlgebraConfig.tables``) on operands (axis, entries):
+    a vector over e(P) or e(Q) (axis "P", "Q") or the matrix of all rows,
+    entry p·size + q (axis None).
 
     A binary operation maps the cells of each entry of its vector operand
-    through one row or column of ``op``, one ``compose`` of ``lattice._rows``
-    each, held once per config (``lattice._held``); the matrix is a
+    through one row or column of ``op``, one ``compose`` of the maps
+    ``rows.held(op)`` keeps, once per holder; the matrix is a
     ``bytearray`` while the rows are ``bytes``, a list otherwise.  No node of
     MP or MT combines two vectors over one atom, or two matrices, so a binary
     node always yields the matrix."""
@@ -412,7 +413,7 @@ def _shaped(config: AlgebraConfig, kind, op):
         # the left) or column v (on the right)
         left = x[0] is not None
         (axis, vector), (other_axis, other) = (x, y) if left else (y, x)
-        maps, _, column_maps, compose = _held(config, op)
+        maps, _, column_maps, compose = rows.held(op)
         by = maps if left else column_maps
         row_type = type(op[0])  # cells to compose have the rows' type
         other = row_type(other)
@@ -431,7 +432,8 @@ def inference_table(config: AlgebraConfig, rule: RuleId) -> InferenceTable:
     size = 2 * require(config, AlgebraConfig).n + 2
     # the schema folded as in ``evaluate``, over shaped operands: O(size)
     # maps of whole rows or columns of the operations, not one call per cell
-    ops = {kind: _shaped(config, kind, op) for kind, op in _operations(config.tables).items()}
+    rows = config.tables
+    ops = {kind: _shaped(rows, kind, op) for kind, op in _operations(rows).items()}
     atoms = {name: (name, range(size)) for name in "PQ"}
     _, direct = _fold(MP_SCHEMA if rule is RuleId.MP else MT_SCHEMA, atoms.__getitem__, ops)
     closed, branch = _closed_columns(config)

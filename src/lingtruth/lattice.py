@@ -39,10 +39,11 @@ raising ``DomainError`` for anything but a ``LinguisticValue`` with grade in
 a valid value.  ``AlgebraConfig.tables`` codes the algebra a second time, as
 whole rows sliced from per-config chain ramps and built once per config on
 first use.  It alone picks the rows' type, ``bytes`` up to 256 carrier
-elements and tuples above; ``_rows`` holds a table for composing whole rows
-of that type, and ``_held`` keeps it once per config.
+elements and tuples above.  It returns one holder, a ``_Rows``, that
+carries the algebra: the rows, the carrier's values, decoded once, and the
+maps its ``held`` builds and keeps for composing whole rows of that type.
 `lingtruth.inference` folds the MP/MT schemas over these rows, and the
-checks in `lingtruth.axioms` and `lingtruth.oracle` read the same rows; the
+checks in `lingtruth.axioms` and `lingtruth.oracle` read the same holder; the
 oracle re-derives joins, meets and the order from the cover graph alone and
 so certifies them.  The tests compare the two codings.
 """
@@ -133,11 +134,34 @@ _CANONICAL_RE = re.compile(r"v(0|[1-9][0-9]*)([TF])\Z")  # ``\d`` also takes non
 
 
 _Kernel = namedtuple("_Kernel", "encode decode negate join meet implies")
-# the kernel's field names, so that ``formula._operations`` reads either
-_Rows = namedtuple("_Rows", "negate join meet implies")
-
-
 _RowMaps = namedtuple("_RowMaps", "maps columns column_maps compose")
+
+
+class _Rows(namedtuple("_Rows", "negate join meet implies values")):
+    """One algebra (``AlgebraConfig.tables``, or a test's that no config
+    builds): its operations as rows over carrier indices, named as in the
+    kernel so that ``formula._operations`` reads either, and ``values[x]``,
+    the element x names.  No ``__slots__``: ``held`` keeps maps in its dict."""
+
+    def held(self, table) -> _RowMaps:
+        """A square table of carrier indices (one of the holder's) held for
+        composing whole rows, built on first use and kept once per table:
+        ``columns`` are its ``_columns``, and ``compose(cells, maps[x])`` is
+        row x read at each of ``cells``, so that ``compose(table[y],
+        maps[x])[z] == table[x][table[y][z]]``; ``column_maps`` do the same
+        for the columns.  A composed row has the type of the table's rows, so
+        the two compare with ``==``.  The rows are held as they are: any but
+        ``bytes`` (the tuples ``tables`` builds above 256 carrier elements)
+        are composed by ``_gather``, each row and column its own map."""
+        if id(table) not in vars(self):  # the entry keeps ``table`` alive: no other takes its id
+            columns = _columns(table)
+            maps = table, columns, columns, _gather
+            if type(table[0]) is bytes:  # by ``bytes.translate``, maps padded to 256 bytes
+                pad = bytes(256 - len(table))
+                maps = ([row + pad for row in table], columns,
+                        [column + pad for column in columns], bytes.translate)
+            vars(self)[id(table)] = table, _RowMaps(*maps)
+        return vars(self)[id(table)][1]
 
 
 def _columns(table):
@@ -148,37 +172,6 @@ def _columns(table):
         return [*zip(*table)]
     flat, size = b"".join(table), len(table)
     return [flat[z::size] for z in range(size)]
-
-
-def _rows(table):
-    """A square table of carrier indices (one of ``AlgebraConfig.tables``)
-    held for composing whole rows: ``columns`` are its ``_columns``, and
-    ``compose(cells, maps[x])`` is row x read at each of ``cells``, so that
-    ``compose(table[y], maps[x])[z] == table[x][table[y][z]]``;
-    ``column_maps`` do the same for the columns.  A composed row has the
-    type of the table's rows, so the two compare with ``==``.  ``bytes``
-    rows are composed by ``bytes.translate``, each map one padded to a
-    256-byte translate table; any other rows (the tuples ``tables`` builds
-    above 256 carrier elements) by ``_gather``, each row and column its own
-    map.  The rows are held as they are."""
-    columns = _columns(table)
-    if type(table[0]) is not bytes:
-        return _RowMaps(table, columns, columns, _gather)
-    pad = bytes(256 - len(table))
-    return _RowMaps([row + pad for row in table], columns,
-                    [column + pad for column in columns], bytes.translate)
-
-
-def _held(config, table):
-    """``_rows(table)`` for a table of ``config.tables``, built on first use
-    and kept in the config's instance dict beside the tables, so that each
-    operation's rows are held once per config.  An entry is reused only for
-    the same table object, so a table planted in place of the built one is
-    held anew."""
-    held = vars(config).setdefault("_held", {})
-    if id(table) not in held:  # the entry keeps ``table`` alive, so its id names no other table
-        held[id(table)] = table, _rows(table)
-    return held[id(table)][1]
 
 
 def _equal_to(value):
@@ -206,8 +199,8 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     ``noncomparable`` selects the quasi kind: the index i whose pair
     (v_iF, v_(n-i)T) is non-comparable.  ``labels`` optionally names the
     hedge grades, weakest first, for display and parsing.  No ``__slots__``:
-    the kernel, the tables and what ``_held`` keeps of them are kept in the
-    instance dict.
+    the kernel and the tables' holder, which carries the rows, their maps
+    and the carrier's values, are kept in the instance dict.
     """
 
     def __new__(cls, n: int, noncomparable: int | None = None,
@@ -276,14 +269,15 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
     def tables(self) -> _Rows:
         """The operations as rows over carrier indices, built on first use and
         shared, so never mutated: ``join[x][y]`` is the index of x v y,
-        likewise ``meet`` and ``implies``, and ``negate`` is read off column 0
-        of ``implies``.  Each row, and ``negate``, is ``bytes`` while every
-        index fits in a byte (up to 256 carrier elements) and a tuple above;
-        this is the one test of that limit, and the code that reads the rows
-        follows their type.  Row x = (b, p) has halves b' = 0, 1
-        over p': max(p, p') is a plateau and a range, min(p, p') a range and
-        a plateau, min(n, n - p + p') a ramp slice, lifted by n + 1 for bit
-        1; a plateau of k entries v is ``up[v:v + 1] * k``."""
+        likewise ``meet`` and ``implies``, ``negate`` is read off column 0 of
+        ``implies`` and ``values`` is ``values()``.  Each row, and ``negate``,
+        is ``bytes`` while every index fits in a byte (up to 256 carrier
+        elements) and a tuple above; this is the one test of that limit, and
+        the code that reads the rows follows their type.  Row x = (b, p) has
+        halves b' = 0, 1 over p': max(p, p') is a plateau and a range,
+        min(p, p') a range and a plateau, min(n, n - p + p') a ramp slice,
+        lifted by n + 1 for bit 1; a plateau of k entries v is
+        ``up[v:v + 1] * k``."""
         n, s = self.n, self.n + 1
         seq = bytes if s <= 128 else tuple
         up = seq(range(2 * s))
@@ -310,7 +304,7 @@ class AlgebraConfig(namedtuple("AlgebraConfig", "n noncomparable labels")):
             meet[s + m] = meet[s + m][:m] + sunk * (s - m) + meet[s + m][s:]
             for p in range(m, s):
                 meet[p] = meet[p][:s + m] + sunk + meet[p][s + m + 1:]
-        return _Rows(seq(row[0] for row in implies), join, meet, implies)
+        return _Rows(seq(row[0] for row in implies), join, meet, implies, self.values())
 
     def _build_kernel(self) -> _Kernel:
         """The product forms of the module docstring on carrier indices."""

@@ -19,12 +19,14 @@ tables.
 
 `verify_lattice` and `cross_check_ops` both take a `CoverGraph`, so one
 ``check`` builds the graph and its tables once.  `cross_check_ops` reads
-a <= b as a v b = b off the table's joins and the oracle's alike, and
-compares three things against the oracle:
+the config's one holder of rows, maps and names (``AlgebraConfig.tables``)
+and refuses a graph that does not list the holder's values in order.  It
+reads a <= b as a v b = b off the table's joins and the oracle's alike,
+and compares three things against the oracle:
 
 * on every pair, the operation rows the axiom checker and the inference
-  tables read (``AlgebraConfig.tables``, computed from the carrier index),
-  with the order read off their join; they must always agree;
+  tables read (the holder's, computed from the carrier index), with the
+  order read off their join; they must always agree;
 * on its pairs, the one stated case rule that `lingtruth.discrepancies`
   corrects (note ``2.4-item3-scope``): rule 2.4 item 3 raises the quasi
   join of v_(n-i)T with each false grade l >= i to v_(n-(i-1))T, which the
@@ -63,7 +65,7 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
 
     def __new__(cls, config: AlgebraConfig, elements: tuple[LinguisticValue, ...],
                 covers: frozenset[tuple[LinguisticValue, LinguisticValue]]):
-        codes = [*map(require(config, AlgebraConfig)._kernel.encode, elements)]  # checks each
+        [*map(require(config, AlgebraConfig)._kernel.encode, elements)]  # checks each
         position, edges = dict(zip(elements, range(len(elements)))), []
         if len(position) != len(elements):
             raise DomainError("the elements of a cover graph must be distinct")
@@ -72,7 +74,7 @@ class CoverGraph(namedtuple("CoverGraph", "config elements covers")):
                 raise DomainError(f"cover edge {edge!r} is not a pair of the graph's elements")
             edges.append((position[edge[0]], position[edge[1]]))
         graph = tuple.__new__(cls, (config, elements, covers))
-        vars(graph).update(_edges=sorted(edges), _codes=codes)  # for the closures, cross_check_ops
+        vars(graph)["_edges"] = sorted(edges)  # for the closures
         return graph
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` validates too
@@ -242,11 +244,10 @@ def _stated_item3(config: AlgebraConfig) -> list[tuple[int, int, int]]:
 def cross_check_ops(graph: CoverGraph) -> DiscrepancyReport:
     """Exhaustively compare the join/meet/leq rows of the graph's config
     with the oracle, a <= b read as a v b = b on both sides.  The graph must
-    list the carrier in the order of ``config.values()``, so that its
-    positions are the row indices."""
+    list ``config.tables.values`` in order: its positions are row indices."""
     config = require(graph, CoverGraph).config
     tables, values = config.tables, graph.elements
-    if graph._codes != [*range(len(tables.negate))]:  # the carrier indices of the elements
+    if tuple(values) != tables.values:
         raise DomainError("cross_check_ops needs a graph over config.values(), in that order")
     report = DiscrepancyReport(config, [], [], [])
     value = dict(enumerate(values)).get  # value(None), a missing bound, is None

@@ -1,10 +1,12 @@
-"""Operation tables put in place of a config's built ones, shared by the
-tests.  Each keeps the row type that ``AlgebraConfig.tables`` builds, so
-that the code reading the rows takes the path it takes on built rows."""
+"""Operation tables put in place of a config's built ones, or held by a
+holder of their own, shared by the tests.  Each keeps the row type that
+``AlgebraConfig.tables`` builds, so that the code reading the rows takes
+the path it takes on built rows."""
 
+import itertools
 import math
 
-from lingtruth.lattice import AlgebraConfig, lia, qlia
+from lingtruth.lattice import AlgebraConfig, _Rows, lia, qlia
 
 # configs on both sides of the byte limit, each with the row type ``tables``
 # builds for it: 256 elements at n = 127, 258 at n = 128
@@ -26,8 +28,8 @@ def wide_rows(config):
     carrier elements: the axiom screens compose them with ``itemgetter``,
     and the inference value columns are lists, at any size."""
     wide, tables = AlgebraConfig(*config), config.tables
-    vars(wide)["tables"] = tables._make(
-        [tuple(tables.negate), *([*map(tuple, table)] for table in tables[1:])])
+    vars(wide)["tables"] = tables._replace(negate=tuple(tables.negate), **{
+        name: [*map(tuple, getattr(tables, name))] for name in ("join", "meet", "implies")})
     return wide
 
 
@@ -56,18 +58,15 @@ def _product_rows(sizes, op):
 
 
 def chain_product(sizes, implication):
-    """A fresh config of the size of the product of the chains of ``sizes``
-    (which must be even), whose tables are the product's: join and meet the
-    componentwise max and min, ``implies`` ``implication(m, x, y)`` in each
-    factor and ``negate`` the Łukasiewicz negation.  Elements are indexed as
-    in ``_product_rows``, so the bottom is 0 and the top the last index, as
-    ``axioms`` assumes, and the rows have the type ``tables`` builds for that
-    size."""
-    config = lia(math.prod(sizes) // 2 - 1)  # a fresh instance
-    built = config.tables
-    seq = type(built.negate)
+    """The holder of the product of the chains of ``sizes``: join and meet
+    the componentwise max and min, ``implies`` ``implication(m, x, y)`` in
+    each factor and ``negate`` the Łukasiewicz negation.  Elements are
+    indexed as in ``_product_rows``, so the bottom is 0 and the top the last
+    index, as ``axioms`` assumes, and each is named by its coordinates, the
+    tuple of its grades in the factors.  The rows have the type ``tables``
+    builds for that size: bytes up to 256 elements, tuples above."""
+    seq = bytes if math.prod(sizes) <= 256 else tuple
     tables = [[*map(seq, _product_rows(sizes, op))] for op in (
         lambda m, x, y: max(x, y), lambda m, x, y: min(x, y), implication)]
     negate = seq(row[0] for row in _product_rows(sizes, lukasiewicz))
-    vars(config)["tables"] = built._make([negate, *tables])
-    return config
+    return _Rows(negate, *tables, tuple(itertools.product(*map(range, sizes))))

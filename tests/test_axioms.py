@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from planted import chain_product, goedel, lukasiewicz, wide_rows, with_entry
+from planted import BYTE_LIMIT_CONFIGS, chain_product, goedel, lukasiewicz, wide_rows, with_entry
 
 from lingtruth import axioms, lattice, oracle
 from lingtruth.axioms import (
@@ -169,7 +169,7 @@ def _naive(tables, name):
 def _naive_pairs(tables, name):
     """Violations (x, y, None, lhs, rhs) of one row-screened pair check by a
     plain double loop, in the order x, then y."""
-    neg, join, meet, imp = tables
+    neg, join, meet, imp, _ = tables
     sides = {
         "I3": lambda x, y: (imp[x][y], imp[neg[y]][neg[x]]),
         "I5": lambda x, y: (imp[imp[x][y]][y], imp[imp[y][x]][x]),
@@ -183,25 +183,26 @@ def _naive_pairs(tables, name):
             if (pair := sides(x, y))[0] != pair[1]]
 
 
-def _pair_reports(config, max_witnesses=None):
-    """The I3, I5, commutativity and absorption reports, as (name, count,
-    witnesses as carrier-index tuples, None where a check has no z)."""
-    index = {v: k for k, v in enumerate(config.values())}
-    results = [check_axiom(config, axiom, max_witnesses) for axiom in (Axiom.I3, Axiom.I5)]
-    results += [law for law in check_lattice_laws(config, max_witnesses)
+def _pair_reports(rows, max_witnesses=None):
+    """The I3, I5, commutativity and absorption reports of a holder, as
+    (name, count, witnesses as carrier-index tuples, None where a check has
+    no z)."""
+    index = {v: k for k, v in enumerate(rows.values)}
+    results = [check_axiom(rows, axiom, max_witnesses) for axiom in (Axiom.I3, Axiom.I5)]
+    results += [law for law in check_lattice_laws(rows, max_witnesses)
                 if law.name.endswith(("commutative", "absorption"))]
     return [(r.name, r.total_violations,
              [tuple(None if v is None else index[v] for v in w) for w in r.witnesses])
             for r in results]
 
 
-def _cubic_reports(config, max_witnesses=None):
-    """The I1, I6, I7 and associativity reports, as (name, count, witnesses
-    as carrier-index tuples)."""
-    index = {v: k for k, v in enumerate(config.values())}
-    results = [check_axiom(config, axiom, max_witnesses)
+def _cubic_reports(rows, max_witnesses=None):
+    """The I1, I6, I7 and associativity reports of a holder, as (name,
+    count, witnesses as carrier-index tuples)."""
+    index = {v: k for k, v in enumerate(rows.values)}
+    results = [check_axiom(rows, axiom, max_witnesses)
                for axiom in (Axiom.I1, Axiom.I6, Axiom.I7)]
-    results += [law for law in check_lattice_laws(config, max_witnesses)
+    results += [law for law in check_lattice_laws(rows, max_witnesses)
                 if law.name.endswith("associative")]
     return [(r.name, r.total_violations,
              [tuple(index[v] for v in (w.x, w.y, w.z, w.lhs, w.rhs)) for w in r.witnesses])
@@ -210,9 +211,11 @@ def _cubic_reports(config, max_witnesses=None):
 
 @pytest.fixture(params=["screened", "wide"])
 def screen(request):
-    """A fresh copy of a config, on byte rows or on tuple copies of them, as
-    above 256 elements."""
-    return wide_rows if request.param == "wide" else lambda config: AlgebraConfig(*config)
+    """The holder of a fresh copy of a config, on byte rows or on tuple
+    copies of them, as above 256 elements."""
+    if request.param == "wide":
+        return lambda config: wide_rows(config).tables
+    return lambda config: AlgebraConfig(*config).tables
 
 
 class TestRowScreen:
@@ -229,21 +232,19 @@ class TestRowScreen:
         cells += [(rng.randrange(size), rng.randrange(size)) for _ in range(8)]
         for op in ("implies", "join", "meet"):
             for i, j in cells:
-                planted = screen(config)  # fresh table cache
-                tables = planted.tables
+                tables = screen(config)  # fresh maps
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
-                # the cached rows live in the instance dict
-                tables = vars(planted)["tables"] = tables._replace(
-                    **{op: with_entry(table, i, j, entry)})
+                # a ``_replace``d holder holds its maps anew
+                tables = tables._replace(**{op: with_entry(table, i, j, entry)})
                 expected = [(name, len(bad), bad) for name, bad in (
                     (name, _naive(tables, name)) for name in
                     ("I1", "I6", "I7", "join-associative", "meet-associative"))]
-                assert _cubic_reports(planted) == expected, (op, i, j, entry)
+                assert _cubic_reports(tables) == expected, (op, i, j, entry)
                 # past the cap, rows are counted and not collected; a cap past
                 # the count reads I6 and I7 off their counted slices
                 for cap in (0, 1, 10 ** 6):
-                    assert _cubic_reports(planted, cap) == [
+                    assert _cubic_reports(tables, cap) == [
                         (name, count, bad[:cap]) for name, count, bad in expected
                     ], (op, i, j, entry, cap)
 
@@ -262,19 +263,17 @@ class TestRowScreen:
         caught = 0  # plantings that break some pair check (a cell x -> y = y' -> x' may not)
         for op in ("implies", "join", "meet"):
             for i, j in cells:
-                planted = screen(config)  # fresh table cache
-                tables = planted.tables
+                tables = screen(config)  # fresh maps
                 table = getattr(tables, op)
                 entry = (table[i][j] + rng.randrange(1, size)) % size  # any other value
-                # the cached rows live in the instance dict
-                tables = vars(planted)["tables"] = tables._replace(
-                    **{op: with_entry(table, i, j, entry)})
+                # a ``_replace``d holder holds its maps anew
+                tables = tables._replace(**{op: with_entry(table, i, j, entry)})
                 expected = [(name, len(bad), bad) for name, bad in (
                     (name, _naive_pairs(tables, name)) for name in names)]
                 caught += any(count for _, count, _ in expected)
-                assert _pair_reports(planted) == expected, (op, i, j, entry)
+                assert _pair_reports(tables) == expected, (op, i, j, entry)
                 for cap in (0, 1):
-                    assert _pair_reports(planted, cap) == [
+                    assert _pair_reports(tables, cap) == [
                         (name, count, bad[:cap]) for name, count, bad in expected
                     ], (op, i, j, entry, cap)
         assert caught > len(cells) * 2
@@ -293,32 +292,41 @@ class TestRowScreen:
         one past their count, and far past it, give the uncapped count and the
         first witnesses of the uncapped report.  At or past the count the
         violations are read off the counted slices, with no walk."""
-        for config in map(screen, SMALL_CONFIGS):
+        for config in SMALL_CONFIGS:
             if config.kind != QLIA:
                 continue
+            rows = screen(config)
             for axiom in (Axiom.I6, Axiom.I7):
-                every = check_axiom(config, axiom, None)
+                every = check_axiom(rows, axiom, None)
                 for cap in (every.total_violations - 1, every.total_violations,
                             every.total_violations + 1, 10 ** 6):
-                    result = check_axiom(config, axiom, cap)
+                    result = check_axiom(rows, axiom, cap)
                     assert (result.total_violations, result.witnesses) == (
                         every.total_violations, every.witnesses[:cap]), (config, axiom, cap)
 
     def test_capped_counts_are_exact(self, screen):
         """Every report of every config with n <= 16, capped at 0, 1 and 10:
         the count of the uncapped report and the first witnesses of it."""
-        for config in map(screen, SMALL_CONFIGS):
-            every = _reports(config, None)
+        for config in SMALL_CONFIGS:
+            rows = screen(config)
+            every = _reports(rows, None)
             for cap in (0, 1, 10):
-                assert _reports(config, cap) == [
+                assert _reports(rows, cap) == [
                     (r.name, r.total_violations, r.witnesses[:cap]) for r in every
                 ], (config, cap)
 
-    def test_screen_stops_at_a_byte(self):
-        """The screens read their maps and columns through ``lattice._held``,
-        so they take the types that ``test_lattice.py::test_rows_stop_at_a_byte``
-        asserts on both sides of 256 elements."""
-        assert axioms._held is lattice._held
+    def test_screen_stops_at_a_byte(self, monkeypatch):
+        """The screens read their maps and columns through the holder's
+        ``held``, so they take the types that
+        ``test_lattice.py::test_rows_stop_at_a_byte`` asserts on both sides
+        of 256 elements."""
+        seen, held = [], lattice._Rows.held
+        monkeypatch.setattr(lattice._Rows, "held",
+                            lambda rows, table: seen.append((rows, table)) or held(rows, table))
+        for config, _ in BYTE_LIMIT_CONFIGS:
+            check_axiom(config, Axiom.I3, 0)
+            assert len(seen) == 1 and seen[0][0] is config.tables, config
+            assert seen.pop()[1] is config.tables.implies, config
 
     def test_screens_walk_only_the_rows_that_differ(self, monkeypatch):
         """Every config with n <= 16, uncapped: the screens walk a row or
@@ -363,18 +371,18 @@ class TestRowScreen:
         hold, so their whole slices agree at every x and no pair's row is
         composed (absorption composes one row per x of join and of meet).
         In LIA, I6 and I7 compose only the N rows of each z's count."""
-        composed, held = [], axioms._held
+        composed, held = [], lattice._Rows.held
 
-        def counting(config, table):
-            rows = held(config, table)
+        def counting(rows, table):
+            maps = held(rows, table)
 
             def compose(cells, row_map):
                 composed.append(cells)
-                return rows.compose(cells, row_map)
+                return maps.compose(cells, row_map)
 
-            return rows._replace(compose=compose)
+            return maps._replace(compose=compose)
 
-        monkeypatch.setattr(axioms, "_held", counting)
+        monkeypatch.setattr(lattice._Rows, "held", counting)
         for config in SMALL_CONFIGS:
             size = len(config.tables.implies)
             check_axiom(config, Axiom.I1)
@@ -427,7 +435,7 @@ class TestRowScreen:
 def _naive_order(tables):
     """The I4 and involution violations by a plain double loop, in the order
     x, then y, as (x, y, z, lhs, rhs) with None for what a check does not use."""
-    neg, join, _, imp = tables
+    neg, join, _, imp, _ = tables
     carrier, top = range(len(imp)), len(imp) - 1
     i4 = [(x, y, None, imp[x][y], imp[y][x]) for x in carrier for y in carrier
           if x != y and imp[x][y] == top and imp[y][x] == top]
@@ -437,14 +445,14 @@ def _naive_order(tables):
     return [("I4", len(i4), i4), ("involution", len(involution), involution)]
 
 
-def _order_reports(config, max_witnesses=None):
-    """The I4 and involution reports, as (name, count, witnesses as
-    carrier-index tuples, None where a check has no y)."""
-    index = {v: k for k, v in enumerate(config.values())}
+def _order_reports(rows, max_witnesses=None):
+    """The I4 and involution reports of a holder, as (name, count,
+    witnesses as carrier-index tuples, None where a check has no y)."""
+    index = {v: k for k, v in enumerate(rows.values)}
     return [(r.name, r.total_violations,
              [tuple(None if v is None else index[v] for v in w) for w in r.witnesses])
-            for r in (check_axiom(config, Axiom.I4, max_witnesses),
-                      check_involution(config, max_witnesses))]
+            for r in (check_axiom(rows, Axiom.I4, max_witnesses),
+                      check_involution(rows, max_witnesses))]
 
 
 class TestOrderScreens:
@@ -455,10 +463,11 @@ class TestOrderScreens:
         """Every config with n <= 16, on byte rows and on tuple copies of
         them: the counts and witnesses of the plain double loop, uncapped and
         capped at 0 and 1."""
-        for config in map(screen, SMALL_CONFIGS):
-            expected = _naive_order(config.tables)
+        for config in SMALL_CONFIGS:
+            rows = screen(config)
+            expected = _naive_order(rows)
             for cap in (None, 0, 1):
-                assert _order_reports(config, cap) == [
+                assert _order_reports(rows, cap) == [
                     (name, count, bad[slice(cap)]) for name, count, bad in expected
                 ], (config, cap)
 
@@ -473,8 +482,7 @@ class TestOrderScreens:
         plantings = [(op, i, j) for op in ("implies", "join") for i in range(size)
                      for j in range(size)] + [("negate", i, None) for i in range(size)]
         for op, i, j in plantings[::7 if config.n > 8 else 1]:
-            planted = screen(config)  # fresh table cache
-            tables = planted.tables
+            tables = screen(config)  # fresh maps
             if op == "negate":
                 neg = [*tables.negate]
                 neg[i] = (neg[i] + 1) % size
@@ -485,12 +493,11 @@ class TestOrderScreens:
                 if table[i][j] == entry:
                     continue
                 tables = tables._replace(**{op: with_entry(table, i, j, entry)})
-            vars(planted)["tables"] = tables  # the cached rows live in the instance dict
-            expected = _naive_order(tables)
+            expected = _naive_order(tables)  # a ``_replace``d holder holds its maps anew
             for name, count, _ in expected:
                 caught[name] += count > 0
-            assert _order_reports(planted) == expected, (op, i, j)
-            assert _order_reports(planted, 1) == [
+            assert _order_reports(tables) == expected, (op, i, j)
+            assert _order_reports(tables, 1) == [
                 (name, count, bad[:1]) for name, count, bad in expected], (op, i, j)
         assert caught["I4"] and caught["involution"], caught
 
@@ -498,15 +505,14 @@ class TestOrderScreens:
         """lia(3): v3F -> v2F = top already, and planting v2F -> v3F = top
         makes the pair one I4 violation each way; planting v3T v v0T = v0T
         reads v3T <= v0T, which negation maps to v0F <= v3F, and it is not."""
-        config = lia(3)
-        tables = config.tables
-        vars(config)["tables"] = tables._replace(
+        tables = lia(3).tables
+        planted = tables._replace(
             implies=with_entry(tables.implies, 1, 0, 7), join=with_entry(tables.join, 7, 4, 4))
-        i4 = check_axiom(config, Axiom.I4)
+        i4 = check_axiom(planted, Axiom.I4)
         assert (i4.total_violations, i4.witnesses) == (2, [
             axioms.Witness(F(3), F(2), None, T(3), T(3)),
             axioms.Witness(F(2), F(3), None, T(3), T(3))])
-        involution = check_involution(config)
+        involution = check_involution(planted)
         assert involution.witnesses == [axioms.Witness(T(3), T(0), None, F(0), F(3))]
 
 
@@ -518,7 +524,8 @@ _WALKED = {"I1": "xz", "I3": "x", "I5": "x", "I6": "xz", "I7": "xz",
 
 
 def _reports(config, max_witnesses):
-    """Every axiom, lattice-law and involution report of ``config``."""
+    """Every axiom, lattice-law and involution report of ``config``, a
+    config or a holder."""
     results = check_all_axioms(config, max_witnesses)
     return ([results[a] for a in Axiom] + check_lattice_laws(config, max_witnesses)
             + [check_involution(config, max_witnesses)])
@@ -575,7 +582,8 @@ PRODUCTS = [sizes for sizes in _factorisations(32) if math.prod(sizes) % 2 == 0]
 def _product_covers(config, sizes):
     """The cover graph of the product of the chains of ``sizes``, on
     ``config.values()`` in the order of ``planted.chain_product``'s indices:
-    a covers b where they differ by one step in one factor."""
+    a covers b where they differ by one step in one factor.  ``CoverGraph``
+    takes a config, so the product is checked through one of its size."""
     values, elements = config.values(), [*itertools.product(*map(range, sizes))]
     position = {e: k for k, e in enumerate(elements)}
     return CoverGraph(config, values, frozenset(
@@ -595,10 +603,13 @@ class TestChainProducts:
         rows, the order and residuation as they are."""
         assert len(PRODUCTS) == 56 and (2, 16) in PRODUCTS and (16, 2) not in PRODUCTS
         for sizes in PRODUCTS:
-            config = chain_product(sizes, lukasiewicz)
-            assert classify(check_all_axioms(config, 0)) is Classification.LIA, sizes
-            assert all(law.holds for law in check_lattice_laws(config, 0)), sizes
-            assert check_involution(config, 0).holds, sizes
+            rows = chain_product(sizes, lukasiewicz)
+            assert classify(check_all_axioms(rows, 0)) is Classification.LIA, sizes
+            assert all(law.holds for law in check_lattice_laws(rows, 0)), sizes
+            assert check_involution(rows, 0).holds, sizes
+            # the oracle reads the rows of a graph's config, named by its values
+            config = lia(len(rows.values) // 2 - 1)
+            vars(config)["tables"] = rows._replace(values=config.values())
             graph = _product_covers(config, sizes)
             assert verify_lattice(graph).is_lattice, sizes
             report = cross_check_ops(graph)
@@ -608,15 +619,24 @@ class TestChainProducts:
         """Exactly I3 and I5 fail, as often as a plain double loop finds,
         unless every factor has two elements (a Boolean algebra)."""
         for sizes in PRODUCTS:
-            config = chain_product(sizes, goedel)
-            results = check_all_axioms(config, 0)
+            rows = chain_product(sizes, goedel)
+            results = check_all_axioms(rows, 0)
             failed = {a.value: results[a].total_violations for a in Axiom if not results[a].holds}
             expected = {} if set(sizes) == {2} else {
-                name: len(_naive_pairs(config.tables, name)) for name in ("I3", "I5")}
+                name: len(_naive_pairs(rows, name)) for name in ("I3", "I5")}
             assert failed == expected, sizes
+
+    def test_product_witnesses_name_coordinates(self):
+        """A product's witnesses name its elements by their coordinates, not
+        by linguistic values: in L3 x L2 with the Gödel implication, the
+        first I3 violation is x = (1, 0), y = (0, 0), where x -> y =
+        (1 -> 0, 0 -> 0) = (0, 1) and y' -> x' = (2, 1) -> (1, 1) = (1, 1)."""
+        result = check_axiom(chain_product((3, 2), goedel), Axiom.I3, 1)
+        assert (result.total_violations, result.witnesses) == (
+            8, [axioms.Witness((1, 0), (0, 0), None, (0, 1), (1, 1))])
 
     def test_lia_is_l2_times_l_n_plus_1(self):
         """The paper's LIA is the product L2 x L(n+1), indexed as its carrier
         index b(n+1) + p, on both sides of the byte limit."""
         for n in [*range(41), 127, 128]:
-            assert lia(n).tables == chain_product((2, n + 1), lukasiewicz).tables, n
+            assert lia(n).tables[:4] == chain_product((2, n + 1), lukasiewicz)[:4], n

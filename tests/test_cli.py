@@ -385,6 +385,22 @@ class TestVerifyExamples:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv, decodes", [
+    (["check", "--n", "12", "--qlia", "--noncomp", "5"], {1, 2}),
+    (["check", "--n", "13"], {1, 2}),
+    (["infer", "--n", "72", "--rule", "mp", "--format", "csv"], {1}),
+], ids=["check-QLIA", "check-LIA", "infer"])
+def test_carrier_is_decoded_once_per_holder(capsys, monkeypatch, argv, decodes):
+    """``check`` decodes the carrier at most twice, once for the rows'
+    holder, whose values name every witness, and once for the cover graph;
+    ``infer`` once, for the holder that names its rows."""
+    calls, values = [], AlgebraConfig.values
+    monkeypatch.setattr(AlgebraConfig, "values", lambda config: calls.append(config)
+                        or values(config))
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) in decodes, calls
+
+
 class TestHasse:
     def test_dot_nodes(self, capsys):
         code, out, _ = run(capsys, "hasse", "--n", "4", "--format", "dot")

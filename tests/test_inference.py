@@ -209,11 +209,18 @@ class TestTables:
                 assert ([*listed.direct], [*listed.closed], listed.branch) == (
                     [*table.direct], [*table.closed], table.branch), (config, rule)
 
-    def test_byte_fold_stops_at_a_byte(self):
-        """The direct fold reads its maps through ``lattice._held``, so it
-        takes the types that ``test_lattice.py::test_rows_stop_at_a_byte``
+    def test_byte_fold_stops_at_a_byte(self, monkeypatch):
+        """The direct fold reads its maps through the holder's ``held``, so
+        it takes the types that ``test_lattice.py::test_rows_stop_at_a_byte``
         asserts on both sides of 256 elements."""
-        assert inference._held is lattice._held
+        seen, held = [], lattice._Rows.held
+        monkeypatch.setattr(lattice._Rows, "held",
+                            lambda rows, table: seen.append((rows, table)) or held(rows, table))
+        for config, _ in BYTE_LIMIT_CONFIGS:
+            inference.inference_table(config, RuleId.MP)
+            assert seen and {id(rows) for rows, _ in seen} == {id(config.tables)}, config
+            assert {id(table) for _, table in seen} <= {*map(id, config.tables[1:4])}, config
+            seen.clear()
 
     def test_columns_are_compact(self):
         """Up to 256 elements all three columns are ``bytearray``s; above,

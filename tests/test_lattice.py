@@ -314,39 +314,41 @@ class TestOpTables:
     @pytest.mark.parametrize("config", SMALL_CONFIGS)
     def test_rows_compose_as_the_table(self, config):
         """Columns and maps of every operation table, on its byte rows and on
-        tuple copies of them as above 256 elements: ``_columns`` transposes
-        the table in the type of its rows, and a composed row or column is
-        the table read twice, and has the type of the rows."""
-        for table in config.tables[1:] + wide_rows(config).tables[1:]:  # join, meet, implies
-            carrier = range(len(table))
-            table_columns = [[table[w][z] for w in carrier] for z in carrier]
-            # twice[x][y][z] is table[x][table[y][z]]
-            twice = [[[*map(row_x.__getitem__, row_y)] for row_y in table] for row_x in table]
-            maps, columns, column_maps, compose = lattice._rows(table)
-            row_type = type(table[0])
-            assert [[*column] for column in columns] == table_columns, row_type
-            split = lattice._columns(table)
-            assert {*map(type, split)} == {row_type}
-            assert [*map(tuple, split)] == [*zip(*table)], row_type
-            for x in carrier:
-                composed = [compose(row, maps[x]) for row in table]
-                assert {type(row) for row in composed} == {row_type}
-                assert [[*row] for row in composed] == twice[x], (row_type, x)
-                # column z read by row x is twice[x][w][z] over w
-                assert [compose(column, maps[x]) for column in columns] == [
-                    row_type(cells) for cells in zip(*twice[x])], (row_type, x)
-                assert [[*compose(table[x], column_map)] for column_map in column_maps] == [
-                    [*map(column.__getitem__, table[x])] for column in table_columns
-                ], (row_type, x)
+        tuple copies of them as above 256 elements, as the holder holds them:
+        ``_columns`` transposes the table in the type of its rows, and a
+        composed row or column is the table read twice, and has the type of
+        the rows."""
+        for rows in (config.tables, wide_rows(config).tables):
+            for table in rows[1:4]:  # join, meet, implies
+                carrier = range(len(table))
+                table_columns = [[table[w][z] for w in carrier] for z in carrier]
+                # twice[x][y][z] is table[x][table[y][z]]
+                twice = [[[*map(row_x.__getitem__, row_y)] for row_y in table] for row_x in table]
+                maps, columns, column_maps, compose = rows.held(table)
+                row_type = type(table[0])
+                assert [[*column] for column in columns] == table_columns, row_type
+                split = lattice._columns(table)
+                assert {*map(type, split)} == {row_type}
+                assert [*map(tuple, split)] == [*zip(*table)], row_type
+                for x in carrier:
+                    composed = [compose(row, maps[x]) for row in table]
+                    assert {type(row) for row in composed} == {row_type}
+                    assert [[*row] for row in composed] == twice[x], (row_type, x)
+                    # column z read by row x is twice[x][w][z] over w
+                    assert [compose(column, maps[x]) for column in columns] == [
+                        row_type(cells) for cells in zip(*twice[x])], (row_type, x)
+                    assert [[*compose(table[x], column_map)] for column_map in column_maps] == [
+                        [*map(column.__getitem__, table[x])] for column in table_columns
+                    ], (row_type, x)
 
     def test_rows_stop_at_a_byte(self):
-        """``_held`` keeps the rows ``tables`` builds as they are: up to 256
-        elements (n = 127) byte rows composed by ``bytes.translate``, above
-        (n = 128) tuple rows composed by ``_gather``, with maps, columns and
-        column maps of the row type."""
+        """The holder's ``held`` keeps the rows ``tables`` builds as they are:
+        up to 256 elements (n = 127) byte rows composed by
+        ``bytes.translate``, above (n = 128) tuple rows composed by
+        ``_gather``, with maps, columns and column maps of the row type."""
         for config, row_type in BYTE_LIMIT_CONFIGS:
-            for table in config.tables[1:]:
-                maps, columns, column_maps, compose = lattice._held(config, table)
+            for table in config.tables[1:4]:  # join, meet, implies
+                maps, columns, column_maps, compose = config.tables.held(table)
                 assert compose is (bytes.translate if row_type is bytes else lattice._gather), (
                     config)
                 for held in (maps, columns, column_maps):
@@ -358,14 +360,15 @@ class TestOpTables:
         for config, row_type in BYTE_LIMIT_CONFIGS:
             tables = config.tables
             assert type(tables.negate) is row_type, config
-            for table in tables[1:]:
+            for table in tables[1:4]:  # join, meet, implies
                 assert {*map(type, table)} == {row_type}, config
 
     def test_rows_are_held_once_per_config(self, monkeypatch):
-        """``_held`` builds each operation table's rows once per config: a
-        whole ``check`` and both inference tables run ``_rows``, which makes
-        one ``_RowMaps`` a call, once for each of join, meet and implies.  A
-        table planted in place of the built one gets rows of its own."""
+        """The holder's ``held`` builds each operation table's rows once per
+        config: a whole ``check`` and both inference tables make one
+        ``_RowMaps`` for each of join, meet and implies, kept in the
+        holder's instance dict.  A ``_replace``d holder, with a table planted
+        in place of the built one, gets rows of its own."""
         built, row_maps = [], lattice._RowMaps
         monkeypatch.setattr(lattice, "_RowMaps",
                             lambda *held: built.append(held) or row_maps(*held))
@@ -377,11 +380,11 @@ class TestOpTables:
         for rule in inference.RuleId:
             inference.inference_table(config, rule)
         assert len(built) == 3
-        assert sorted(vars(config)["_held"]) == sorted(map(id, tables[1:]))
-        assert lattice._held(config, tables.implies) is lattice._held(config, tables.implies)
+        assert sorted(vars(tables)) == sorted(map(id, tables[1:4]))
+        assert tables.held(tables.implies) is tables.held(tables.implies)
         assert len(built) == 3
         planted = with_entry(tables.implies, 0, 0, tables.implies[0][0] ^ 1)
-        columns = lattice._held(config, planted).columns
+        columns = tables._replace(implies=planted).held(planted).columns
         assert len(built) == 4
         assert columns[0][0] == planted[0][0] != tables.implies[0][0]
 

@@ -485,9 +485,19 @@ class TestCrossCheck:
             assert cross_check_ops(graph).stated == differ, config
 
     def test_graph_out_of_table_order_is_rejected(self):
-        graph = build_covers(qlia(4, 2))
-        with pytest.raises(DomainError):
-            cross_check_ops(CoverGraph(graph.config, graph.elements[::-1], graph.covers))
+        """The graph must list the carrier in the order of the rows: reversed,
+        or without its top, it is refused; listed in order, as a list or a
+        tuple, it is checked and clean."""
+        config = qlia(4, 2)
+        graph = build_covers(config)
+        top = config.top()
+        for elements, covers in ((graph.elements[::-1], graph.covers),
+                                 (graph.elements[:-1], {e for e in graph.covers if top not in e})):
+            with pytest.raises(DomainError):
+                cross_check_ops(CoverGraph(config, elements, frozenset(covers)))
+        listed = CoverGraph(config, list(config.values()), graph.covers)
+        assert cross_check_ops(listed).clean
+        assert cross_check_ops(listed) == cross_check_ops(graph)
 
     def test_report_dict(self):
         d = cross_check_ops(build_covers(qlia(4, 2))).to_dict()
